@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -118,12 +119,20 @@ _KEY_TYPES = {
 }
 
 
+# A config comment starts at a '#' that begins the line or follows whitespace.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def read_config_file(path) -> dict:
-    """Flat key = value settings; '#' starts a comment, keys use underscores."""
+    """Flat key = value settings; keys use underscores.
+
+    A '#' at the start of a line or after whitespace starts a comment; any
+    other '#' is part of the value, as in ``input = runs/#3/data.csv``.
+    """
     settings = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -168,7 +168,8 @@ def fit_map(
     init : QrseParams, optional
         Explicit start. When omitted, a moment-based start (mu0 = sample
         median, alpha0 = sample mean, T0 = S0 = sd/2) is used together with
-        ``restarts`` Latin-hypercube starts spread over the bounds box.
+        ``restarts`` Latin-hypercube starts spread over the bounds box;
+        ``restarts=0`` fits from the moment start alone.
     bounds : sequence of four (low, high) pairs, optional
         Box on (T, S, mu, alpha). Defaults to (0.1, 8) for the scales and
         the histogram span for the locations.
@@ -183,6 +184,8 @@ def fit_map(
     NoDescent
         If every start ends worse than it began (or never evaluates finite).
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be nonnegative, got {restarts!r}")
     if bounds is None:
         bounds = _default_bounds(hist)
     (t_lo, t_hi), (s_lo, s_hi) = bounds[0], bounds[1]
@@ -210,8 +213,10 @@ def fit_map(
         moment_start = np.array(
             [math.log(scale0), math.log(max(sd / 2.0, s_lo)), median, mean]
         )
-        hypercube = qmc.LatinHypercube(d=4, seed=seed).random(restarts)
-        starts = [moment_start] + list(qmc.scale(hypercube, lows, highs))
+        starts = [moment_start]
+        if restarts:
+            hypercube = qmc.LatinHypercube(d=4, seed=seed).random(restarts)
+            starts += list(qmc.scale(hypercube, lows, highs))
     starts = [np.clip(s, lows, highs) for s in starts]
 
     best = None

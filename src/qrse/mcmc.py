@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -60,6 +60,7 @@ class PriorSpec:
 
     The truncated-normal log-density includes the normalization over the
     truncation interval, so prior densities integrate to one on the support.
+    Both normalizers are computed once, at construction.
     """
 
     t_center: float
@@ -72,6 +73,8 @@ class PriorSpec:
     alpha_sd: float = DEFAULT_LOCATION_SD
     bound_low: float = TRUNCATION_LOW
     bound_high: float = TRUNCATION_HIGH
+    _t_log_mass: float = field(init=False, repr=False, compare=False)
+    _s_log_mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("t_sd", "s_sd", "mu_sd", "alpha_sd"):
@@ -79,6 +82,12 @@ class PriorSpec:
                 raise ValueError(f"{name} must be positive")
         if not (self.bound_low < self.bound_high):
             raise ValueError("truncation bounds must satisfy low < high")
+        object.__setattr__(
+            self, "_t_log_mass", self._truncation_log_mass(self.t_center, self.t_sd)
+        )
+        object.__setattr__(
+            self, "_s_log_mass", self._truncation_log_mass(self.s_center, self.s_sd)
+        )
 
     def _truncation_log_mass(self, center: float, sd: float) -> float:
         mass = float(
@@ -109,9 +118,9 @@ class PriorSpec:
             )
         return (
             _normal_logpdf(params.T, self.t_center, self.t_sd)
-            - self._truncation_log_mass(self.t_center, self.t_sd)
+            - self._t_log_mass
             + _normal_logpdf(params.S, self.s_center, self.s_sd)
-            - self._truncation_log_mass(self.s_center, self.s_sd)
+            - self._s_log_mass
             + _normal_logpdf(params.mu, self.mu_center, self.mu_sd)
             + _normal_logpdf(params.alpha, self.alpha_center, self.alpha_sd)
         )
@@ -191,8 +200,8 @@ class PosteriorDraws:
         scales_stored = draws[:, :, :2]
         if np.any(scales_stored < low) or np.any(scales_stored > high):
             raise ValueError("stored T or S violates the prior truncation bounds")
-        if any(not (0.0 < r < 1.0) for r in self.acceptance_rates):
-            raise ValueError("acceptance rates must lie strictly inside (0, 1)")
+        if any(not (0.0 <= r <= 1.0) for r in self.acceptance_rates):
+            raise ValueError("acceptance rates must lie in [0, 1]")
         draws.setflags(write=False)
         object.__setattr__(self, "draws", draws)
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -110,6 +111,17 @@ class TestFit:
     def test_missing_histogram(self, tmp_path):
         assert run("fit", "--outdir", str(tmp_path)) == 2
 
+    def test_zero_restarts(self, pipeline_dir, tmp_path, capsys):
+        shutil.copy(pipeline_dir / "histogram.json", tmp_path)
+        assert run("fit", "--outdir", str(tmp_path), "--restarts", "0") == 0
+        assert "restarts=0" in capsys.readouterr().out
+        assert json.loads((tmp_path / "map.json").read_text())["restarts_used"] == 0
+
+    def test_negative_restarts_exit_code(self, pipeline_dir, tmp_path, capsys):
+        shutil.copy(pipeline_dir / "histogram.json", tmp_path)
+        assert run("fit", "--outdir", str(tmp_path), "--restarts", "-1") == 2
+        assert "restarts must be nonnegative" in capsys.readouterr().err
+
     def test_no_descent_exit_code(self, pipeline_dir, monkeypatch):
         def explode(*args, **kwargs):
             raise NoDescent("engineered")
@@ -196,6 +208,20 @@ class TestConfigFile:
                    "--bins", "3") == 0
         hist = json.loads((outdir / "histogram.json").read_text())
         assert len(hist["frequencies"]) == 3
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "# full-line comment\n"
+            "input = runs/#3/data.csv\n"
+            "outdir = out#1\t# tab comment\n"
+            "restarts = 2 # trailing comment\n"
+        )
+        assert cli.read_config_file(cfg) == {
+            "input": "runs/#3/data.csv",
+            "outdir": "out#1",
+            "restarts": 2,
+        }
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -115,6 +115,15 @@ class TestFitMap:
         )
         assert result.kl <= at_truth + 1e-12
 
+    def test_zero_restarts_fits_moment_start_only(self, medium_hist):
+        result = fit_map(medium_hist, seed=0, restarts=0)
+        assert result.restarts_used == 0
+        assert abs(result.params.mu - REF.mu) <= 0.5
+
+    def test_negative_restarts_rejected(self, medium_hist):
+        with pytest.raises(ValueError, match="restarts"):
+            fit_map(medium_hist, restarts=-1)
+
     def test_json_round_trip(self, medium_hist):
         result = fit_map(medium_hist, init=REF)
         restored = mapfit.MapResult.from_json(result.to_json())

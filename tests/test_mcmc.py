@@ -259,6 +259,31 @@ class TestRunChains:
                 priors=PRIORS,
             )
 
+    def test_acceptance_rate_one_is_legal(self):
+        # Prior-only, with steps so small that every proposal is accepted.
+        config = ChainConfig(chains=2, draws=50, tune=0, step_scales=(1e-9,) * 4)
+        posterior = run_chains(np.array([]), PRIORS, config)
+        assert posterior.acceptance_rates == (1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "rate, legal", [(0.0, True), (1.0, True), (-0.1, False), (1.5, False)]
+    )
+    def test_acceptance_rate_range(self, rate, legal):
+        def build():
+            PosteriorDraws(
+                draws=np.full((2, 2, 4), 1.0),
+                acceptance_rates=(rate, 0.5),
+                step_scales=((1.0,) * 4,) * 2,
+                config=ChainConfig(chains=2, draws=2, tune=0, seed=0),
+                priors=PRIORS,
+            )
+
+        if legal:
+            build()
+        else:
+            with pytest.raises(ValueError, match="acceptance"):
+                build()
+
 
 class TestTrace:
     def test_round_trip_bit_exact(self, small_posterior, tmp_path):
