@@ -17,6 +17,7 @@ problems, 3 optimization failure, 4 sampler failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -46,38 +47,6 @@ VARIATION_VALUES = {
     "alpha": (-5.0, 0.0, 5.0),
 }
 
-DEFAULTS = {
-    "outdir": ".",
-    "bins": "fd",
-    "extreme_lo": ingest.DEFAULT_EXTREME_LOW,
-    "extreme_hi": ingest.DEFAULT_EXTREME_HIGH,
-    "years": "2000-2016",
-    "chains": 3,
-    "draws": 30000,
-    "tune": 4000,
-    "seed": 0,
-    "restarts": mapfit.DEFAULT_RESTARTS,
-    "reverse_kl": False,
-    "prior_t_sd": mcmc.DEFAULT_SCALE_SD,
-    "prior_s_sd": mcmc.DEFAULT_SCALE_SD,
-    "prior_mu_sd": mcmc.DEFAULT_LOCATION_SD,
-    "prior_alpha_sd": mcmc.DEFAULT_LOCATION_SD,
-    "prior_bound_low": mcmc.TRUNCATION_LOW,
-    "prior_bound_high": mcmc.TRUNCATION_HIGH,
-    "prior_t_center": None,
-    "prior_s_center": None,
-    "prior_mu_center": None,
-    "prior_alpha_center": None,
-    "input": None,
-    "t": 5.0,
-    "s": 5.0,
-    "mu": 0.0,
-    "alpha": 0.0,
-    "n": 10000,
-    "grid_points": model.DEFAULT_GRID_POINTS,
-}
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "1", "yes"):
@@ -87,35 +56,36 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_KEY_TYPES = {
-    "input": str,
-    "outdir": str,
-    "bins": str,
-    "extreme_lo": float,
-    "extreme_hi": float,
-    "years": str,
-    "chains": int,
-    "draws": int,
-    "tune": int,
-    "seed": int,
-    "restarts": int,
-    "reverse_kl": _parse_bool,
-    "prior_t_center": float,
-    "prior_s_center": float,
-    "prior_mu_center": float,
-    "prior_alpha_center": float,
-    "prior_t_sd": float,
-    "prior_s_sd": float,
-    "prior_mu_sd": float,
-    "prior_alpha_sd": float,
-    "prior_bound_low": float,
-    "prior_bound_high": float,
-    "t": float,
-    "s": float,
-    "mu": float,
-    "alpha": float,
-    "n": int,
-    "grid_points": int,
+# Every setting a flag or config file can supply: key -> (parser for config
+# file text, built-in default).
+SETTINGS = {
+    "input": (str, None),
+    "outdir": (str, "."),
+    "bins": (str, "fd"),
+    "extreme_lo": (float, ingest.DEFAULT_EXTREME_LOW),
+    "extreme_hi": (float, ingest.DEFAULT_EXTREME_HIGH),
+    "years": (str, "2000-2016"),
+    "chains": (int, 3),
+    "draws": (int, 30000),
+    "tune": (int, 4000),
+    "seed": (int, 0),
+    "restarts": (int, mapfit.DEFAULT_RESTARTS),
+    "reverse_kl": (_parse_bool, False),
+    "prior_t_center": (float, None),
+    "prior_s_center": (float, None),
+    "prior_mu_center": (float, None),
+    "prior_alpha_center": (float, None),
+    "prior_t_sd": (float, mcmc.DEFAULT_SCALE_SD),
+    "prior_s_sd": (float, mcmc.DEFAULT_SCALE_SD),
+    "prior_mu_sd": (float, mcmc.DEFAULT_LOCATION_SD),
+    "prior_alpha_sd": (float, mcmc.DEFAULT_LOCATION_SD),
+    "prior_bound_low": (float, mcmc.TRUNCATION_LOW),
+    "prior_bound_high": (float, mcmc.TRUNCATION_HIGH),
+    "t": (float, 5.0),
+    "s": (float, 5.0),
+    "mu": (float, 0.0),
+    "alpha": (float, 0.0),
+    "n": (int, 10000),
 }
 
 
@@ -139,10 +109,10 @@ def read_config_file(path) -> dict:
                 raise ParseError(f"{path}: line {line_no}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _KEY_TYPES:
+            if key not in SETTINGS:
                 raise ParseError(f"{path}: line {line_no}: unknown setting {key!r}")
             try:
-                settings[key] = _KEY_TYPES[key](value)
+                settings[key] = SETTINGS[key][0](value)
             except ValueError as err:
                 raise ParseError(f"{path}: line {line_no}: {err}") from None
     return settings
@@ -150,9 +120,9 @@ def read_config_file(path) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     file_settings = read_config_file(args.config) if getattr(args, "config", None) else {}
-    settings = dict(DEFAULTS)
+    settings = {key: default for key, (_, default) in SETTINGS.items()}
     settings.update(file_settings)
-    for key in _KEY_TYPES:
+    for key in SETTINGS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
@@ -204,12 +174,16 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_histogram(outdir: Path) -> ingest.HistogramSpec:
-    payload = _load_json(outdir / HISTOGRAM_FILE, "histogram")
+def _load_artifact(path: Path, what: str, from_json):
+    payload = _load_json(path, what)
     try:
-        return ingest.HistogramSpec.from_json(payload)
+        return from_json(payload)
     except (KeyError, TypeError, ValueError) as err:
-        raise ParseError(f"{outdir / HISTOGRAM_FILE}: {err}") from None
+        raise ParseError(f"{path}: {err}") from None
+
+
+def _load_histogram(outdir: Path) -> ingest.HistogramSpec:
+    return _load_artifact(outdir / HISTOGRAM_FILE, "histogram", ingest.HistogramSpec.from_json)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -285,16 +259,10 @@ def _priors_from_settings(settings: dict, map_params: model.QrseParams) -> mcmc.
 def cmd_sample(args: argparse.Namespace) -> int:
     settings = _resolve(args)
     outdir = Path(settings["outdir"])
-    map_payload = _load_json(outdir / MAP_FILE, "MAP")
-    try:
-        map_result = mapfit.MapResult.from_json(map_payload)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ParseError(f"{outdir / MAP_FILE}: {err}") from None
-    cleaned_payload = _load_json(outdir / CLEANED_FILE, "cleaned sample")
-    try:
-        cleaned = ingest.CleanedSample.from_json(cleaned_payload)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ParseError(f"{outdir / CLEANED_FILE}: {err}") from None
+    map_result = _load_artifact(outdir / MAP_FILE, "MAP", mapfit.MapResult.from_json)
+    cleaned = _load_artifact(
+        outdir / CLEANED_FILE, "cleaned sample", ingest.CleanedSample.from_json
+    )
 
     priors = _priors_from_settings(settings, map_result.params)
     config = mcmc.ChainConfig(
@@ -351,9 +319,7 @@ def _export_parameter_variation(path: Path) -> None:
         handle.write("parameter,value,x,pdf\n")
         for name, values in VARIATION_VALUES.items():
             for value in values:
-                fields = {"T": base.T, "S": base.S, "mu": base.mu, "alpha": base.alpha}
-                fields[name] = value
-                table = model.build_density(model.QrseParams(**fields), grid)
+                table = model.build_density(dataclasses.replace(base, **{name: value}), grid)
                 for x, p in zip(grid.points.tolist(), table.pdf.tolist()):
                     handle.write(f"{name},{value!r},{x!r},{p!r}\n")
 
@@ -372,10 +338,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     text = report.to_text()
     (outdir / REPORT_TEXT).write_text(text + "\n", encoding="utf-8")
 
-    means = {name: summary.mean for name, summary in report.rows}
-    mean_params = model.QrseParams(
-        T=means["T"], S=means["S"], mu=means["mu"], alpha=means["alpha"]
-    )
+    mean_params = model.QrseParams(**{name: summary.mean for name, summary in report.rows})
     grid = diagnostics.report_grid(mean_params, hist)
     _export_fit_curve(outdir / FIT_CURVE_FILE, hist, mean_params, grid)
     _export_quantal_response(outdir / QUANTAL_FILE, mean_params)

@@ -19,7 +19,7 @@ from .errors import InsufficientDraws, TooFewSamples
 from .ingest import HistogramSpec
 from .mapfit import kl_divergence, soofi_id
 from .mcmc import PosteriorDraws
-from .model import DEFAULT_GRID_POINTS, AUTO_SPAN_SCALES, EvalGrid, QrseParams, bin_probabilities
+from .model import EvalGrid, QrseParams, bin_probabilities
 
 DEFAULT_HDI_PROB = 0.94
 MIN_SUMMARY_SAMPLES = 20
@@ -196,10 +196,11 @@ class FitReport:
 def report_grid(params: QrseParams, hist: HistogramSpec) -> EvalGrid:
     # Wide enough for both the fitted density and every histogram edge, so
     # bin probabilities never meet an empty bin at the data boundary.
-    scale = max(params.T, params.S)
-    low = min(float(hist.edges[0]), min(params.mu, params.alpha) - AUTO_SPAN_SCALES * scale)
-    high = max(float(hist.edges[-1]), max(params.mu, params.alpha) + AUTO_SPAN_SCALES * scale)
-    return EvalGrid.from_bounds(low, high, DEFAULT_GRID_POINTS)
+    return EvalGrid.spanning(
+        (params.mu, params.alpha),
+        max(params.T, params.S),
+        cover=(float(hist.edges[0]), float(hist.edges[-1])),
+    )
 
 
 def summarize(

@@ -140,16 +140,6 @@ def _default_bounds(hist: HistogramSpec):
     return (DEFAULT_SCALE_BOUNDS, DEFAULT_SCALE_BOUNDS, (low, high), (low, high))
 
 
-def _fit_grid(hist: HistogramSpec, bounds, n_points: int) -> EvalGrid:
-    # One fixed grid wide enough for every parameter box corner, so the
-    # objective stays comparable across the whole search region and the
-    # edge-mass check cannot fire inside the box.
-    scale_high = max(bounds[0][1], bounds[1][1])
-    low = min(float(hist.edges[0]), bounds[2][0], bounds[3][0]) - 8.0 * scale_high
-    high = max(float(hist.edges[-1]), bounds[2][1], bounds[3][1]) + 8.0 * scale_high
-    return EvalGrid.from_bounds(low, high, n_points)
-
-
 def fit_map(
     hist: HistogramSpec,
     init: QrseParams | None = None,
@@ -191,7 +181,14 @@ def fit_map(
     (t_lo, t_hi), (s_lo, s_hi) = bounds[0], bounds[1]
     if not (0.0 < t_lo < t_hi and 0.0 < s_lo < s_hi):
         raise ValueError("scale bounds must satisfy 0 < low < high")
-    grid = _fit_grid(hist, bounds, grid_points)
+    # One fixed grid wide enough for every parameter box corner, so the
+    # objective stays comparable across the whole search region and the
+    # edge-mass check cannot fire inside the box.
+    grid = EvalGrid.spanning(
+        (float(hist.edges[0]), float(hist.edges[-1]), *bounds[2], *bounds[3]),
+        max(t_hi, s_hi),
+        n_points=grid_points,
+    )
     observed = hist.frequencies
 
     lows = np.array([math.log(t_lo), math.log(s_lo), bounds[2][0], bounds[3][0]])

@@ -12,6 +12,10 @@ Everything is deterministic given (data, priors, config): chains use a
 counter-based generator keyed by seed + chain_index, initial points are
 jittered around the posterior mode, and the partition-function grid is built
 once from the data range and the prior's extreme corners.
+
+The sampled posterior is truncated to mu and alpha within CORNER_SDS prior
+sds of their centers, the box at whose corners that grid is verified: the
+sampler rejects proposals outside it, so no proposal can outgrow the grid.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
-from .errors import OutOfSupport, StuckChain
+from .errors import OutOfSupport, ParseError, StuckChain
 from .model import DEFAULT_GRID_POINTS, EvalGrid, QrseParams, build_density, log_likelihood
 from .synthetic import RNG_ALGORITHM, rng_from_seed
 
@@ -46,7 +50,8 @@ CORNER_SDS = 4.0
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-PARAM_NAMES = ("T", "S", "mu", "alpha")
+TRACE_FORMAT = "qrse-trace-v1"
+TRACE_HEADER = "chain,draw,T,S,mu,alpha"
 
 
 def _normal_logpdf(x: float, center: float, sd: float) -> float:
@@ -210,32 +215,31 @@ class PosteriorDraws:
         return self.draws[:, :, index].reshape(-1)
 
 
+def _location_box(priors: PriorSpec) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(low, high) for mu, then for alpha: CORNER_SDS prior sds either side."""
+    mu_pad, alpha_pad = CORNER_SDS * priors.mu_sd, CORNER_SDS * priors.alpha_sd
+    return (
+        (priors.mu_center - mu_pad, priors.mu_center + mu_pad),
+        (priors.alpha_center - alpha_pad, priors.alpha_center + alpha_pad),
+    )
+
+
 def build_sampling_grid(
     data, priors: PriorSpec, n_points: int = DEFAULT_GRID_POINTS
 ) -> EvalGrid:
     """Fixed partition-function grid for a whole MCMC run.
 
-    Spans the data range and the prior's extreme corners (locations
-    CORNER_SDS prior sds out, scales at the upper truncation bound), then
-    verifies the edge-mass limit at those corners so that no in-support
-    proposal can need a wider grid.
+    Spans the data range and the prior's extreme corners (the corners of
+    the location box, scales at the upper truncation bound), then verifies
+    the edge-mass limit at those corners so that no in-support proposal
+    can need a wider grid.
     """
     values = np.asarray(data, dtype=float)
-    mu_corners = (
-        priors.mu_center - CORNER_SDS * priors.mu_sd,
-        priors.mu_center + CORNER_SDS * priors.mu_sd,
-    )
-    alpha_corners = (
-        priors.alpha_center - CORNER_SDS * priors.alpha_sd,
-        priors.alpha_center + CORNER_SDS * priors.alpha_sd,
-    )
-    pad = 8.0 * priors.bound_high
-    low = min(mu_corners[0], alpha_corners[0]) - pad
-    high = max(mu_corners[1], alpha_corners[1]) + pad
+    mu_corners, alpha_corners = _location_box(priors)
+    points = mu_corners + alpha_corners
     if values.size:
-        low = min(low, float(np.min(values)) - pad)
-        high = max(high, float(np.max(values)) + pad)
-    grid = EvalGrid.from_bounds(low, high, n_points)
+        points += (float(np.min(values)), float(np.max(values)))
+    grid = EvalGrid.spanning(points, priors.bound_high, n_points=n_points)
     for mu in mu_corners:
         for alpha in alpha_corners:
             corner = QrseParams(
@@ -267,9 +271,12 @@ def log_posterior(
 
 def _make_target(data, priors: PriorSpec, grid: EvalGrid | None):
     values = np.asarray(data, dtype=float)
+    (mu_low, mu_high), (alpha_low, alpha_high) = _location_box(priors)
 
     def target(theta: np.ndarray) -> float:
         if not priors.in_support(theta[0], theta[1]):
+            return -math.inf
+        if not (mu_low <= theta[2] <= mu_high and alpha_low <= theta[3] <= alpha_high):
             return -math.inf
         params = QrseParams(T=theta[0], S=theta[1], mu=theta[2], alpha=theta[3])
         return log_posterior(params, values, priors, grid)
@@ -509,7 +516,7 @@ def save_trace(posterior: PosteriorDraws, path) -> None:
     """Write a trace file: one JSON metadata comment line, then CSV draws."""
     config = posterior.config
     metadata = {
-        "format": "qrse-trace-v1",
+        "format": TRACE_FORMAT,
         "rng": posterior.rng_algorithm,
         "seed": config.seed,
         "chains": config.chains,
@@ -521,7 +528,7 @@ def save_trace(posterior: PosteriorDraws, path) -> None:
     }
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("# " + json.dumps(metadata) + "\n")
-        handle.write("chain,draw,T,S,mu,alpha\n")
+        handle.write(TRACE_HEADER + "\n")
         for chain_index in range(config.chains):
             # repr round-trips float64 exactly, so load_trace is bit-identical.
             chain = posterior.draws[chain_index].tolist()
@@ -532,27 +539,43 @@ def save_trace(posterior: PosteriorDraws, path) -> None:
 
 
 def load_trace(path) -> PosteriorDraws:
-    """Read a trace file written by save_trace back into PosteriorDraws."""
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first.startswith("# "):
-            raise ValueError("trace file must start with a JSON metadata line")
-        metadata = json.loads(first[2:])
-        table = np.loadtxt(handle, delimiter=",", skiprows=1, ndmin=2)
-    chains = int(metadata["chains"])
-    draws = int(metadata["draws"])
-    values = table[:, 2:].reshape(chains, draws, 4)
-    config = ChainConfig(
-        chains=chains,
-        draws=draws,
-        tune=int(metadata["tune"]),
-        seed=int(metadata["seed"]),
-    )
-    return PosteriorDraws(
-        draws=values,
-        acceptance_rates=tuple(float(r) for r in metadata["acceptance_rates"]),
-        step_scales=tuple(tuple(float(x) for x in s) for s in metadata["step_scales"]),
-        config=config,
-        priors=PriorSpec.from_json(metadata["priors"]),
-        rng_algorithm=str(metadata["rng"]),
-    )
+    """Read a trace file written by save_trace back into PosteriorDraws.
+
+    Raises ParseError, naming the file, unless its metadata, format tag,
+    header, row count and (chain, draw) row order are as save_trace writes.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            first = handle.readline()
+            if not first.startswith("# "):
+                raise ValueError("trace file must start with a JSON metadata line")
+            metadata = json.loads(first[2:])
+            if not isinstance(metadata, dict) or metadata.get("format") != TRACE_FORMAT:
+                raise ValueError(f"format tag is not {TRACE_FORMAT!r}")
+            if handle.readline().rstrip("\n") != TRACE_HEADER:
+                raise ValueError(f"column header is not {TRACE_HEADER!r}")
+            rows = handle.readlines()
+        config = ChainConfig(
+            chains=int(metadata["chains"]),
+            draws=int(metadata["draws"]),
+            tune=int(metadata["tune"]),
+            seed=int(metadata["seed"]),
+        )
+        shape = (config.chains, config.draws)
+        if len(rows) != shape[0] * shape[1]:
+            raise ValueError(f"{len(rows)} rows, expected {shape[0]} chains x {shape[1]} draws")
+        table = np.loadtxt(rows, delimiter=",", ndmin=2)
+        if table.shape[1] != 6 or not np.array_equal(
+            table[:, :2], np.indices(shape).reshape(2, -1).T
+        ):
+            raise ValueError("rows are not six columns in (chain, draw) order")
+        return PosteriorDraws(
+            draws=table[:, 2:].reshape(*shape, 4),
+            acceptance_rates=tuple(float(r) for r in metadata["acceptance_rates"]),
+            step_scales=tuple(tuple(float(x) for x in s) for s in metadata["step_scales"]),
+            config=config,
+            priors=PriorSpec.from_json(metadata["priors"]),
+            rng_algorithm=str(metadata["rng"]),
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise ParseError(f"{path}: not a valid trace file: {err}") from None

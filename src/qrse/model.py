@@ -127,12 +127,23 @@ class EvalGrid:
         return cls(points=points, spacing=(high - low) / (n_points - 1))
 
     @classmethod
+    def spanning(
+        cls, points, scale: float, cover=(), n_points: int = DEFAULT_GRID_POINTS
+    ) -> "EvalGrid":
+        """Grid reaching AUTO_SPAN_SCALES units of ``scale`` beyond every one
+        of ``points``, and at least to every one of ``cover`` (unpadded).
+
+        This is the one rule for how wide a quadrature grid must be.
+        """
+        pad = AUTO_SPAN_SCALES * scale
+        low = min((min(points) - pad, *cover))
+        high = max((max(points) + pad, *cover))
+        return cls.from_bounds(low, high, n_points)
+
+    @classmethod
     def auto(cls, params: QrseParams, n_points: int = DEFAULT_GRID_POINTS) -> "EvalGrid":
         """Grid spanning both locations plus AUTO_SPAN_SCALES units of max(T, S)."""
-        scale = max(params.T, params.S)
-        low = min(params.mu, params.alpha) - AUTO_SPAN_SCALES * scale
-        high = max(params.mu, params.alpha) + AUTO_SPAN_SCALES * scale
-        return cls.from_bounds(low, high, n_points)
+        return cls.spanning((params.mu, params.alpha), max(params.T, params.S), n_points=n_points)
 
     def cell_edges(self) -> np.ndarray:
         """Edges of the quadrature cells: each grid point owns [x - dx/2, x + dx/2)."""

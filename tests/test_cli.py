@@ -178,6 +178,18 @@ class TestSampleAndReport:
     def test_missing_trace(self, tmp_path):
         assert run("report", "--outdir", str(tmp_path)) == 2
 
+    def test_truncated_trace(self, pipeline_dir, tmp_path, capsys):
+        outdir = tmp_path / "truncated"
+        shutil.copytree(pipeline_dir, outdir)
+        assert run("sample", "--outdir", str(outdir), "--chains", "2",
+                   "--draws", "50", "--tune", "0", "--seed", "1") == 0
+        trace = outdir / "trace.csv"
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(lines[:-10]))
+        capsys.readouterr()
+        assert run("report", "--outdir", str(outdir)) == 2
+        assert str(trace) in capsys.readouterr().err
+
     def test_stuck_chain_exit_code(self, pipeline_dir, monkeypatch):
         def explode(*args, **kwargs):
             raise StuckChain("engineered")
@@ -223,10 +235,15 @@ class TestConfigFile:
             "restarts": 2,
         }
 
-    def test_unknown_key(self, tmp_path):
+    def test_unknown_key(self, district_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("volume = 11\n")
         assert run("ingest", "--config", str(cfg)) == 2
+        # grid_points was once accepted, though no command read it.
+        cfg.write_text(f"input = {district_csv}\noutdir = {tmp_path}\ngrid_points = 2001\n")
+        capsys.readouterr()
+        assert run("ingest", "--config", str(cfg)) == 2
+        assert "unknown setting 'grid_points'" in capsys.readouterr().err
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -7,6 +7,7 @@ from scipy import stats
 from qrse import (
     ChainConfig,
     OutOfSupport,
+    ParseError,
     PosteriorDraws,
     PriorSpec,
     QrseParams,
@@ -309,8 +310,64 @@ class TestTrace:
     def test_rejects_missing_metadata(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("chain,draw,T,S,mu,alpha\n0,0,1,1,1,1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="bad.csv"):
             load_trace(path)
+
+
+    def write_trace(self, posterior, tmp_path, edit):
+        path = tmp_path / "trace.csv"
+        save_trace(posterior, path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines[:-7], "rows"),
+            (lambda lines: lines[:2], "rows"),
+            (lambda lines: [lines[0].replace("qrse-trace-v1", "qrse-trace-v0")] + lines[1:],
+             "format"),
+            (lambda lines: [lines[0][:-3]] + lines[1:], "trace file"),
+            (lambda lines: [lines[0], "chain,draw,S,T,mu,alpha"] + lines[2:], "header"),
+            (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], "order"),
+            (lambda lines: lines[:2] + [lines[2].replace("0,0,", "0,1,", 1)] + lines[3:],
+             "order"),
+        ],
+        ids=["truncated", "no-rows", "format-tag", "bad-json", "header", "swapped", "draw-index"],
+    )
+    def test_rejects_malformed_trace(self, small_posterior, tmp_path, edit, message):
+        path = self.write_trace(small_posterior, tmp_path, edit)
+        with pytest.raises(ParseError, match=message) as caught:
+            load_trace(path)
+        assert str(path) in str(caught.value)
+
+
+class TestLocationBox:
+    """The target is truncated to the box whose corners the grid is checked at."""
+
+    def test_target_rejects_locations_outside_the_box(self):
+        target = mcmc._make_target(np.array([]), PRIORS, None)
+        reach = mcmc.CORNER_SDS * PRIORS.sds()
+        for index in (2, 3):
+            for sign in (-1.0, 1.0):
+                theta = PRIORS.centers()
+                theta[index] += sign * 0.99 * reach[index]
+                assert math.isfinite(target(theta))
+                theta[index] += sign * 0.02 * reach[index]
+                assert target(theta) == -math.inf
+
+    def test_far_proposals_never_outgrow_the_grid(self):
+        # Location steps of 100 prior sds used to land beyond the verified
+        # grid corners and raise GridTooNarrow mid-chain.
+        data = sample(REF, SampleConfig(n=50, seed=1))
+        priors = PriorSpec(t_center=2.1, s_center=4.9, mu_center=8.66, alpha_center=17.8,
+                           mu_sd=0.5, alpha_sd=0.5)
+        config = ChainConfig(chains=2, draws=200, tune=0, seed=0,
+                             step_scales=(0.1, 0.1, 100.0, 100.0))
+        try:
+            run_chains(data, priors, config)
+        except StuckChain:
+            pass  # nearly every proposal is rejected; exit 4, not an input error
 
 
 class TestModeAndScales:
