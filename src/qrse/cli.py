@@ -207,9 +207,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"{skipped_years} outside {years[0]}-{years[1]})"
     )
     print(f"{'variable':<10} {'mean':>10} {'sd':>10} {'min':>10} {'max':>10}")
-    for name, (mean, sd, low, high) in ingest.fiscal_summary(
-        records, settings["extreme_lo"], settings["extreme_hi"]
-    ).items():
+    for name, (mean, sd, low, high) in cleaned.fiscal.items():
         print(f"{name:<10} {mean:>10.2f} {sd:>10.2f} {low:>10.2f} {high:>10.2f}")
     print(f"wrote {outdir / CLEANED_FILE} and {outdir / HISTOGRAM_FILE}")
     return 0

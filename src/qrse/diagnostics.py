@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .errors import InsufficientDraws, TooFewSamples
 from .ingest import HistogramSpec
@@ -34,6 +32,25 @@ _RHAT_REPORT_FLOOR = 1.0 - 1e-3
 _REPORT_ORDER = (("mu", 2), ("alpha", 3), ("T", 0), ("S", 1))
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, ties sharing their average rank.
+
+    Matches ``scipy.stats.rankdata`` (method "average"): a tie group that
+    fills sorted positions s+1..e gets rank (s + 1 + e) / 2, an exact
+    half-integer. Any NaN makes every rank NaN, as scipy's default does.
+    """
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new_group = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = (0.5 * (starts + 1 + ends))[np.cumsum(new_group) - 1]
+    return ranks
+
+
 def split_rhat(chains) -> float:
     """Split rank-normalized convergence statistic for one parameter.
 
@@ -48,6 +65,8 @@ def split_rhat(chains) -> float:
     InsufficientDraws
         With fewer than 2 chains or fewer than 4 draws per chain.
     """
+    from scipy.special import ndtri
+
     arr = np.asarray(chains, dtype=float)
     if arr.ndim != 2:
         raise ValueError("chains must be a 2-d array (chains x draws)")
@@ -61,7 +80,7 @@ def split_rhat(chains) -> float:
     half = n_draws // 2
     splits = np.concatenate([arr[:, :half], arr[:, n_draws - half:]], axis=0)
     flat = splits.reshape(-1)
-    ranks = rankdata(flat).reshape(splits.shape)
+    ranks = _average_ranks(flat).reshape(splits.shape)
     z = ndtri((ranks - 0.375) / (flat.size + 0.25))
     within = float(np.mean(np.var(z, axis=1, ddof=1)))
     between = half * float(np.var(np.mean(z, axis=1), ddof=1))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,12 @@ class DistrictRecord:
 
 @dataclass(frozen=True, eq=False)
 class CleanedSample:
-    """Retained returns values plus exclusion counts and summary statistics."""
+    """Retained returns values plus exclusion counts and summary statistics.
+
+    ``fiscal`` holds the ``fiscal_summary`` table when ``clean`` built the
+    sample. It is not part of the JSON form, so a sample read back from a
+    file has ``fiscal=None``.
+    """
 
     values: np.ndarray
     excluded_missing: int
@@ -65,6 +70,9 @@ class CleanedSample:
     x_sd: float
     x_min: float
     x_max: float
+    fiscal: dict[str, tuple[float, float, float, float]] | None = field(
+        default=None, repr=False
+    )
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -251,6 +259,14 @@ def _split(records, extreme_low: float, extreme_high: float):
     return np.asarray(xs), np.asarray(kappas), np.asarray(taus), n_missing, n_extreme
 
 
+def _summary(xs, kappas, taus) -> dict[str, tuple[float, float, float, float]]:
+    out = {}
+    for name, arr in (("x", xs), ("kappa", kappas), ("tau", taus)):
+        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+        out[name] = (float(np.mean(arr)), sd, float(np.min(arr)), float(np.max(arr)))
+    return out
+
+
 def clean(
     records,
     extreme_low: float = DEFAULT_EXTREME_LOW,
@@ -271,16 +287,19 @@ def clean(
             f"all {len(records)} records excluded "
             f"({n_missing} missing, {n_extreme} extreme)"
         )
+    fiscal = _summary(xs, kappas, taus)
+    x_mean, x_sd, x_min, x_max = fiscal["x"]
     return CleanedSample(
         values=xs,
         excluded_missing=n_missing,
         excluded_extreme=n_extreme,
-        kappa_mean=float(np.mean(kappas)),
-        tau_mean=float(np.mean(taus)),
-        x_mean=float(np.mean(xs)),
-        x_sd=float(np.std(xs, ddof=1)) if xs.size > 1 else 0.0,
-        x_min=float(np.min(xs)),
-        x_max=float(np.max(xs)),
+        kappa_mean=fiscal["kappa"][0],
+        tau_mean=fiscal["tau"][0],
+        x_mean=x_mean,
+        x_sd=x_sd,
+        x_min=x_min,
+        x_max=x_max,
+        fiscal=fiscal,
     )
 
 
@@ -289,15 +308,16 @@ def fiscal_summary(
     extreme_low: float = DEFAULT_EXTREME_LOW,
     extreme_high: float = DEFAULT_EXTREME_HIGH,
 ) -> dict[str, tuple[float, float, float, float]]:
-    """Mean, sd, min, max of x, kappa, tau over the retained records."""
+    """Mean, sd, min, max of x, kappa, tau over the retained records.
+
+    ``clean`` computes the same table in its own pass, as
+    ``CleanedSample.fiscal``; call this only when no cleaned sample is at
+    hand.
+    """
     xs, kappas, taus, _, _ = _split(records, extreme_low, extreme_high)
     if xs.size == 0:
         raise AllExcluded("all records excluded")
-    out = {}
-    for name, arr in (("x", xs), ("kappa", kappas), ("tau", taus)):
-        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        out[name] = (float(np.mean(arr)), sd, float(np.min(arr)), float(np.max(arr)))
-    return out
+    return _summary(xs, kappas, taus)
 
 
 def build_histogram(values, bins: int | str = "fd") -> HistogramSpec:

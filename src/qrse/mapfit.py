@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .errors import LengthMismatch, NegativeDivergence, NoDescent
 from .ingest import HistogramSpec
@@ -174,6 +172,9 @@ def fit_map(
     NoDescent
         If every start ends worse than it began (or never evaluates finite).
     """
+    from scipy.optimize import minimize
+    from scipy.stats import qmc
+
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts!r}")
     if bounds is None:

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtr
 
 from .errors import OutOfSupport, ParseError, StuckChain
 from .model import DEFAULT_GRID_POINTS, EvalGrid, QrseParams, build_density, log_likelihood
@@ -95,6 +93,8 @@ class PriorSpec:
         )
 
     def _truncation_log_mass(self, center: float, sd: float) -> float:
+        from scipy.special import ndtr
+
         mass = float(
             ndtr((self.bound_high - center) / sd) - ndtr((self.bound_low - center) / sd)
         )
@@ -254,6 +254,11 @@ def log_posterior(
 ) -> float:
     """Log prior plus log-likelihood; prior only when data is empty.
 
+    With ``grid=None`` every call rebuilds the sampling grid and re-checks
+    its four corner densities, about four times the cost of the posterior
+    itself at N=2000. A caller that evaluates the posterior in a loop should
+    build the grid once with ``build_sampling_grid`` and pass it in.
+
     Raises
     ------
     OutOfSupport
@@ -287,6 +292,8 @@ def _make_target(data, priors: PriorSpec, grid: EvalGrid | None):
 def _posterior_mode(target, priors: PriorSpec) -> np.ndarray:
     """Interior maximum of the target, found by simplex descent from the
     prior centers (clipped into the truncation interval)."""
+    from scipy.optimize import minimize
+
     inset = 1e-3 * (priors.bound_high - priors.bound_low)
     start = priors.centers()
     start[:2] = np.clip(start[:2], priors.bound_low + inset, priors.bound_high - inset)

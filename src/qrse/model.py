@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import EmptyBinGrid, GridTooNarrow
 
@@ -205,6 +204,8 @@ def entry_probability(x, params: QrseParams):
     Overflow-safe: evaluated through the logistic sigmoid, which never
     exponentiates a large positive argument.
     """
+    from scipy.special import expit
+
     return expit(_scaled_distance(x, params))
 
 
@@ -214,6 +215,8 @@ def exit_probability(x, params: QrseParams):
     The mirrored form keeps full precision in the saturated tail where a
     literal subtraction would round to 0 or 1.
     """
+    from scipy.special import expit
+
     return expit(-_scaled_distance(x, params))
 
 

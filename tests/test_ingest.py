@@ -134,6 +134,7 @@ class TestClean:
         np.testing.assert_array_equal(restored.values, cleaned.values)
         assert restored.excluded_missing == cleaned.excluded_missing
         assert restored.x_sd == cleaned.x_sd
+        assert restored.fiscal is None  # the summary table is not serialized
 
 
 class TestFiscalSummary:
@@ -148,6 +149,8 @@ class TestFiscalSummary:
         assert (low, high) == (cleaned.x_min, cleaned.x_max)
         # kappa for the retained rows: 12, 15, 9, 20
         assert summary["kappa"][0] == pytest.approx(14.0)
+        # The CLI prints the table clean built in its own pass.
+        assert cleaned.fiscal == summary
 
 
 class TestBuildHistogram:

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qrse import (
     LengthMismatch,
@@ -151,6 +152,7 @@ class TestFitMap:
                 final_simplex=(np.tile(start, (5, 1)), np.full(5, math.inf)),
             )
 
-        monkeypatch.setattr(mapfit, "minimize", failing_minimize)
+        # fit_map imports minimize when it runs, so patch it at its source.
+        monkeypatch.setattr(scipy.optimize, "minimize", failing_minimize)
         with pytest.raises(NoDescent):
             fit_map(medium_hist, seed=0, restarts=1)
