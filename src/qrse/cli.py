@@ -57,35 +57,41 @@ def _parse_bool(text: str) -> bool:
 
 
 # Every setting a flag or config file can supply: key -> (parser for config
-# file text, built-in default).
+# file and flag text, built-in default, the subcommands that take it as the
+# flag --key-with-dashes (None: every one), flag help). A setting parsed by
+# _parse_bool is a valueless switch. Flags are listed in this order.
 SETTINGS = {
-    "input": (str, None),
-    "outdir": (str, "."),
-    "bins": (str, "fd"),
-    "extreme_lo": (float, ingest.DEFAULT_EXTREME_LOW),
-    "extreme_hi": (float, ingest.DEFAULT_EXTREME_HIGH),
-    "years": (str, "2000-2016"),
-    "chains": (int, 3),
-    "draws": (int, 30000),
-    "tune": (int, 4000),
-    "seed": (int, 0),
-    "restarts": (int, mapfit.DEFAULT_RESTARTS),
-    "reverse_kl": (_parse_bool, False),
-    "prior_t_center": (float, None),
-    "prior_s_center": (float, None),
-    "prior_mu_center": (float, None),
-    "prior_alpha_center": (float, None),
-    "prior_t_sd": (float, mcmc.DEFAULT_SCALE_SD),
-    "prior_s_sd": (float, mcmc.DEFAULT_SCALE_SD),
-    "prior_mu_sd": (float, mcmc.DEFAULT_LOCATION_SD),
-    "prior_alpha_sd": (float, mcmc.DEFAULT_LOCATION_SD),
-    "prior_bound_low": (float, mcmc.TRUNCATION_LOW),
-    "prior_bound_high": (float, mcmc.TRUNCATION_HIGH),
-    "t": (float, 5.0),
-    "s": (float, 5.0),
-    "mu": (float, 0.0),
-    "alpha": (float, 0.0),
-    "n": (int, 10000),
+    "outdir": (str, ".", None, "directory for pipeline artifacts"),
+    "seed": (int, 0, None, "seed for all randomized steps"),
+    "input": (str, None, ("ingest",), "district CSV file"),
+    "bins": (str, "fd", ("ingest",), "bin count or 'fd'"),
+    "extreme_lo": (float, ingest.DEFAULT_EXTREME_LOW, ("ingest",),
+                   "lower extreme-value bound, thousands"),
+    "extreme_hi": (float, ingest.DEFAULT_EXTREME_HIGH, ("ingest",),
+                   "upper extreme-value bound, thousands"),
+    "years": (str, "2000-2016", ("ingest",), "year filter, YYYY or YYYY-YYYY"),
+    "restarts": (int, mapfit.DEFAULT_RESTARTS, ("fit",), "extra Latin-hypercube starts"),
+    "reverse_kl": (_parse_bool, False, ("fit",), "fit the likelihood-consistent direction"),
+    "chains": (int, 3, ("sample",), "number of chains (>= 2)"),
+    "draws": (int, 30000, ("sample",), "post-tune draws per chain"),
+    "tune": (int, 4000, ("sample",), "adaptation steps per chain"),
+    "prior_t_center": (float, None, ("sample",), "prior center for t (default: MAP)"),
+    "prior_t_sd": (float, mcmc.DEFAULT_SCALE_SD, ("sample",), "prior sd for t"),
+    "prior_s_center": (float, None, ("sample",), "prior center for s (default: MAP)"),
+    "prior_s_sd": (float, mcmc.DEFAULT_SCALE_SD, ("sample",), "prior sd for s"),
+    "prior_mu_center": (float, None, ("sample",), "prior center for mu (default: MAP)"),
+    "prior_mu_sd": (float, mcmc.DEFAULT_LOCATION_SD, ("sample",), "prior sd for mu"),
+    "prior_alpha_center": (float, None, ("sample",), "prior center for alpha (default: MAP)"),
+    "prior_alpha_sd": (float, mcmc.DEFAULT_LOCATION_SD, ("sample",), "prior sd for alpha"),
+    "prior_bound_low": (float, mcmc.TRUNCATION_LOW, ("sample",),
+                        "lower truncation bound for T and S"),
+    "prior_bound_high": (float, mcmc.TRUNCATION_HIGH, ("sample",),
+                         "upper truncation bound for T and S"),
+    "t": (float, 5.0, ("simulate",), "behavior temperature"),
+    "s": (float, 5.0, ("simulate",), "market scale"),
+    "mu": (float, 0.0, ("simulate",), "tipping point"),
+    "alpha": (float, 0.0, ("simulate",), "barycenter"),
+    "n": (int, 10000, ("simulate",), "number of draws"),
 }
 
 
@@ -120,7 +126,7 @@ def read_config_file(path) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     file_settings = read_config_file(args.config) if getattr(args, "config", None) else {}
-    settings = {key: default for key, (_, default) in SETTINGS.items()}
+    settings = {key: default for key, (_, default, _, _) in SETTINGS.items()}
     settings.update(file_settings)
     for key in SETTINGS:
         flag_value = getattr(args, key, None)
@@ -284,12 +290,11 @@ def _write_csv(path: Path, header: str, rows) -> None:
             handle.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _export_fit_curve(path: Path, hist: ingest.HistogramSpec, params: model.QrseParams,
-                      grid: model.EvalGrid) -> None:
+def _export_fit_curve(path: Path, hist: ingest.HistogramSpec, table: model.DensityTable,
+                      params: model.QrseParams) -> None:
     centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
     widths = np.diff(hist.edges)
     observed_density = hist.frequencies / widths
-    table = model.build_density(params, grid)
     fitted = np.exp(model.log_kernel(centers, params) - table.log_z)
     _write_csv(
         path,
@@ -298,8 +303,8 @@ def _export_fit_curve(path: Path, hist: ingest.HistogramSpec, params: model.Qrse
     )
 
 
-def _export_quantal_response(path: Path, params: model.QrseParams) -> None:
-    table = model.build_density(params)
+def _export_quantal_response(path: Path, table: model.DensityTable,
+                             params: model.QrseParams) -> None:
     x = table.grid.points
     entry = model.entry_probability(x, params)
     exit_ = model.exit_probability(x, params)
@@ -337,9 +342,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     (outdir / REPORT_TEXT).write_text(text + "\n", encoding="utf-8")
 
     mean_params = model.QrseParams(**{name: summary.mean for name, summary in report.rows})
-    grid = diagnostics.report_grid(mean_params, hist)
-    _export_fit_curve(outdir / FIT_CURVE_FILE, hist, mean_params, grid)
-    _export_quantal_response(outdir / QUANTAL_FILE, mean_params)
+    # One density at the posterior mean, on a grid that covers every
+    # histogram edge, feeds both the fit curve and the quantal export.
+    table = model.build_density(mean_params, diagnostics.report_grid(mean_params, hist))
+    _export_fit_curve(outdir / FIT_CURVE_FILE, hist, table, mean_params)
+    _export_quantal_response(outdir / QUANTAL_FILE, table, mean_params)
     _export_parameter_variation(outdir / VARIATION_FILE)
 
     print(text)
@@ -378,10 +385,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--outdir", help="directory for pipeline artifacts")
-    parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--seed", type=int, help="seed for all randomized steps")
+# Subcommand -> (handler, help), in the order --help lists them.
+COMMANDS = {
+    "ingest": (cmd_ingest, "read, clean, and bin a district CSV"),
+    "fit": (cmd_fit, "MAP point estimate from the histogram"),
+    "sample": (cmd_sample, "posterior MCMC from the MAP point"),
+    "report": (cmd_report, "diagnostics table and plot data"),
+    "simulate": (cmd_simulate, "generate synthetic district data"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,66 +401,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fit maximum-entropy return distributions to district data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ingest = sub.add_parser("ingest", help="read, clean, and bin a district CSV")
-    _add_common(p_ingest)
-    p_ingest.add_argument("--input", help="district CSV file")
-    p_ingest.add_argument("--bins", help="bin count or 'fd'")
-    p_ingest.add_argument("--extreme-lo", type=float, dest="extreme_lo",
-                          help="lower extreme-value bound, thousands")
-    p_ingest.add_argument("--extreme-hi", type=float, dest="extreme_hi",
-                          help="upper extreme-value bound, thousands")
-    p_ingest.add_argument("--years", help="year filter, YYYY or YYYY-YYYY")
-
-    p_fit = sub.add_parser("fit", help="MAP point estimate from the histogram")
-    _add_common(p_fit)
-    p_fit.add_argument("--restarts", type=int, help="extra Latin-hypercube starts")
-    p_fit.add_argument("--reverse-kl", action="store_const", const=True,
-                       dest="reverse_kl", help="fit the likelihood-consistent direction")
-
-    p_sample = sub.add_parser("sample", help="posterior MCMC from the MAP point")
-    _add_common(p_sample)
-    p_sample.add_argument("--chains", type=int, help="number of chains (>= 2)")
-    p_sample.add_argument("--draws", type=int, help="post-tune draws per chain")
-    p_sample.add_argument("--tune", type=int, help="adaptation steps per chain")
-    for param in ("t", "s", "mu", "alpha"):
-        p_sample.add_argument(f"--prior-{param}-center", type=float,
-                              dest=f"prior_{param}_center",
-                              help=f"prior center for {param} (default: MAP)")
-        p_sample.add_argument(f"--prior-{param}-sd", type=float,
-                              dest=f"prior_{param}_sd",
-                              help=f"prior sd for {param}")
-    p_sample.add_argument("--prior-bound-low", type=float, dest="prior_bound_low",
-                          help="lower truncation bound for T and S")
-    p_sample.add_argument("--prior-bound-high", type=float, dest="prior_bound_high",
-                          help="upper truncation bound for T and S")
-
-    p_report = sub.add_parser("report", help="diagnostics table and plot data")
-    _add_common(p_report)
-
-    p_sim = sub.add_parser("simulate", help="generate synthetic district data")
-    _add_common(p_sim)
-    p_sim.add_argument("--t", type=float, help="behavior temperature")
-    p_sim.add_argument("--s", type=float, help="market scale")
-    p_sim.add_argument("--mu", type=float, help="tipping point")
-    p_sim.add_argument("--alpha", type=float, help="barycenter")
-    p_sim.add_argument("-n", "--n", type=int, dest="n", help="number of draws")
-
+    for command, (_, command_help) in COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        p.add_argument("--config", help="flat key = value settings file")
+        for key, (parse, _, commands, flag_help) in SETTINGS.items():
+            if commands is not None and command not in commands:
+                continue
+            flags = ["--" + key.replace("_", "-")]
+            if key == "n":
+                flags.insert(0, "-n")
+            if parse is _parse_bool:
+                p.add_argument(*flags, action="store_const", const=True, help=flag_help)
+            else:
+                p.add_argument(*flags, type=parse, help=flag_help)
     return parser
-
-
-_HANDLERS = {
-    "ingest": cmd_ingest,
-    "fit": cmd_fit,
-    "sample": cmd_sample,
-    "report": cmd_report,
-    "simulate": cmd_simulate,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _HANDLERS[args.command]
+    handler = COMMANDS[args.command][0]
     try:
         return handler(args)
     except StuckChain as err:

@@ -253,9 +253,7 @@ def summarize(
                 ),
             )
         )
-    mean_params = QrseParams.from_array(
-        [float(np.mean(posterior.pooled(j))) for j in range(4)]
-    )
+    mean_params = QrseParams(**{name: summary.mean for name, summary in rows})
     if grid is None:
         grid = report_grid(mean_params, hist)
     kl = kl_divergence(

@@ -228,43 +228,35 @@ def compute_returns(record: DistrictRecord) -> float:
 
 
 def _split(records, extreme_low: float, extreme_high: float):
-    """Partition records into retained (x, kappa, tau) arrays and exclusion counts."""
-    xs: list[float] = []
-    kappas: list[float] = []
-    taus: list[float] = []
-    n_missing = 0
-    n_extreme = 0
-    for record in records:
-        fields = (
-            record.total_local_education_expenditures,
-            record.total_local_taxes_and_charges,
-            record.enrollment,
-            record.population,
-        )
-        # Negative money or counts are recording errors, grouped with missing.
-        if any(not math.isfinite(f) or f < 0.0 for f in fields):
-            n_missing += 1
-            continue
-        try:
-            x = compute_returns(record)
-        except ZeroDenominator:
-            n_missing += 1
-            continue
-        if not (extreme_low <= x <= extreme_high):
-            n_extreme += 1
-            continue
-        xs.append(x)
-        kappas.append(record.total_local_education_expenditures / record.enrollment)
-        taus.append(record.total_local_taxes_and_charges / record.population)
-    return np.asarray(xs), np.asarray(kappas), np.asarray(taus), n_missing, n_extreme
+    """Retained x, kappa and tau columns, plus the two exclusion counts.
 
-
-def _summary(xs, kappas, taus) -> dict[str, tuple[float, float, float, float]]:
-    out = {}
-    for name, arr in (("x", xs), ("kappa", kappas), ("tau", taus)):
-        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        out[name] = (float(np.mean(arr)), sd, float(np.min(arr)), float(np.max(arr)))
-    return out
+    The records become one (n, 4) array of expenditures, taxes, enrollment
+    and population, and each exclusion rule is a row mask over it. Only
+    rows that pass the missing mask are divided, so no row divides by zero.
+    """
+    fields = np.array(
+        [(r.total_local_education_expenditures, r.total_local_taxes_and_charges,
+          r.enrollment, r.population) for r in records],
+        dtype=float,
+    ).reshape(-1, 4)
+    # A non-finite field is missing; negative money or counts are recording
+    # errors, grouped with missing, and so is a zero (or -0.0) denominator.
+    usable = (
+        np.isfinite(fields).all(axis=1)
+        & (fields[:, :2] >= 0.0).all(axis=1)
+        & (fields[:, 2:] > 0.0).all(axis=1)
+    )
+    rows = fields[usable]
+    # A finite quotient can still overflow to inf, and inf - inf is NaN:
+    # both fail the bounds test below, as they do in compute_returns.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = rows[:, 0] / rows[:, 2]
+        tau = rows[:, 1] / rows[:, 3]
+        x = kappa - tau
+    in_range = (extreme_low <= x) & (x <= extreme_high)
+    n_missing = len(fields) - len(rows)
+    n_extreme = len(rows) - int(np.count_nonzero(in_range))
+    return x[in_range], kappa[in_range], tau[in_range], n_missing, n_extreme
 
 
 def clean(
@@ -273,6 +265,9 @@ def clean(
     extreme_high: float = DEFAULT_EXTREME_HIGH,
 ) -> CleanedSample:
     """Apply the exclusion rules and summarize the retained sample.
+
+    The summary of x, kappa and tau (mean, sd, min, max) is kept as
+    ``CleanedSample.fiscal``.
 
     Raises
     ------
@@ -287,7 +282,10 @@ def clean(
             f"all {len(records)} records excluded "
             f"({n_missing} missing, {n_extreme} extreme)"
         )
-    fiscal = _summary(xs, kappas, taus)
+    fiscal = {}
+    for name, arr in (("x", xs), ("kappa", kappas), ("tau", taus)):
+        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+        fiscal[name] = (float(np.mean(arr)), sd, float(np.min(arr)), float(np.max(arr)))
     x_mean, x_sd, x_min, x_max = fiscal["x"]
     return CleanedSample(
         values=xs,
@@ -310,14 +308,9 @@ def fiscal_summary(
 ) -> dict[str, tuple[float, float, float, float]]:
     """Mean, sd, min, max of x, kappa, tau over the retained records.
 
-    ``clean`` computes the same table in its own pass, as
-    ``CleanedSample.fiscal``; call this only when no cleaned sample is at
-    hand.
+    This is ``clean(records, extreme_low, extreme_high).fiscal``.
     """
-    xs, kappas, taus, _, _ = _split(records, extreme_low, extreme_high)
-    if xs.size == 0:
-        raise AllExcluded("all records excluded")
-    return _summary(xs, kappas, taus)
+    return clean(records, extreme_low, extreme_high).fiscal
 
 
 def build_histogram(values, bins: int | str = "fd") -> HistogramSpec:

@@ -83,8 +83,10 @@ class PriorSpec:
         for name in ("t_sd", "s_sd", "mu_sd", "alpha_sd"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if not (self.bound_low < self.bound_high):
-            raise ValueError("truncation bounds must satisfy low < high")
+        # T and S are scales: a bound at or below zero would let the chain
+        # propose a nonpositive one.
+        if not (0.0 < self.bound_low < self.bound_high):
+            raise ValueError("truncation bounds must satisfy 0 < low < high")
         object.__setattr__(
             self, "_t_log_mass", self._truncation_log_mass(self.t_center, self.t_sd)
         )

@@ -4,8 +4,18 @@ import shutil
 import numpy as np
 import pytest
 
-from qrse import NoDescent, QrseParams, SampleConfig, StuckChain, sample
+from qrse import (
+    NoDescent,
+    QrseParams,
+    SampleConfig,
+    StuckChain,
+    build_density,
+    log_kernel,
+    sample,
+)
 from qrse import cli
+from qrse.diagnostics import report_grid
+from qrse.ingest import HistogramSpec
 from tests.conftest import CSV_HEADER
 
 
@@ -190,6 +200,44 @@ class TestSampleAndReport:
         assert run("report", "--outdir", str(outdir)) == 2
         assert str(trace) in capsys.readouterr().err
 
+    def test_report_exports_share_one_density(self, pipeline_dir, tmp_path):
+        # Outer histogram edges far past the auto grid's span of the
+        # locations plus 8 scales: the quantal export must still reach them.
+        outdir = tmp_path / "wide"
+        shutil.copytree(pipeline_dir, outdir)
+        assert run("sample", "--outdir", str(outdir), "--chains", "2",
+                   "--draws", "60", "--tune", "20", "--seed", "2") == 0
+        payload = json.loads((outdir / "histogram.json").read_text())
+        payload["edges"][0] = -150.0
+        payload["edges"][-1] = 200.0
+        (outdir / "histogram.json").write_text(json.dumps(payload))
+        assert run("report", "--outdir", str(outdir)) == 0
+
+        hist = HistogramSpec.from_json(payload)
+        means = json.loads((outdir / "report.json").read_text())["parameters"]
+        mean = QrseParams(**{name: row["mean"] for name, row in means.items()})
+        table = build_density(mean, report_grid(mean, hist))
+        quantal = np.loadtxt(outdir / "quantal_response.csv", delimiter=",", skiprows=1)
+        fit_curve = np.loadtxt(outdir / "fit_curve.csv", delimiter=",", skiprows=1)
+        assert quantal[0, 0] == -150.0 and quantal[-1, 0] == 200.0
+        np.testing.assert_array_equal(quantal[:, 0], table.grid.points)
+        np.testing.assert_array_equal(quantal[:, 3], table.pdf)
+        np.testing.assert_array_equal(
+            fit_curve[:, 2], np.exp(log_kernel(fit_curve[:, 0], mean) - table.log_z)
+        )
+
+    def test_nonpositive_prior_bound_exits_before_sampling(
+        self, pipeline_dir, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli.mcmc, "run_chains", lambda *a, **k: calls.append(a))
+        rc = run("sample", "--outdir", str(pipeline_dir), "--chains", "2",
+                 "--draws", "200", "--tune", "100", "--prior-bound-low", "-5",
+                 "--prior-t-center", "0.01", "--prior-t-sd", "3")
+        assert rc == 2
+        assert "0 < low < high" in capsys.readouterr().err
+        assert calls == []
+
     def test_stuck_chain_exit_code(self, pipeline_dir, monkeypatch):
         def explode(*args, **kwargs):
             raise StuckChain("engineered")
@@ -254,3 +302,76 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("chains = many\n")
         assert run("ingest", "--config", str(cfg)) == 2
+
+
+# Every subcommand's flags and help text, which the settings and commands
+# tables must reproduce exactly.
+COMMON_FLAGS = {
+    (("-h", "--help"), "show this help message and exit"),
+    (("--config",), "flat key = value settings file"),
+    (("--outdir",), "directory for pipeline artifacts"),
+    (("--seed",), "seed for all randomized steps"),
+}
+EXPECTED_FLAGS = {
+    "ingest": COMMON_FLAGS | {
+        (("--input",), "district CSV file"),
+        (("--bins",), "bin count or 'fd'"),
+        (("--extreme-lo",), "lower extreme-value bound, thousands"),
+        (("--extreme-hi",), "upper extreme-value bound, thousands"),
+        (("--years",), "year filter, YYYY or YYYY-YYYY"),
+    },
+    "fit": COMMON_FLAGS | {
+        (("--restarts",), "extra Latin-hypercube starts"),
+        (("--reverse-kl",), "fit the likelihood-consistent direction"),
+    },
+    "sample": COMMON_FLAGS | {
+        (("--chains",), "number of chains (>= 2)"),
+        (("--draws",), "post-tune draws per chain"),
+        (("--tune",), "adaptation steps per chain"),
+        (("--prior-t-center",), "prior center for t (default: MAP)"),
+        (("--prior-s-center",), "prior center for s (default: MAP)"),
+        (("--prior-mu-center",), "prior center for mu (default: MAP)"),
+        (("--prior-alpha-center",), "prior center for alpha (default: MAP)"),
+        (("--prior-t-sd",), "prior sd for t"),
+        (("--prior-s-sd",), "prior sd for s"),
+        (("--prior-mu-sd",), "prior sd for mu"),
+        (("--prior-alpha-sd",), "prior sd for alpha"),
+        (("--prior-bound-low",), "lower truncation bound for T and S"),
+        (("--prior-bound-high",), "upper truncation bound for T and S"),
+    },
+    "report": COMMON_FLAGS,
+    "simulate": COMMON_FLAGS | {
+        (("--t",), "behavior temperature"),
+        (("--s",), "market scale"),
+        (("--mu",), "tipping point"),
+        (("--alpha",), "barycenter"),
+        (("-n", "--n"), "number of draws"),
+    },
+}
+
+
+def subparsers() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+class TestParser:
+    def test_flags_and_help_unchanged(self):
+        actual = {
+            name: {(tuple(a.option_strings), a.help) for a in p._actions}
+            for name, p in subparsers().items()
+        }
+        assert actual == EXPECTED_FLAGS
+
+    def test_every_setting_is_a_flag(self):
+        dests = {a.dest for p in subparsers().values() for a in p._actions}
+        assert set(cli.SETTINGS) <= dests
+
+    def test_flag_values_are_typed(self):
+        args = cli.build_parser().parse_args(
+            ["simulate", "-n", "7", "--t", "2.5", "--seed", "3"]
+        )
+        assert (args.n, args.t, args.seed, args.s) == (7, 2.5, 3, None)
+        args = cli.build_parser().parse_args(["fit", "--reverse-kl"])
+        assert args.reverse_kl is True
+        assert cli.build_parser().parse_args(["fit"]).reverse_kl is None

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrse import (
     AllExcluded,
@@ -200,3 +204,84 @@ class TestBuildHistogram:
                 frequencies=np.array([0.5, 0.5]),  # wrong length
                 counts=np.array([1.0, 1.0]),
             )
+
+
+def oracle_split(records, extreme_low=-50.0, extreme_high=120.0):
+    """The per-record exclusion loop that the array pass replaced."""
+    xs, kappas, taus = [], [], []
+    n_missing = 0
+    n_extreme = 0
+    for rec in records:
+        fields = (
+            rec.total_local_education_expenditures,
+            rec.total_local_taxes_and_charges,
+            rec.enrollment,
+            rec.population,
+        )
+        if any(not math.isfinite(f) or f < 0.0 for f in fields):
+            n_missing += 1
+            continue
+        try:
+            x = compute_returns(rec)
+        except ZeroDenominator:
+            n_missing += 1
+            continue
+        if not (extreme_low <= x <= extreme_high):
+            n_extreme += 1
+            continue
+        xs.append(x)
+        kappas.append(rec.total_local_education_expenditures / rec.enrollment)
+        taus.append(rec.total_local_taxes_and_charges / rec.population)
+    return np.asarray(xs), np.asarray(kappas), np.asarray(taus), n_missing, n_extreme
+
+
+def oracle_fiscal(xs, kappas, taus):
+    out = {}
+    for name, arr in (("x", xs), ("kappa", kappas), ("tau", taus)):
+        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+        out[name] = (float(np.mean(arr)), sd, float(np.min(arr)), float(np.max(arr)))
+    return out
+
+
+# Non-finite, negative, signed-zero and subnormal fields; a subnormal
+# denominator overflows the quotient to inf, and two such give inf - inf.
+SPECIAL_FIELDS = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324)
+fields = st.one_of(
+    st.sampled_from(SPECIAL_FIELDS),
+    st.integers(-3, 300).map(float),
+    st.floats(0.01, 1000.0),
+)
+random_records = st.builds(
+    record,
+    total_local_education_expenditures=fields,
+    total_local_taxes_and_charges=fields,
+    enrollment=fields,
+    population=fields,
+)
+# x exactly on each default bound, with both signs of a zero numerator.
+boundary_records = st.sampled_from((
+    record(total_local_education_expenditures=240.0, total_local_taxes_and_charges=0.0,
+           enrollment=2.0, population=1.0),
+    record(total_local_education_expenditures=240.0, total_local_taxes_and_charges=-0.0,
+           enrollment=2.0, population=1.0),
+    record(total_local_education_expenditures=0.0, total_local_taxes_and_charges=300.0,
+           enrollment=1.0, population=6.0),
+    record(total_local_education_expenditures=-0.0, total_local_taxes_and_charges=300.0,
+           enrollment=1.0, population=6.0),
+))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(random_records, boundary_records), max_size=40))
+def test_array_pass_matches_per_record_loop(records):
+    xs, kappas, taus, n_missing, n_extreme = oracle_split(records)
+    if xs.size == 0:
+        with pytest.raises(AllExcluded):
+            clean(records)
+        return
+    cleaned = clean(records)
+    np.testing.assert_array_equal(cleaned.values, xs)
+    assert cleaned.values.tobytes() == xs.tobytes()  # signed zeros too
+    assert (cleaned.excluded_missing, cleaned.excluded_extreme) == (n_missing, n_extreme)
+    assert cleaned.fiscal == oracle_fiscal(xs, kappas, taus)
+    assert fiscal_summary(records) == cleaned.fiscal

@@ -72,6 +72,14 @@ class TestPriorSpec:
             PriorSpec(t_center=2.0, s_center=2.0, mu_center=0.0, alpha_center=0.0,
                       bound_low=8.0, bound_high=0.1)
 
+    @pytest.mark.parametrize("bound_low", [0.0, -0.0, -1.0, -5.0, math.nan])
+    def test_bound_low_must_be_positive(self, bound_low):
+        # T and S are scales: a nonpositive bound would let the chain propose
+        # T < 0, which fails only after the mode search.
+        with pytest.raises(ValueError, match="0 < low < high"):
+            PriorSpec(t_center=0.2, s_center=2.0, mu_center=0.0, alpha_center=0.0,
+                      bound_low=bound_low)
+
     def test_json_round_trip(self):
         restored = PriorSpec.from_json(PRIORS.to_json())
         assert restored == PRIORS
