@@ -6,8 +6,8 @@ Bayesian posterior with random-walk MCMC, and reports convergence and fit
 diagnostics. See the ``qrse`` console script for the file-based pipeline.
 
 SciPy is imported inside the functions that call it, never at module level:
-every CLI stage is a fresh process, and ``import scipy.stats`` alone would
-cost each of them about a second. ``tests/test_imports.py`` holds each
+every CLI stage is a fresh process, and SciPy's statistics subpackage alone
+would cost each of them about a second. ``tests/test_imports.py`` holds each
 stage to the SciPy it uses.
 """
 

@@ -35,7 +35,7 @@ _REPORT_ORDER = (("mu", 2), ("alpha", 3), ("T", 0), ("S", 1))
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks of a 1-d array, ties sharing their average rank.
 
-    Matches ``scipy.stats.rankdata`` (method "average"): a tie group that
+    Matches SciPy's ``rankdata`` (method "average"): a tie group that
     fills sorted positions s+1..e gets rank (s + 1 + e) / 2, an exact
     half-integer. Any NaN makes every rank NaN, as scipy's default does.
     """

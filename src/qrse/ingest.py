@@ -284,8 +284,13 @@ def clean(
         )
     fiscal = {}
     for name, arr in (("x", xs), ("kappa", kappas), ("tau", taus)):
-        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        fiscal[name] = (float(np.mean(arr)), sd, float(np.min(arr)), float(np.max(arr)))
+        # Mean and sd of a copy scaled down by a power of two (exact), so huge
+        # kappa and tau that cancel in x cannot overflow; |values| < 1 stay as is.
+        exponent = max(math.frexp(float(np.max(np.abs(arr))))[1], 0)
+        unit = np.ldexp(arr, -exponent)
+        sd = math.ldexp(float(np.std(unit, ddof=1)), exponent) if arr.size > 1 else 0.0
+        mean = math.ldexp(float(np.mean(unit)), exponent)
+        fiscal[name] = (mean, sd, float(np.min(arr)), float(np.max(arr)))
     x_mean, x_sd, x_min, x_max = fiscal["x"]
     return CleanedSample(
         values=xs,
@@ -328,7 +333,7 @@ def build_histogram(values, bins: int | str = "fd") -> HistogramSpec:
     if values.size == 0:
         raise ValueError("cannot bin an empty sample")
     if float(np.min(values)) == float(np.max(values)):
-        raise DegenerateRange(f"all {values.size} values equal {values[0]!r}")
+        raise DegenerateRange(f"all {values.size} values equal {float(values[0])!r}")
     counts, edges = np.histogram(values, bins=bins)
     return HistogramSpec(
         edges=edges,

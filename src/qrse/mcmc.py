@@ -120,7 +120,7 @@ class PriorSpec:
         """
         if not self.in_support(params.T, params.S):
             raise OutOfSupport(
-                f"T={params.T!r}, S={params.S!r} outside "
+                f"T={float(params.T)!r}, S={float(params.S)!r} outside "
                 f"[{self.bound_low}, {self.bound_high}]"
             )
         return (

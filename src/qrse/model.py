@@ -30,8 +30,9 @@ from .errors import EmptyBinGrid, GridTooNarrow
 LN2 = math.log(2.0)
 
 # Auto grids span this many units of max(T, S) beyond the location parameters.
-# Eight scale units leave less than 1e-6 of mass outside the grid for this
-# kernel family, far below the 1e-4 edge-cell limit enforced at build time.
+# The build-time check bounds only the outermost cell's mass (EDGE_MASS_LIMIT),
+# not the tail beyond it, about S / dx times that: at (2.1, 4.9, 8.66, 17.8) the
+# cell holds 2.4e-7 but an auto grid loses 6.1e-5 of log Z. See ROADMAP 1(a).
 AUTO_SPAN_SCALES = 8.0
 DEFAULT_GRID_POINTS = 4001
 EDGE_MASS_LIMIT = 1e-4
@@ -75,11 +76,11 @@ class QrseParams:
         for name in ("T", "S", "mu", "alpha"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ValueError(f"{name} must be finite, got {float(value)!r}")
         if self.T <= 0.0:
-            raise ValueError(f"T must be strictly positive, got {self.T!r}")
+            raise ValueError(f"T must be strictly positive, got {float(self.T)!r}")
         if self.S <= 0.0:
-            raise ValueError(f"S must be strictly positive, got {self.S!r}")
+            raise ValueError(f"S must be strictly positive, got {float(self.S)!r}")
 
     def as_array(self) -> np.ndarray:
         """Return [T, S, mu, alpha] as a float array (trace column order)."""

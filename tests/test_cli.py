@@ -51,6 +51,16 @@ class TestIngest:
                  "--outdir", str(tmp_path), "--years", "alpha-베타")
         assert rc == 2
 
+    def test_degenerate_range_message_is_plain(self, tmp_path, capsys):
+        # Huge kappa and tau that cancel to x = 0 in every row.
+        rows = [f"{k},2008,{k},{k},1e-300,1e-300" for k in (1, 2, 3)]
+        csv = tmp_path / "huge.csv"
+        csv.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+        assert run("ingest", "--input", str(csv), "--outdir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "all 3 values equal 0.0" in err
+        assert "np.float64" not in err and "RuntimeWarning" not in err
+
     def test_bins_flag(self, district_csv, tmp_path):
         outdir = tmp_path / "run"
         rc = run("ingest", "--input", str(district_csv), "--outdir", str(outdir),

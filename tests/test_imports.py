@@ -69,8 +69,9 @@ def test_data_stages_load_no_scipy(stage_modules, stage):
     assert stage_modules[stage] == []
 
 
-def test_sample_loads_no_scipy_stats(stage_modules):
-    assert _under(stage_modules["sample"], "scipy.stats") == []
+@pytest.mark.parametrize("stage", ["simulate", "ingest", "fit", "sample", "report"])
+def test_stage_loads_no_scipy_stats(stage_modules, stage):
+    assert _under(stage_modules[stage], "scipy.stats") == []
 
 
 def test_report_loads_neither_scipy_stats_nor_optimize(stage_modules):

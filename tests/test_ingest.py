@@ -127,6 +127,30 @@ class TestClean:
         with pytest.raises(AllExcluded):
             clean([])
 
+    def test_huge_cancelling_values_do_not_overflow(self):
+        # kappa = tau = k * 1e300, so x = 0; the squared deviations of kappa
+        # overflow float64 unless the sd is computed on a rescaled copy.
+        records = [
+            record(total_local_education_expenditures=float(k),
+                   total_local_taxes_and_charges=float(k),
+                   enrollment=1e-300, population=1e-300)
+            for k in (1, 2, 3)
+        ]
+        fiscal = clean(records).fiscal
+        assert fiscal["x"] == (0.0, 0.0, 0.0, 0.0)
+        assert fiscal["kappa"][1] == 1e300
+        assert fiscal["kappa"][0] == pytest.approx(2e300)
+        assert fiscal["tau"] == fiscal["kappa"]
+        # Near the top of the float64 range the plain sum overflows too.
+        records = [
+            record(total_local_education_expenditures=v, total_local_taxes_and_charges=v,
+                   enrollment=1.0, population=1.0)
+            for v in (1e308, 1.7e308)
+        ]
+        mean, sd, _, _ = clean(records).fiscal["kappa"]
+        assert mean == pytest.approx(1.35e308)
+        assert sd == pytest.approx(0.7e308 / math.sqrt(2.0))
+
     def test_single_record_sd_zero(self):
         cleaned = clean([record()])
         assert cleaned.x_sd == 0.0

@@ -1,9 +1,11 @@
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from qrse import (
     LengthMismatch,
@@ -25,6 +27,9 @@ from tests.conftest import REF
 KL_HALF_VS_QUARTERS = 0.14384103622589042
 # Soofi ID of that divergence: 1 - exp(-0.5 ln(4/3)) = 1 - sqrt(3)/2
 SOOFI_OF_THAT = 0.13397459621556135
+# fit_map(medium_hist, seed=0).kl from the 9-start Nelder-Mead search that
+# L-BFGS-B replaced; the gradient search must end no higher.
+NELDER_MEAD_KL = 0.013622214783284922
 
 
 class TestKlDivergence:
@@ -145,14 +150,43 @@ class TestFitMap:
 
     def test_no_descent(self, medium_hist, monkeypatch):
         def failing_minimize(objective, start, **kwargs):
-            return SimpleNamespace(
-                fun=math.inf,
-                x=start,
-                nit=1,
-                final_simplex=(np.tile(start, (5, 1)), np.full(5, math.inf)),
-            )
+            return SimpleNamespace(fun=math.inf, x=start, nit=1, success=False)
 
         # fit_map imports minimize when it runs, so patch it at its source.
         monkeypatch.setattr(scipy.optimize, "minimize", failing_minimize)
         with pytest.raises(NoDescent):
             fit_map(medium_hist, seed=0, restarts=1)
+
+    def test_kl_no_worse_than_nelder_mead(self, medium_hist):
+        assert fit_map(medium_hist, seed=0).kl <= NELDER_MEAD_KL + 1e-10
+
+
+def _starts(hist, restarts, seed):
+    """Every start fit_map hands to the optimizer, in order."""
+    starts = []
+
+    def record(objective, start, **kwargs):
+        starts.append(np.array(start))
+        return SimpleNamespace(fun=0.0, x=start, nit=0, success=True)
+
+    with mock.patch.object(scipy.optimize, "minimize", record):
+        fit_map(hist, restarts=restarts, seed=seed)
+    return np.array(starts)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(restarts=st.integers(1, 50), seed=st.integers(0, 2**64 - 1))
+def test_restarts_form_a_latin_hypercube(medium_hist, restarts, seed):
+    starts = _starts(medium_hist, restarts, seed)
+    scale_lo, scale_hi = (math.log(b) for b in mapfit.DEFAULT_SCALE_BOUNDS)
+    low, high = medium_hist.edges[0], medium_hist.edges[-1]
+    lows = np.array([scale_lo, scale_lo, low, low])
+    highs = np.array([scale_hi, scale_hi, high, high])
+    hypercube = starts[1:]  # starts[0] is the moment start
+    assert hypercube.shape == (restarts, 4)
+    assert np.all((lows <= hypercube) & (hypercube <= highs))
+    # In every dimension, each of the `restarts` equal strata holds one start.
+    strata = np.floor((hypercube - lows) / (highs - lows) * restarts)
+    for column in strata.T:
+        assert sorted(column) == list(range(restarts))
+    np.testing.assert_array_equal(_starts(medium_hist, restarts, seed), starts)
