@@ -23,6 +23,7 @@ from .errors import (
     AllExcluded,
     DegenerateRange,
     EmptyBinGrid,
+    GridTooLarge,
     GridTooNarrow,
     InsufficientDraws,
     LengthMismatch,
@@ -85,6 +86,7 @@ __all__ = [
     "EmptyBinGrid",
     "EvalGrid",
     "FitReport",
+    "GridTooLarge",
     "GridTooNarrow",
     "HistogramSpec",
     "InsufficientDraws",

@@ -23,6 +23,14 @@ class GridTooNarrow(QrseError):
     """
 
 
+class GridTooLarge(QrseError):
+    """A quadrature grid would need more points than the package allows.
+
+    Raised before the grid is allocated, so an extreme ratio of T to S
+    surfaces as an error rather than as a MemoryError.
+    """
+
+
 class EmptyBinGrid(QrseError):
     """A histogram bin contains no grid point, so bin probabilities would be
     computed from interpolation alone. Signals that the grid spacing is too

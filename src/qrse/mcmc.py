@@ -9,13 +9,16 @@ windows of 100 steps during a tune phase and are frozen afterwards, so the
 recorded draws come from a fixed kernel.
 
 Everything is deterministic given (data, priors, config): chains use a
-counter-based generator keyed by seed + chain_index, initial points are
-jittered around the posterior mode, and the partition-function grid is built
-once from the data range and the prior's extreme corners.
+counter-based generator keyed by seed + chain_index, and initial points are
+jittered around the posterior mode. Each target evaluation takes log Z from
+``local_log_z``, on a grid built around that proposal's mu, unless the
+caller passes one fixed grid.
 
 The sampled posterior is truncated to mu and alpha within CORNER_SDS prior
-sds of their centers, the box at whose corners that grid is verified: the
-sampler rejects proposals outside it, so no proposal can outgrow the grid.
+sds of their centers, and the sampler rejects proposals outside that box.
+Before any chain runs, ``run_chains`` builds the local grid at the box's
+corners with the two extreme ratios of T to S, so a prior whose local grid
+would be too large or clip the density fails at startup, not mid-chain.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ ACCEPT_LOW = 0.2
 STUCK_ACCEPTANCE = 0.01
 
 # How many prior standard deviations out the location corners sit when the
-# sampling grid is checked at startup.
+# partition-function grid is checked at startup.
 CORNER_SDS = 4.0
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -229,7 +232,8 @@ def _location_box(priors: PriorSpec) -> tuple[tuple[float, float], tuple[float, 
 def build_sampling_grid(
     data, priors: PriorSpec, n_points: int = DEFAULT_GRID_POINTS
 ) -> EvalGrid:
-    """Fixed partition-function grid for a whole MCMC run.
+    """One fixed partition-function grid for a whole MCMC run, for callers
+    who pass ``grid=`` instead of the default per-proposal grid.
 
     Spans the data range and the prior's extreme corners (the corners of
     the location box, scales at the upper truncation bound), then verifies
@@ -251,15 +255,36 @@ def build_sampling_grid(
     return grid
 
 
+def _check_local_grids(priors: PriorSpec) -> None:
+    """Build the local log Z grid where the support makes it largest.
+
+    Its point count grows with max(T, S) / min(T, S), which peaks at the
+    truncation corners (low, high) and (high, low); the density's edge
+    mass there is checked at the corners of the location box.
+
+    Raises
+    ------
+    GridTooLarge
+        If the grid at those corners would exceed MAX_LOCAL_POINTS.
+    GridTooNarrow
+        If its outermost cell holds more than EDGE_MASS_LIMIT.
+    """
+    low, high = priors.bound_low, priors.bound_high
+    mu_corners, alpha_corners = _location_box(priors)
+    for T, S in ((low, high), (high, low)):
+        for mu in mu_corners:
+            for alpha in alpha_corners:
+                corner = QrseParams(T=T, S=S, mu=mu, alpha=alpha)
+                build_density(corner, EvalGrid.local(corner))
+
+
 def log_posterior(
     params: QrseParams, data, priors: PriorSpec, grid: EvalGrid | None = None
 ) -> float:
     """Log prior plus log-likelihood; prior only when data is empty.
 
-    With ``grid=None`` every call rebuilds the sampling grid and re-checks
-    its four corner densities, about four times the cost of the posterior
-    itself at N=2000. A caller that evaluates the posterior in a loop should
-    build the grid once with ``build_sampling_grid`` and pass it in.
+    With ``grid=None`` (what the sampler uses), log Z comes from
+    ``local_log_z`` at ``params``; an explicit grid is used as given.
 
     Raises
     ------
@@ -271,8 +296,6 @@ def log_posterior(
     values = np.asarray(data, dtype=float)
     if values.size == 0:
         return prior
-    if grid is None:
-        grid = build_sampling_grid(values, priors)
     return prior + log_likelihood(values, params, grid)
 
 
@@ -406,12 +429,13 @@ def run_chain(
 
     Raises
     ------
+    GridTooLarge
+        If a proposal's local log Z grid would be too large (no explicit
+        grid; ``run_chains`` rules this out before any chain runs).
     StuckChain
         If the post-tune acceptance rate is below STUCK_ACCEPTANCE.
     """
     values = np.asarray(data, dtype=float)
-    if grid is None and values.size:
-        grid = build_sampling_grid(values, priors)
     target = _make_target(values, priors, grid)
     rng = seed if isinstance(seed, np.random.Generator) else rng_from_seed(seed)
 
@@ -470,12 +494,14 @@ def run_chains(
 
     Raises
     ------
+    GridTooLarge, GridTooNarrow
+        From the startup check of the local log Z grid (no explicit grid).
     StuckChain
         Re-raised with the chain index attached.
     """
     values = np.asarray(data, dtype=float)
     if grid is None and values.size:
-        grid = build_sampling_grid(values, priors)
+        _check_local_grids(priors)
     target = _make_target(values, priors, grid)
 
     mode = None

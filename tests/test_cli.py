@@ -248,6 +248,15 @@ class TestSampleAndReport:
         assert "0 < low < high" in capsys.readouterr().err
         assert calls == []
 
+    def test_oversized_local_grid_exits_2(self, pipeline_dir, capsys):
+        # T / S up to 8e6 would need a 1.5e9-point log Z grid.
+        rc = run("sample", "--outdir", str(pipeline_dir), "--chains", "2",
+                 "--draws", "10", "--tune", "0", "--prior-bound-low", "1e-6")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "1536000001-point grid" in err
+        assert "Traceback" not in err and "MemoryError" not in err
+
     def test_stuck_chain_exit_code(self, pipeline_dir, monkeypatch):
         def explode(*args, **kwargs):
             raise StuckChain("engineered")

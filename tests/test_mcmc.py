@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ from scipy import stats
 
 from qrse import (
     ChainConfig,
+    EvalGrid,
+    GridTooLarge,
     OutOfSupport,
     ParseError,
     PosteriorDraws,
@@ -13,6 +16,7 @@ from qrse import (
     QrseParams,
     SampleConfig,
     StuckChain,
+    build_density,
     build_sampling_grid,
     load_trace,
     log_likelihood,
@@ -23,6 +27,7 @@ from qrse import (
     save_trace,
 )
 from qrse import mcmc
+from qrse.model import local_log_z
 from tests.conftest import REF
 
 PRIORS = PriorSpec(t_center=2.1, s_center=4.9, mu_center=8.66, alpha_center=17.8)
@@ -107,6 +112,20 @@ class TestLogPosterior:
                 QrseParams(T=8.5, S=4.0, mu=0.0, alpha=0.0), np.array([]), PRIORS
             )
 
+    def test_default_matches_sampler_target(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("build_sampling_grid called")
+
+        monkeypatch.setattr(mcmc, "build_sampling_grid", forbidden)
+        data = sample(REF, SampleConfig(n=200, seed=2))
+        target = mcmc._make_target(data, PRIORS, None)
+        for theta in ([2.1, 4.9, 8.66, 17.8], [0.3, 7.5, 20.0, -5.0]):
+            params = QrseParams.from_array(theta)
+            expected = scipy_prior_logpdf(params, PRIORS) + log_likelihood(data, params)
+            value = log_posterior(params, data, PRIORS)
+            assert value == target(np.array(theta))
+            assert value == pytest.approx(expected, abs=1e-10)
+
 
 class TestBuildSamplingGrid:
     def test_covers_data_and_prior_corners(self):
@@ -120,6 +139,72 @@ class TestBuildSamplingGrid:
     def test_empty_data_allowed(self):
         grid = build_sampling_grid(np.array([]), PRIORS)
         assert grid.points.size == 4001
+
+
+def fine_log_z(params: QrseParams) -> float:
+    """log Z on a grid 10x finer and 2.5x wider than the local grid."""
+    wide, narrow = max(params.T, params.S), min(params.T, params.S)
+    grid = EvalGrid.from_bounds(
+        params.mu - 60.0 * wide, params.mu + 60.0 * wide, math.ceil(4800.0 * wide / narrow) + 1
+    )
+    return build_density(params, grid).log_z
+
+
+class TestLocalLogZAccuracy:
+    """The per-proposal log Z against a fine reference over the support.
+
+    T and S take the truncation bounds and the prior centers; mu and alpha
+    take the location box's corners and centers: 81 points. The bound is
+    relative, 1e-9 * max(1, |log Z|): where |log Z| is near 1800, float
+    rounding alone costs about 5e-9 on any grid. The fixed 4001-point
+    sampling grid fails it, by 2.9e-5 relative at (0.1, 8, 48.66, 57.8)
+    and 3.3e-6 at (0.1, 0.1, -31.34, -22.2).
+    """
+
+    def corners(self):
+        (mu_low, mu_high), (alpha_low, alpha_high) = mcmc._location_box(PRIORS)
+        return itertools.product(
+            (PRIORS.bound_low, PRIORS.t_center, PRIORS.bound_high),
+            (PRIORS.bound_low, PRIORS.s_center, PRIORS.bound_high),
+            (mu_low, PRIORS.mu_center, mu_high),
+            (alpha_low, PRIORS.alpha_center, alpha_high),
+        )
+
+    def test_local_grid_within_bound(self):
+        for theta in self.corners():
+            params = QrseParams(*theta)
+            reference = fine_log_z(params)
+            error = abs(local_log_z(params) - reference)
+            assert error <= 1e-9 * max(1.0, abs(reference)), theta
+
+    def test_sampling_grid_fails_the_bound(self):
+        grid = build_sampling_grid(np.array([]), PRIORS)
+        for theta in ((0.1, 8.0, 48.66, 57.8), (0.1, 0.1, -31.34, -22.2)):
+            params = QrseParams(*theta)
+            reference = fine_log_z(params)
+            error = abs(build_density(params, grid).log_z - reference)
+            assert error > 1e-6 * max(1.0, abs(reference)), theta
+
+
+class TestLocalGridCheck:
+    def test_startup_check_at_extreme_scale_ratios(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(mcmc, "build_density", lambda p, grid: checked.append((p, grid)))
+        mcmc._check_local_grids(PRIORS)
+        assert {(p.T, p.S) for p, _ in checked} == {(0.1, 8.0), (8.0, 0.1)}
+        assert len(checked) == 8
+        assert all(grid.points.size == 15361 for _, grid in checked)
+
+    def test_oversized_grid_fails_before_any_chain(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(mcmc, "run_chain", forbidden)
+        priors = PriorSpec(t_center=2.1, s_center=4.9, mu_center=8.66, alpha_center=17.8,
+                           bound_low=1e-6)
+        data = sample(REF, SampleConfig(n=50, seed=1))
+        with pytest.raises(GridTooLarge, match="1536000001-point"):
+            run_chains(data, priors, ChainConfig(chains=2, draws=10, tune=0))
 
 
 class TestChainConfig:
@@ -351,7 +436,8 @@ class TestTrace:
 
 
 class TestLocationBox:
-    """The target is truncated to the box whose corners the grid is checked at."""
+    """The target is truncated to the location box; the startup check builds
+    the local log Z grid at its corners."""
 
     def test_target_rejects_locations_outside_the_box(self):
         target = mcmc._make_target(np.array([]), PRIORS, None)

@@ -8,7 +8,9 @@ from qrse import (
     DensityTable,
     EmptyBinGrid,
     EvalGrid,
+    GridTooLarge,
     GridTooNarrow,
+    QrseError,
     QrseParams,
     bin_probabilities,
     build_density,
@@ -20,6 +22,7 @@ from qrse import (
     log_likelihood,
     payoff_difference,
 )
+from qrse.model import MAX_LOCAL_POINTS, local_grid_size, local_log_z
 from tests.conftest import REF
 
 # Binary entropy at p = 3/4, from -(p ln p + (1-p) ln(1-p)):
@@ -222,6 +225,40 @@ class TestLogLikelihood:
             log_likelihood(np.array([]), REF)
         with pytest.raises(ValueError):
             log_likelihood(np.array([1.0, math.nan]), REF)
+
+
+class TestLocalLogZ:
+    def test_grid_shape(self):
+        for params in (REF, QrseParams(T=0.1, S=8.0, mu=-3.0, alpha=40.0)):
+            grid = EvalGrid.local(params)
+            reach = 24.0 * max(params.T, params.S)
+            assert grid.points.size == local_grid_size(params.T, params.S)
+            assert grid.points[0] == pytest.approx(params.mu - reach, abs=1e-12)
+            assert grid.points[-1] == pytest.approx(params.mu + reach, abs=1e-12)
+            assert grid.spacing <= min(params.T, params.S) / 4.0
+
+    def test_same_bits_as_build_density_on_its_grid(self):
+        for params in (REF, QrseParams(T=8.0, S=0.1, mu=40.0, alpha=-20.0)):
+            table = build_density(params, EvalGrid.local(params))
+            assert local_log_z(params) == table.log_z
+
+    def test_default_bounds_worst_corner_size(self):
+        # 192 * 8 / 0.1 cells: the most any in-support proposal needs.
+        assert local_grid_size(0.1, 8.0) == local_grid_size(8.0, 0.1) == 15361
+
+    @pytest.mark.parametrize("T", [1e-6, 5e-324])
+    def test_over_the_cap_is_typed(self, T):
+        params = QrseParams(T=T, S=8.0, mu=0.0, alpha=1.0)
+        with pytest.raises(GridTooLarge, match=str(MAX_LOCAL_POINTS)) as caught:
+            local_log_z(params)
+        assert isinstance(caught.value, QrseError)
+        with pytest.raises(GridTooLarge):
+            log_likelihood(np.array([0.5]), params)
+
+    def test_likelihood_default_uses_local_grid(self):
+        data = np.array([-4.0, 3.5, 12.0, 30.0])
+        expected = float(np.sum(log_kernel(data, REF))) - data.size * local_log_z(REF)
+        assert log_likelihood(data, REF) == expected
 
 
 class TestBinProbabilities:
