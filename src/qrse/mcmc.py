@@ -12,7 +12,15 @@ Everything is deterministic given (data, priors, config): chains use a
 counter-based generator keyed by seed + chain_index, and initial points are
 jittered around the posterior mode. Each target evaluation takes log Z from
 ``local_log_z``, on a grid built around that proposal's mu, unless the
-caller passes one fixed grid.
+caller passes one fixed grid. The data is checked for NaN and infinity once,
+when the target is built, not on every step.
+
+``run_chains`` runs the chains in parallel lanes, one per CPU the process
+may use (``os.sched_getaffinity``), at most one per chain: chain i runs in
+lane i % lanes, lane 0 in the calling process and each other lane in a
+forked process. Every start and Generator is made in the calling process
+before any lane runs, and a chain's draws are a pure function of them, so
+the output is bit-identical at any lane count, including one.
 
 The sampled posterior is truncated to mu and alpha within CORNER_SDS prior
 sds of their centers, and the sampler rejects proposals outside that box.
@@ -25,11 +33,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfSupport, ParseError, StuckChain
+from .errors import OutOfSupport, ParseError, QrseError, StuckChain
 from .model import DEFAULT_GRID_POINTS, EvalGrid, QrseParams, build_density, log_likelihood
 from .synthetic import RNG_ALGORITHM, rng_from_seed
 
@@ -279,28 +288,45 @@ def _check_local_grids(priors: PriorSpec) -> None:
 
 
 def log_posterior(
-    params: QrseParams, data, priors: PriorSpec, grid: EvalGrid | None = None
+    params: QrseParams,
+    data,
+    priors: PriorSpec,
+    grid: EvalGrid | None = None,
+    *,
+    _finite: bool = False,
 ) -> float:
     """Log prior plus log-likelihood; prior only when data is empty.
 
     With ``grid=None`` (what the sampler uses), log Z comes from
     ``local_log_z`` at ``params``; an explicit grid is used as given.
+    ``_finite`` is passed on to ``log_likelihood``.
 
     Raises
     ------
     OutOfSupport
         If T or S violates the prior truncation bounds (callers treat this
         as -inf and auto-reject).
+    ValueError
+        If the data holds a NaN or an infinity.
     """
     prior = priors.log_density(params)
     values = np.asarray(data, dtype=float)
     if values.size == 0:
         return prior
-    return prior + log_likelihood(values, params, grid)
+    return prior + log_likelihood(values, params, grid, _finite=_finite)
 
 
 def _make_target(data, priors: PriorSpec, grid: EvalGrid | None):
+    """The sampler's log target, on data checked here once, not per step.
+
+    Raises
+    ------
+    ValueError
+        If the data holds a NaN or an infinity.
+    """
     values = np.asarray(data, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("the sampler requires finite observations")
     (mu_low, mu_high), (alpha_low, alpha_high) = _location_box(priors)
 
     def target(theta: np.ndarray) -> float:
@@ -309,7 +335,7 @@ def _make_target(data, priors: PriorSpec, grid: EvalGrid | None):
         if not (mu_low <= theta[2] <= mu_high and alpha_low <= theta[3] <= alpha_high):
             return -math.inf
         params = QrseParams(T=theta[0], S=theta[1], mu=theta[2], alpha=theta[3])
-        return log_posterior(params, values, priors, grid)
+        return log_posterior(params, values, priors, grid, _finite=True)
 
     return target
 
@@ -480,6 +506,82 @@ def run_chain(
     )
 
 
+def _lane_count(chains: int) -> int:
+    """How many processes share the chains: one per CPU this process may
+    run on, at most one per chain. Lanes need ``os.sched_getaffinity`` and
+    the fork start method (Linux), so elsewhere every chain runs here."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(chains, len(os.sched_getaffinity(0)))
+
+
+def _run_lane(chain_args: list[tuple], indices) -> list[tuple[int, object]]:
+    """(index, ChainResult or the exception raised) for each chain in turn.
+
+    The lane stops at its first failure: its later chains have higher
+    indices, so they cannot change which failure ``run_chains`` raises.
+    """
+    outcomes = []
+    for index in indices:
+        try:
+            outcomes.append((index, run_chain(*chain_args[index])))
+        except Exception as err:  # sent to the parent, which raises it
+            outcomes.append((index, err))
+            break
+    return outcomes
+
+
+def _lane_main(writer, chain_args: list[tuple], indices) -> None:
+    writer.send(_run_lane(chain_args, indices))
+
+
+def _run_lanes(chain_args: list[tuple], lanes: int) -> dict[int, object]:
+    """Every chain's outcome, with chain i run in lane i % lanes.
+
+    Lane 0 is this process. Each other lane is a forked process that
+    inherits the chain arguments and sends its outcomes back over a
+    one-way pipe. A lane that exits without sending gets a QrseError for
+    each of its chains. Every lane is joined before this returns or raises.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for lane in range(1, lanes):
+            indices = range(lane, len(chain_args), lanes)
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_lane_main, args=(writer, chain_args, indices), daemon=True
+            )
+            # NumPy's OpenBLAS pool is the only other thread here, and
+            # OpenBLAS stops it before a fork (pthread_atfork), so the child
+            # inherits no lock a missing thread holds.
+            process.start()
+            writer.close()  # else the reader never sees EOF from a dead lane
+            children.append((process, reader, indices))
+        outcomes = dict(_run_lane(chain_args, range(0, len(chain_args), lanes)))
+        for lane, (process, reader, indices) in enumerate(children, start=1):
+            try:
+                outcomes.update(reader.recv())
+            except (EOFError, OSError):
+                process.join()
+                lost = QrseError(
+                    f"sampler lane {lane} (chains {', '.join(map(str, indices))}) "
+                    f"exited with status {process.exitcode} before returning its draws"
+                )
+                outcomes.update((index, lost) for index in indices)
+    except BaseException:
+        for process, _, _ in children:
+            process.terminate()
+        raise
+    finally:
+        for process, reader, _ in children:
+            process.join()
+            reader.close()
+    return outcomes
+
+
 def run_chains(
     data, priors: PriorSpec, config: ChainConfig, grid: EvalGrid | None = None
 ) -> PosteriorDraws:
@@ -492,17 +594,30 @@ def run_chains(
     the scales and the proposal correlation (explicit scales imply
     independent proposal coordinates).
 
+    The data is checked for NaN and infinity before the mode search, not
+    on every step. Every start and Generator is made here, in chain order. The chains then run in
+    ``_lane_count`` lanes, chain i in lane i % lanes: lane 0 in this
+    process, each other lane in a forked process. A chain's draws depend
+    only on its data, priors, start, scales and Generator, so the result is
+    bit-identical at any lane count. With one lane no process is started.
+
     Raises
     ------
+    ValueError
+        If the data holds a NaN or an infinity.
     GridTooLarge, GridTooNarrow
         From the startup check of the local log Z grid (no explicit grid).
     StuckChain
         Re-raised with the chain index attached.
+    QrseError
+        If a lane's process exits without returning its chains' draws.
+
+    When several chains fail, the one with the lowest index is raised.
     """
     values = np.asarray(data, dtype=float)
+    target = _make_target(values, priors, grid)
     if grid is None and values.size:
         _check_local_grids(priors)
-    target = _make_target(values, priors, grid)
 
     mode = None
     if config.initial is None or config.step_scales is None:
@@ -514,9 +629,7 @@ def run_chains(
         proposal_cholesky = None
 
     inset = 1e-6 * (priors.bound_high - priors.bound_low)
-    chain_draws = []
-    rates = []
-    final_scales = []
+    chain_args = []
     for index in range(config.chains):
         rng = rng_from_seed(config.seed + index)
         if config.initial is not None:
@@ -528,20 +641,28 @@ def run_chains(
                 point[:2], priors.bound_low + inset, priors.bound_high - inset
             )
             start = QrseParams.from_array(point)
-        try:
-            result = run_chain(
-                values, priors, start, scales, config.draws, config.tune, rng,
-                grid, proposal_cholesky,
-            )
-        except StuckChain as err:
-            raise StuckChain(f"chain {index}: {err}") from None
-        chain_draws.append(result.draws)
-        rates.append(result.acceptance_rate)
-        final_scales.append(result.step_scales)
+        chain_args.append(
+            (values, priors, start, scales, config.draws, config.tune, rng,
+             grid, proposal_cholesky)
+        )
+
+    lanes = _lane_count(config.chains)
+    if lanes == 1:
+        outcomes = dict(_run_lane(chain_args, range(config.chains)))
+    else:
+        outcomes = _run_lanes(chain_args, lanes)
+    results = []
+    for index in range(config.chains):
+        outcome = outcomes[index]
+        if isinstance(outcome, StuckChain):
+            raise StuckChain(f"chain {index}: {outcome}") from None
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(outcome)
     return PosteriorDraws(
-        draws=np.stack(chain_draws),
-        acceptance_rates=tuple(rates),
-        step_scales=tuple(final_scales),
+        draws=np.stack([result.draws for result in results]),
+        acceptance_rates=tuple(result.acceptance_rate for result in results),
+        step_scales=tuple(result.step_scales for result in results),
         config=config,
         priors=priors,
     )

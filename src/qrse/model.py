@@ -392,18 +392,24 @@ def build_density(params: QrseParams, grid: EvalGrid | None = None) -> DensityTa
     return DensityTable(grid=grid, log_kernel_values=kernel, log_z=log_z, pdf=pdf)
 
 
-def log_likelihood(data, params: QrseParams, grid: EvalGrid | None = None) -> float:
+def log_likelihood(
+    data, params: QrseParams, grid: EvalGrid | None = None, *, _finite: bool = False
+) -> float:
     """Log-likelihood of observed outcomes under the model.
 
     Per-observation terms are evaluated exactly at each data point; only the
     partition function uses a grid. With ``grid=None`` that is
     ``local_log_z``'s grid, built for ``params``. An explicit grid is used as
     given, through ``build_density``.
+
+    ``_finite=True`` skips the finiteness check over the data. It is for
+    the sampler's target, whose data is checked once when the target is
+    built, not on every step.
     """
     values = np.asarray(data, dtype=float)
     if values.size == 0:
         raise ValueError("log_likelihood requires at least one observation")
-    if not np.all(np.isfinite(values)):
+    if not _finite and not np.all(np.isfinite(values)):
         raise ValueError("log_likelihood requires finite observations")
     log_z = local_log_z(params) if grid is None else build_density(params, grid).log_z
     return float(np.sum(log_kernel(values, params))) - values.size * log_z

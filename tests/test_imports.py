@@ -3,8 +3,9 @@
 The CLI runs every stage as its own process, so ``import qrse`` is paid on
 each one. SciPy is imported inside the functions that use it; an eager
 module-level ``from scipy... import`` anywhere in the package shows up here.
-Each case runs in a fresh interpreter, because the test process itself has
-long since imported SciPy.
+So does ``multiprocessing``, which only ``run_chains`` needs. Each case runs
+in a fresh interpreter, because the test process itself has long since
+imported SciPy.
 """
 
 import json
@@ -18,17 +19,20 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs one CLI stage (or nothing, with no arguments) and prints the exit
-# code and the SciPy modules loaded by then as the last stdout line.
+# code, the SciPy modules loaded by then and whether multiprocessing was
+# loaded, as the last stdout line.
 _PROBE = """
 import json, sys
 from qrse import cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"code": code, "scipy": loaded}))
+print(json.dumps({
+    "code": code, "scipy": loaded, "multiprocessing": "multiprocessing" in sys.modules,
+}))
 """
 
 
-def _scipy_loaded(*argv: str) -> list[str]:
+def _probe(*argv: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -38,7 +42,7 @@ def _scipy_loaded(*argv: str) -> list[str]:
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0, proc.stderr
-    return result["scipy"]
+    return result
 
 
 def _under(loaded: list[str], package: str) -> list[str]:
@@ -46,8 +50,8 @@ def _under(loaded: list[str], package: str) -> list[str]:
 
 
 @pytest.fixture(scope="module")
-def stage_modules(tmp_path_factory) -> dict[str, list[str]]:
-    """SciPy modules loaded by each stage of a tiny pipeline, one process each."""
+def stage_probes(tmp_path_factory) -> dict[str, dict]:
+    """What each stage of a tiny pipeline loaded, one process each."""
     outdir = str(tmp_path_factory.mktemp("pipeline"))
     common = ("--outdir", outdir, "--seed", "3")
     stages = {
@@ -57,16 +61,37 @@ def stage_modules(tmp_path_factory) -> dict[str, list[str]]:
         "sample": ("sample", *common, "--chains", "2", "--draws", "60", "--tune", "100"),
         "report": ("report", *common),
     }
-    return {name: _scipy_loaded(*argv) for name, argv in stages.items()}
+    return {name: _probe(*argv) for name, argv in stages.items()}
 
 
-def test_import_qrse_loads_no_scipy():
-    assert _scipy_loaded() == []
+@pytest.fixture(scope="module")
+def stage_modules(stage_probes) -> dict[str, list[str]]:
+    """SciPy modules loaded by each stage."""
+    return {name: probe["scipy"] for name, probe in stage_probes.items()}
+
+
+@pytest.fixture(scope="module")
+def import_probe() -> dict:
+    """What ``import qrse`` alone loaded."""
+    return _probe()
+
+
+def test_import_qrse_loads_no_scipy(import_probe):
+    assert import_probe["scipy"] == []
+
+
+def test_import_qrse_loads_no_multiprocessing(import_probe):
+    assert import_probe["multiprocessing"] is False
 
 
 @pytest.mark.parametrize("stage", ["simulate", "ingest"])
 def test_data_stages_load_no_scipy(stage_modules, stage):
     assert stage_modules[stage] == []
+
+
+@pytest.mark.parametrize("stage", ["simulate", "ingest"])
+def test_data_stages_load_no_multiprocessing(stage_probes, stage):
+    assert stage_probes[stage]["multiprocessing"] is False
 
 
 @pytest.mark.parametrize("stage", ["simulate", "ingest", "fit", "sample", "report"])

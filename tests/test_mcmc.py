@@ -1,5 +1,9 @@
+import contextlib
 import itertools
 import math
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from qrse import (
     GridTooLarge,
     OutOfSupport,
     ParseError,
+    QrseError,
     PosteriorDraws,
     PriorSpec,
     QrseParams,
@@ -377,6 +382,166 @@ class TestRunChains:
         else:
             with pytest.raises(ValueError, match="acceptance"):
                 build()
+
+
+# Explicit starts and scales skip the mode search, and let a patched
+# run_chain tell the chains apart by their start.
+LANE_STARTS = tuple(
+    QrseParams(T=2.0 + 0.1 * i, S=4.9, mu=8.66, alpha=17.8) for i in range(3)
+)
+LANE_CONFIG = ChainConfig(
+    chains=3, draws=50, tune=0, seed=0, initial=LANE_STARTS,
+    step_scales=(0.1, 0.1, 0.3, 0.5),
+)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail the test if the block outlasts ``seconds``.
+
+    pytest's Failed is a BaseException, so no handler in the code under test
+    (an OSError handler would catch TimeoutError) can swallow it.
+    """
+    def expire(signum, frame):
+        pytest.fail(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Set the lane count run_chains uses, whatever the CPU count."""
+    def set_lanes(count: int) -> None:
+        monkeypatch.setattr(mcmc, "_lane_count", lambda chains: count)
+
+    return set_lanes
+
+
+@pytest.fixture
+def fork_starts(monkeypatch):
+    """Every lane process started, in order."""
+    context = multiprocessing.get_context("fork")
+    started = []
+
+    class Recorded(context.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(context, "Process", Recorded)
+    return started
+
+
+def fail_chains(monkeypatch, failing: set[int], fail) -> None:
+    """Make run_chain call ``fail()`` for the chains that start at
+    LANE_STARTS[i] for i in ``failing``."""
+    real = mcmc.run_chain
+    starts = [LANE_STARTS[i] for i in failing]
+
+    def run_chain(data, priors, initial, *rest):
+        if initial in starts:
+            fail()
+        return real(data, priors, initial, *rest)
+
+    monkeypatch.setattr(mcmc, "run_chain", run_chain)
+
+
+def stick():
+    raise StuckChain("post-tune acceptance 0.0000 below 0.01")
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="lanes are forked processes",
+)
+class TestLanes:
+    @pytest.mark.parametrize("chains, lane_counts", [(3, (2, 3)), (5, (2,))])
+    def test_outputs_do_not_depend_on_lanes(
+        self, small_data, lanes, fork_starts, chains, lane_counts
+    ):
+        config = ChainConfig(chains=chains, draws=100, tune=150, seed=0)
+        lanes(1)
+        serial = run_chains(small_data, PRIORS, config)
+        assert fork_starts == []
+        for count in lane_counts:
+            lanes(count)
+            laned = run_chains(small_data, PRIORS, config)
+            assert len(fork_starts) == count - 1
+            fork_starts.clear()
+            np.testing.assert_array_equal(laned.draws, serial.draws)
+            np.testing.assert_array_equal(laned.acceptance_rates, serial.acceptance_rates)
+            np.testing.assert_array_equal(laned.step_scales, serial.step_scales)
+
+    def test_one_lane_starts_no_process(self, small_data, lanes, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a lane process was made")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", forbidden)
+        lanes(1)
+        assert run_chains(small_data, PRIORS, LANE_CONFIG).draws.shape == (3, 50, 4)
+        lanes(2)
+        with pytest.raises(AssertionError, match="lane process"):
+            run_chains(small_data, PRIORS, LANE_CONFIG)
+
+    @pytest.mark.parametrize(
+        "failing, named", [({1}, 1), ({0, 1}, 0), ({1, 2}, 1)]
+    )
+    def test_lowest_stuck_chain_is_raised(
+        self, small_data, lanes, monkeypatch, failing, named
+    ):
+        # With 2 lanes, chain 1 runs in the child and chains 0 and 2 here.
+        fail_chains(monkeypatch, failing, stick)
+        lanes(2)
+        with deadline(60), pytest.raises(StuckChain) as caught:
+            run_chains(small_data, PRIORS, LANE_CONFIG)
+        assert str(caught.value) == f"chain {named}: post-tune acceptance 0.0000 below 0.01"
+        assert multiprocessing.active_children() == []
+
+    def test_lane_that_dies_raises(self, small_data, lanes, monkeypatch):
+        parent = os.getpid()
+
+        def die():
+            if os.getpid() == parent:
+                raise AssertionError("chain 1 ran in the calling process")
+            os._exit(1)
+
+        fail_chains(monkeypatch, {1}, die)
+        lanes(2)
+        with deadline(60), pytest.raises(QrseError) as caught:
+            run_chains(small_data, PRIORS, LANE_CONFIG)
+        assert str(caught.value) == (
+            "sampler lane 1 (chains 1) exited with status 1 before returning its draws"
+        )
+        assert multiprocessing.active_children() == []
+
+
+class TestDataChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_run_chains_rejects_before_any_evaluation(self, small_data, monkeypatch, bad):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("target evaluated")
+
+        monkeypatch.setattr(mcmc, "log_posterior", forbidden)
+        data = small_data.copy()
+        data[7] = bad
+        with pytest.raises(ValueError, match="sampler requires finite observations"):
+            run_chains(data, PRIORS, ChainConfig(chains=2, draws=10, tune=0))
+        with pytest.raises(ValueError, match="sampler requires finite observations"):
+            run_chain(data, PRIORS, REF, (0.1,) * 4, 10, 0, 0)
+
+    def test_public_functions_keep_their_check(self, small_data):
+        data = small_data.copy()
+        data[7] = math.nan
+        with pytest.raises(ValueError, match="log_likelihood requires finite observations"):
+            log_likelihood(data, REF)
+        with pytest.raises(ValueError, match="log_likelihood requires finite observations"):
+            log_posterior(REF, data, PRIORS)
 
 
 class TestTrace:
