@@ -5,10 +5,10 @@ returns, fits it to district data by minimum KL divergence, samples the
 Bayesian posterior with random-walk MCMC, and reports convergence and fit
 diagnostics. See the ``qrse`` console script for the file-based pipeline.
 
-SciPy is imported inside the functions that call it, never at module level:
-every CLI stage is a fresh process, and SciPy's statistics subpackage alone
-would cost each of them about a second. ``tests/test_imports.py`` holds each
-stage to the SciPy it uses.
+SciPy is imported only inside the MAP fit, never at module level: every CLI
+stage is a fresh process, and SciPy's statistics subpackage alone would cost
+each of them about a second. ``tests/test_imports.py`` holds every stage but
+``fit`` to no SciPy at all.
 """
 
 from .diagnostics import (

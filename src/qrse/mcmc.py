@@ -59,6 +59,7 @@ STUCK_ACCEPTANCE = 0.01
 CORNER_SDS = 4.0
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
 
 TRACE_FORMAT = "qrse-trace-v1"
 TRACE_HEADER = "chain,draw,T,S,mu,alpha"
@@ -107,11 +108,15 @@ class PriorSpec:
         )
 
     def _truncation_log_mass(self, center: float, sd: float) -> float:
-        from scipy.special import ndtr
-
-        mass = float(
-            ndtr((self.bound_high - center) / sd) - ndtr((self.bound_low - center) / sd)
-        )
+        # Normal mass on [low, high], taken from whichever tail is small:
+        # with the center below the interval both lower-tail CDFs round
+        # to 1, so the upper tails are subtracted instead.
+        low = (self.bound_low - center) / sd * _SQRT1_2
+        high = (self.bound_high - center) / sd * _SQRT1_2
+        if low > 0.0:
+            mass = 0.5 * (math.erfc(low) - math.erfc(high))
+        else:
+            mass = 0.5 * (math.erfc(-high) - math.erfc(-low))
         if mass <= 0.0:
             raise ValueError("prior center lies too far outside the truncation bounds")
         return math.log(mass)
@@ -342,19 +347,100 @@ def _make_target(data, priors: PriorSpec, grid: EvalGrid | None):
 
 def _posterior_mode(target, priors: PriorSpec) -> np.ndarray:
     """Interior maximum of the target, found by simplex descent from the
-    prior centers (clipped into the truncation interval)."""
-    from scipy.optimize import minimize
+    prior centers (clipped into the truncation interval).
 
+    The descent is ``_nelder_mead``, a bit-exact port of SciPy's
+    Nelder-Mead, so the mode and every draw started from it are those
+    SciPy would give, without ``sample`` importing SciPy.
+    """
     inset = 1e-3 * (priors.bound_high - priors.bound_low)
     start = priors.centers()
     start[:2] = np.clip(start[:2], priors.bound_low + inset, priors.bound_high - inset)
-    result = minimize(
-        lambda theta: -target(theta),
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000},
+    x, _ = _nelder_mead(
+        lambda theta: -target(theta), start, xatol=1e-6, fatol=1e-8, maxiter=2000
     )
-    return np.asarray(result.x, dtype=float)
+    return x
+
+
+def _nelder_mead(
+    func, x0: np.ndarray, *, xatol: float, fatol: float, maxiter: int
+) -> tuple[np.ndarray, int]:
+    """Minimize ``func`` from ``x0`` by the Nelder-Mead simplex method.
+
+    A port of the unbounded, non-adaptive path of ``_minimize_neldermead``
+    in SciPy's ``scipy/optimize/_optimize.py`` (BSD-3-Clause, Copyright (c)
+    2001-2002 Enthought, Inc. and 2003- SciPy Developers). It keeps that
+    code's coefficients (reflection 1, expansion 2, contraction and shrink
+    0.5), its initial simplex (each coordinate in turn stretched by 5%, or
+    set to 0.00025 where it is zero), its stopping test (simplex within
+    ``xatol`` of the best vertex and values within ``fatol`` of the best),
+    its ``maxiter`` count, its argsort of the vertices after every
+    iteration and the copy of each point handed to ``func``. Every
+    floating-point operation is the same, so the result matches
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` bit for bit.
+
+    Returns the best vertex and the number of ``func`` evaluations.
+    """
+    rho, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+
+    evals = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal evals
+        evals += 1
+        return func(np.copy(x))
+
+    fsim = np.array([f(vertex) for vertex in sim], dtype=float)
+    # SciPy sorts the first simplex twice. argsort is not documented as
+    # stable, so a second pass may reorder tied vertices (say, two outside
+    # the support); it is kept.
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+
+    iterations = 1
+    while iterations < maxiter:
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0].copy(), evals
 
 
 def _laplace_proposal(
@@ -393,12 +479,15 @@ def _laplace_proposal(
             shift_j[j] = steps[j]
             shift_k = np.zeros(d)
             shift_k[k] = steps[k]
-            mixed = (
-                target(mode + shift_j + shift_k)
-                - target(mode + shift_j - shift_k)
-                - target(mode - shift_j + shift_k)
-                + target(mode - shift_j - shift_k)
-            ) / (4.0 * steps[j] * steps[k])
+            # At a boundary mode some points lie outside the support, and
+            # -inf - -inf gives the NaN that the fallback below looks for.
+            with np.errstate(invalid="ignore"):
+                mixed = (
+                    target(mode + shift_j + shift_k)
+                    - target(mode + shift_j - shift_k)
+                    - target(mode - shift_j + shift_k)
+                    + target(mode - shift_j - shift_k)
+                ) / (4.0 * steps[j] * steps[k])
             hessian[j, k] = mixed
             hessian[k, j] = mixed
     if np.all(np.isfinite(hessian)):

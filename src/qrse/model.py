@@ -219,12 +219,11 @@ def _scaled_distance(x, params: QrseParams):
 def entry_probability(x, params: QrseParams):
     """Logit probability of entering at outcome x.
 
-    Overflow-safe: evaluated through the logistic sigmoid, which never
-    exponentiates a large positive argument.
+    The logistic sigmoid 1/(1 + exp(-z)) of z = 2 (x - mu) / T. Where
+    exp(-z) overflows, the sum is inf and the quotient an exact 0, so the
+    overflow is silenced rather than avoided.
     """
-    from scipy.special import expit
-
-    return expit(_scaled_distance(x, params))
+    return _sigmoid(_scaled_distance(x, params))
 
 
 def exit_probability(x, params: QrseParams):
@@ -233,9 +232,12 @@ def exit_probability(x, params: QrseParams):
     The mirrored form keeps full precision in the saturated tail where a
     literal subtraction would round to 0 or 1.
     """
-    from scipy.special import expit
+    return _sigmoid(-_scaled_distance(x, params))
 
-    return expit(-_scaled_distance(x, params))
+
+def _sigmoid(z):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def choice_difference(x, params: QrseParams):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import ndtri
+from scipy.stats import rankdata
 
 from qrse import (
     ChainConfig,
@@ -32,6 +33,17 @@ from tests.conftest import REF, iid_normal_chains
 TWO_CHAIN_SATURATION = 1.8264588405538467
 
 PRIORS = PriorSpec(t_center=2.1, s_center=4.9, mu_center=8.66, alpha_center=17.8)
+
+
+def ndtri_split_rhat(chains: np.ndarray) -> float:
+    """split_rhat as first written, with SciPy's inverse normal CDF."""
+    half = chains.shape[1] // 2
+    splits = np.concatenate([chains[:, :half], chains[:, chains.shape[1] - half:]])
+    ranks = rankdata(splits.reshape(-1)).reshape(splits.shape)
+    z = ndtri((ranks - 0.375) / (splits.size + 0.25))
+    within = np.mean(np.var(z, axis=1, ddof=1))
+    between = half * np.var(np.mean(z, axis=1), ddof=1)
+    return math.sqrt(((half - 1) / half * within + between / half) / within)
 
 
 class TestSplitRhat:
@@ -65,6 +77,20 @@ class TestSplitRhat:
     def test_distinct_constants_diverge(self):
         chains = np.stack([np.zeros(100), np.full(100, 5.0)])
         assert math.isinf(split_rhat(chains))
+
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_matches_ndtri_version(self, decimals):
+        # decimals=1 and 0 round the draws into many and few tie groups.
+        rng = np.random.default_rng(5)
+        chains = rng.standard_normal((4, 501)) + np.array([[0.0], [0.0], [0.3], [1.0]])
+        if decimals is not None:
+            chains = np.round(3.0 * chains, decimals)
+        assert split_rhat(chains) == pytest.approx(ndtri_split_rhat(chains), abs=1e-12)
+
+    def test_nan_draw_gives_nan(self):
+        chains = iid_normal_chains(2, 100)
+        chains[1, 7] = np.nan
+        assert math.isnan(split_rhat(chains))
 
     def test_insufficient_draws(self):
         with pytest.raises(InsufficientDraws):

@@ -1,8 +1,9 @@
-"""Import budget: each pipeline stage loads only the SciPy it calls.
+"""Import budget: only ``fit`` loads SciPy, for ``scipy.optimize``.
 
 The CLI runs every stage as its own process, so ``import qrse`` is paid on
-each one. SciPy is imported inside the functions that use it; an eager
-module-level ``from scipy... import`` anywhere in the package shows up here.
+each one. SciPy is imported inside the one function that uses it (the
+L-BFGS-B fit); an eager module-level ``from scipy... import`` anywhere in
+the package, or a new SciPy call in another stage, shows up here.
 So does ``multiprocessing``, which only ``run_chains`` needs. Each case runs
 in a fresh interpreter, because the test process itself has long since
 imported SciPy.
@@ -99,9 +100,11 @@ def test_stage_loads_no_scipy_stats(stage_modules, stage):
     assert _under(stage_modules[stage], "scipy.stats") == []
 
 
-def test_report_loads_neither_scipy_stats_nor_optimize(stage_modules):
-    loaded = stage_modules["report"]
-    # The probe does see SciPy: report needs scipy.special for its priors.
-    assert "scipy.special" in loaded
-    assert _under(loaded, "scipy.stats") == []
-    assert _under(loaded, "scipy.optimize") == []
+@pytest.mark.parametrize("stage", ["sample", "report"])
+def test_model_stages_load_no_scipy(stage_modules, stage):
+    assert stage_modules[stage] == []
+
+
+def test_fit_loads_scipy_optimize(stage_modules):
+    # The probe does see SciPy, so the empty lists above are not vacuous.
+    assert "scipy.optimize" in stage_modules["fit"]

@@ -7,7 +7,7 @@ import signal
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, special, stats
 
 from qrse import (
     ChainConfig,
@@ -89,6 +89,36 @@ class TestPriorSpec:
         with pytest.raises(ValueError, match="0 < low < high"):
             PriorSpec(t_center=0.2, s_center=2.0, mu_center=0.0, alpha_center=0.0,
                       bound_low=bound_low)
+
+    # A center more than a few sds below the interval is left out: there
+    # the ndtr form subtracts two numbers near 1 and is itself inexact.
+    @pytest.mark.parametrize("center, sd", [
+        (center, sd)
+        for center in (-3.0, 0.1, 2.1, 4.05, 4.9, 8.0, 12.0)
+        for sd in (0.5, 2.0, 10.0)
+        if (0.1 - center) / sd < 2.0
+    ])
+    def test_log_mass_matches_ndtr(self, center, sd):
+        priors = PriorSpec(t_center=center, s_center=2.0, mu_center=0.0, alpha_center=0.0,
+                           t_sd=sd)
+        mass = special.ndtr((priors.bound_high - center) / sd) - special.ndtr(
+            (priors.bound_low - center) / sd
+        )
+        expected = math.log(mass)
+        assert abs(priors._t_log_mass - expected) <= 1e-14 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("t_center", [-20.0, 28.1])
+    def test_center_far_outside_either_bound(self, t_center):
+        # -20 and 28.1 mirror each other about the interval's midpoint 4.05.
+        # Below the interval both lower-tail CDFs round to 1, and their
+        # difference used to leave a mass of 0.
+        priors = PriorSpec(t_center=t_center, s_center=4.9, mu_center=8.66,
+                           alpha_center=17.8)
+        assert priors._t_log_mass == pytest.approx(-53.73742804257583, rel=1e-12)
+        params = QrseParams(T=0.5, S=4.9, mu=8.66, alpha=17.8)
+        assert priors.log_density(params) == pytest.approx(
+            scipy_prior_logpdf(params, priors), rel=1e-12
+        )
 
     def test_json_round_trip(self):
         restored = PriorSpec.from_json(PRIORS.to_json())
@@ -629,6 +659,77 @@ class TestLocationBox:
             pass  # nearly every proposal is rejected; exit 4, not an input error
 
 
+NELDER_MEAD_OPTIONS = {"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000}
+
+
+def assert_same_as_scipy(func, x0, options=NELDER_MEAD_OPTIONS):
+    expected = optimize.minimize(func, x0, method="Nelder-Mead", options=options)
+    x, evals = mcmc._nelder_mead(func, x0, **options)
+    np.testing.assert_array_equal(x, expected.x)
+    assert evals == expected.nfev
+    return x
+
+
+class TestNelderMead:
+    """The port takes SciPy's steps exactly, so SciPy is its oracle."""
+
+    @pytest.mark.parametrize("x0", [
+        [-1.2, 1.0],
+        [1.3, 0.7, 0.8, 1.9, 1.2],
+        [0.0, 1.0, -1.2, 0.5],  # a zero coordinate takes the absolute step
+    ])
+    def test_rosenbrock(self, x0):
+        x = assert_same_as_scipy(optimize.rosen, np.array(x0))
+        np.testing.assert_allclose(x, 1.0, atol=1e-4)
+
+    @pytest.mark.parametrize("levels, x0", [
+        (4.0, [2.0, -1.0, 0.5]),
+        (2.0, [-2.8, 1.4, -1.9]),
+        (4.0, [2.6, 1.9, -3.0]),
+    ])
+    def test_plateaus(self, levels, x0):
+        # A step function ties many comparisons; together these starts pin
+        # down whether each test in the port is < or <=.
+        def steps(x):
+            return float(np.floor(levels * np.sum((x - 0.3) ** 2)))
+
+        assert_same_as_scipy(steps, np.array(x0))
+
+    def test_iteration_cap(self):
+        options = {"xatol": 1e-12, "fatol": 1e-12, "maxiter": 40}
+        assert_same_as_scipy(optimize.rosen, np.array([-1.2, 1.0, 0.5]), options)
+
+    @pytest.mark.parametrize("t_center", [2.1, 7.95])
+    def test_readme_posterior(self, t_center):
+        # At t_center 7.95 the start is clipped to just inside the upper
+        # bound, and the stretched T vertex falls outside the support: the
+        # first simplex holds an infinite value.
+        data = sample(REF, SampleConfig(n=2000, seed=4))
+        priors = PriorSpec(t_center=t_center, s_center=4.9, mu_center=8.66,
+                           alpha_center=17.8)
+        target = mcmc._make_target(data, priors, None)
+        inset = 1e-3 * (priors.bound_high - priors.bound_low)
+        start = priors.centers()
+        start[:2] = np.clip(start[:2], priors.bound_low + inset, priors.bound_high - inset)
+        x = assert_same_as_scipy(lambda theta: -target(theta), start)
+        np.testing.assert_array_equal(mcmc._posterior_mode(target, priors), x)
+
+    def test_passes_a_copy(self):
+        seen = []
+
+        def func(x):
+            seen.append(x)
+            value = float(np.sum((x - 1.0) ** 2))
+            x[0] = 99.0  # must not reach the simplex
+            return value
+
+        x0 = np.array([0.5, 0.5])
+        x, _ = mcmc._nelder_mead(func, x0, **NELDER_MEAD_OPTIONS)
+        np.testing.assert_allclose(x, 1.0, atol=1e-3)
+        assert x0.tolist() == [0.5, 0.5]
+        assert len({id(x) for x in seen}) == len(seen)
+
+
 class TestModeAndScales:
     def test_prior_only_mode_is_prior_center(self):
         target = mcmc._make_target(np.array([]), PRIORS, None)
@@ -643,6 +744,17 @@ class TestModeAndScales:
         scales, cholesky = mcmc._laplace_proposal(target, PRIORS.centers(), PRIORS)
         np.testing.assert_allclose(scales, 1.2 * PRIORS.sds(), rtol=0.05)
         np.testing.assert_allclose(cholesky, np.eye(4), atol=1e-3)
+
+    def test_boundary_mode_falls_back_without_warning(self):
+        # With T at its lower bound, half the finite-difference points lie
+        # outside the support, and the mixed terms meet -inf - -inf.
+        data = sample(REF, SampleConfig(n=200, seed=2))
+        target = mcmc._make_target(data, PRIORS, None)
+        mode = PRIORS.centers()
+        mode[0] = PRIORS.bound_low
+        scales, cholesky = mcmc._laplace_proposal(target, mode, PRIORS)
+        assert cholesky is None
+        assert np.all(np.isfinite(scales)) and np.all(scales > 0.0)
 
     def test_correlated_target_recovers_correlation(self):
         # Quadratic log target with corr(mu, alpha) = 0.8 and unit sds:

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expit
 
 from qrse import (
     DensityTable,
@@ -104,6 +106,25 @@ class TestChoiceProbabilities:
         x = REF.mu + REF.T * math.log(3.0) / 2.0
         assert entry_probability(x, REF) == pytest.approx(0.75, abs=1e-15)
         assert exit_probability(x, REF) == pytest.approx(0.25, abs=1e-15)
+
+    def test_entry_exit_match_expit(self):
+        # z = 2 (x - mu) / T runs past +-745, where exp(-|z|) underflows.
+        x = REF.mu + REF.T / 2.0 * np.linspace(-800.0, 800.0, 16001)
+        z = 2.0 * (x - REF.mu) / REF.T
+        np.testing.assert_allclose(entry_probability(x, REF), expit(z), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(exit_probability(x, REF), expit(-z), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("z", [-1e4, 1e4])
+    def test_saturated_probabilities_raise_no_warning(self, z):
+        x = REF.mu + z * REF.T / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entry = entry_probability(x, REF)
+            exit_ = exit_probability(x, REF)
+            both = entry_probability(np.array([x, -x]), REF)
+        assert (entry, exit_) == ((1.0, 0.0) if z > 0 else (0.0, 1.0))
+        assert both.tolist() == [float(expit(2.0 * (x - REF.mu) / REF.T)),
+                                 float(expit(2.0 * (-x - REF.mu) / REF.T))]
 
     def test_choice_difference_is_tanh(self):
         x = np.linspace(-30, 50, 401)
