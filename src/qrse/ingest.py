@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,52 +159,113 @@ def _parse_number(field: str, line_no: int, column: str) -> float:
         raise ParseError(f"line {line_no}: column {column!r} is not numeric: {field!r}") from None
 
 
-def read_records(path, years: tuple[int, int] = DEFAULT_YEARS) -> tuple[list[DistrictRecord], int]:
-    """Parse a district CSV.
+class DistrictColumns(Sequence):
+    """District-year rows held as read-only columns.
 
-    Rows whose year falls outside ``years`` are skipped and counted; the
-    count is returned alongside the records. Structural problems (bad
-    header, wrong field count, non-numeric values) raise ParseError with the
-    offending line number.
+    ``ids`` and ``years`` are tuples; ``fields`` is an (n, 4) read-only float
+    array of expenditures, taxes, enrollment and population, in CSV column
+    order. Indexing or iterating builds a ``DistrictRecord`` per row on
+    access, and a slice is another ``DistrictColumns``. ``clean`` reads
+    ``fields`` directly.
+    """
+
+    __slots__ = ("ids", "years", "fields")
+
+    def __init__(self, ids: tuple[str, ...], years: tuple[int, ...], fields: np.ndarray):
+        fields.setflags(write=False)
+        self.ids = ids
+        self.years = years
+        self.fields = fields
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DistrictColumns(self.ids[index], self.years[index], self.fields[index])
+        district_id = self.ids[index]
+        return DistrictRecord(district_id, self.years[index], *self.fields[index].tolist())
+
+    def __iter__(self):
+        for district_id, year, row in zip(self.ids, self.years, self.fields.tolist()):
+            yield DistrictRecord(district_id, year, *row)
+
+
+def _undecodable_line(path) -> int:
+    """Number of the first line of ``path`` that is not valid UTF-8.
+
+    The text reader decodes in blocks, so its line count at the error can lie
+    well before the bad byte. A newline byte never occurs inside a UTF-8
+    sequence, so each line can be decoded on its own.
+    """
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return line_no
+
+
+def read_records(path, years: tuple[int, int] = DEFAULT_YEARS) -> tuple[DistrictColumns, int]:
+    """Parse a district CSV into a ``DistrictColumns`` sequence.
+
+    The file is UTF-8, with or without a byte-order mark. Rows whose year
+    falls outside ``years`` are skipped and counted; the count is returned
+    alongside the records. The records are held as columns, and a
+    ``DistrictRecord`` is built only when one is indexed or iterated.
+    Structural problems (bad header, wrong field count, non-numeric values,
+    a malformed or oversized CSV field, bytes that are not UTF-8) raise
+    ParseError with the offending line number.
     """
     year_low, year_high = years
-    records: list[DistrictRecord] = []
+    ids: list[str] = []
+    record_years: list[int] = []
+    values: list[tuple[float, float, float, float]] = []
     skipped_years = 0
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("line 1: file is empty, expected a header row") from None
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise ParseError(
-                f"line 1: header must be {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) == 0:
-                continue  # tolerate trailing blank lines
-            if len(row) != len(CSV_HEADER):
-                raise ParseError(
-                    f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-                )
             try:
-                year = int(row[1])
-            except ValueError:
-                raise ParseError(f"line {line_no}: column 'year' is not an integer: {row[1]!r}") from None
-            if not (year_low <= year <= year_high):
-                skipped_years += 1
-                continue
-            records.append(
-                DistrictRecord(
-                    district_id=row[0],
-                    year=year,
-                    total_local_education_expenditures=_parse_number(row[2], line_no, CSV_HEADER[2]),
-                    total_local_taxes_and_charges=_parse_number(row[3], line_no, CSV_HEADER[3]),
-                    enrollment=_parse_number(row[4], line_no, CSV_HEADER[4]),
-                    population=_parse_number(row[5], line_no, CSV_HEADER[5]),
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("line 1: file is empty, expected a header row") from None
+            if [h.strip() for h in header] != CSV_HEADER:
+                raise ParseError(
+                    f"line 1: header must be {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
                 )
-            )
-    return records, skipped_years
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(CSV_HEADER):
+                    if len(row) == 0:
+                        continue  # tolerate trailing blank lines
+                    raise ParseError(
+                        f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+                    )
+                try:
+                    year = int(row[1])
+                except ValueError:
+                    raise ParseError(f"line {line_no}: column 'year' is not an integer: {row[1]!r}") from None
+                if not (year_low <= year <= year_high):
+                    skipped_years += 1
+                    continue
+                ids.append(row[0])
+                record_years.append(year)
+                try:
+                    values.append((float(row[2]), float(row[3]), float(row[4]), float(row[5])))
+                except ValueError:
+                    # Blank fields are missing (NaN); anything else raises.
+                    values.append(tuple(
+                        _parse_number(text, line_no, column)
+                        for text, column in zip(row[2:], CSV_HEADER[2:])
+                    ))
+        except csv.Error as err:
+            raise ParseError(f"line {reader.line_num}: {err}") from None
+        except UnicodeDecodeError as err:
+            raise ParseError(
+                f"line {_undecodable_line(path)}: not valid UTF-8 ({err.reason})"
+            ) from None
+    fields = np.array(values, dtype=float).reshape(-1, 4)
+    return DistrictColumns(tuple(ids), tuple(record_years), fields), skipped_years
 
 
 def compute_returns(record: DistrictRecord) -> float:
@@ -230,15 +292,19 @@ def compute_returns(record: DistrictRecord) -> float:
 def _split(records, extreme_low: float, extreme_high: float):
     """Retained x, kappa and tau columns, plus the two exclusion counts.
 
-    The records become one (n, 4) array of expenditures, taxes, enrollment
-    and population, and each exclusion rule is a row mask over it. Only
+    The exclusion rules are row masks over one (n, 4) array of expenditures,
+    taxes, enrollment and population: ``DistrictColumns.fields`` as read, or
+    an array built from any other sequence of records. Only
     rows that pass the missing mask are divided, so no row divides by zero.
     """
-    fields = np.array(
-        [(r.total_local_education_expenditures, r.total_local_taxes_and_charges,
-          r.enrollment, r.population) for r in records],
-        dtype=float,
-    ).reshape(-1, 4)
+    if isinstance(records, DistrictColumns):
+        fields = records.fields
+    else:
+        fields = np.array(
+            [(r.total_local_education_expenditures, r.total_local_taxes_and_charges,
+              r.enrollment, r.population) for r in records],
+            dtype=float,
+        ).reshape(-1, 4)
     # A non-finite field is missing; negative money or counts are recording
     # errors, grouped with missing, and so is a zero (or -0.0) denominator.
     usable = (

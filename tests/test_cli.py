@@ -61,6 +61,14 @@ class TestIngest:
         assert "all 3 values equal 0.0" in err
         assert "np.float64" not in err and "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("bad_field", [b"9" * 200_000, b"caf\xe9"], ids=["oversized", "latin-1"])
+    def test_csv_and_encoding_errors_exit_2_with_line(self, tmp_path, capsys, bad_field):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(CSV_HEADER.encode() + b"\nd-1,2005,24.0,3.0,2,6\n"
+                         + bad_field + b",2005,24.0,3.0,2,6\n")
+        assert run("ingest", "--input", str(path), "--outdir", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: ")
+
     def test_bins_flag(self, district_csv, tmp_path):
         outdir = tmp_path / "run"
         rc = run("ingest", "--input", str(district_csv), "--outdir", str(outdir),

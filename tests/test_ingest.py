@@ -1,4 +1,8 @@
+import csv
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +79,55 @@ class TestReadRecords:
         )
         with pytest.raises(ParseError):
             read_records(path, (2000, 2016))
+
+    def test_accepts_utf8_byte_order_mark(self, district_csv, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start with a BOM.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + district_csv.read_bytes())
+        records, skipped = read_records(path, (2000, 2016))
+        expected, expected_skipped = read_records(district_csv, (2000, 2016))
+        assert repr(list(records)) == repr(list(expected))
+        assert skipped == expected_skipped
+
+    def test_oversized_field_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        big = "9" * (csv.field_size_limit() + 1)
+        path.write_text(
+            f"{CSV_HEADER}\nd-1,2005,24.0,3.0,2,6\nd-2,2005,{big},3.0,2,6\n", encoding="utf-8"
+        )
+        with pytest.raises(ParseError, match="^line 3: field larger than field limit"):
+            read_records(path, (2000, 2016))
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        # Far enough in that the text reader's block decode fails lines early.
+        rows = [f"d-{i},2005,24.0,3.0,2,6" for i in range(400)]
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(
+            "\n".join([CSV_HEADER, *rows[:300], "caf\xe9,2005,24.0,3.0,2,6", *rows[300:]])
+            .encode("latin-1")
+        )
+        with pytest.raises(ParseError, match="^line 302: not valid UTF-8"):
+            read_records(path, (2000, 2016))
+
+    def test_returns_a_read_only_sequence(self, district_csv):
+        records, _ = read_records(district_csv, (2000, 2016))
+        rows = list(records)
+        assert len(records) == len(rows) == 9
+        assert records[-1] == rows[-1] == records[8]
+        assert records[-9].district_id == "d-001"
+        with pytest.raises(IndexError):
+            records[9]
+        with pytest.raises(IndexError):
+            records[-10]
+        tail = records[5:]
+        assert type(tail) is type(records)
+        assert list(tail) == rows[5:]
+        assert repr(list(records[::-2])) == repr(rows[::-2])
+        assert len(records[9:]) == 0
+        with pytest.raises(ValueError):
+            records.fields[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            tail.fields[0, 0] = 1.0
 
 
 class TestComputeReturns:
@@ -309,3 +362,109 @@ def test_array_pass_matches_per_record_loop(records):
     assert (cleaned.excluded_missing, cleaned.excluded_extreme) == (n_missing, n_extreme)
     assert cleaned.fiscal == oracle_fiscal(xs, kappas, taus)
     assert fiscal_summary(records) == cleaned.fiscal
+
+
+def oracle_read_records(path, years):
+    """The per-row ``DistrictRecord`` loop that the column reader replaced."""
+
+    def parse_number(field, line_no, column):
+        if field.strip() == "":
+            return math.nan
+        try:
+            return float(field)
+        except ValueError:
+            raise ParseError(
+                f"line {line_no}: column {column!r} is not numeric: {field!r}"
+            ) from None
+
+    header = CSV_HEADER.split(",")
+    records, skipped = [], 0
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) == 0:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+            try:
+                year = int(row[1])
+            except ValueError:
+                raise ParseError(
+                    f"line {line_no}: column 'year' is not an integer: {row[1]!r}"
+                ) from None
+            if not (years[0] <= year <= years[1]):
+                skipped += 1
+                continue
+            records.append(DistrictRecord(
+                row[0], year, *(parse_number(f, line_no, c) for f, c in zip(row[2:], header[2:]))
+            ))
+    return records, skipped
+
+
+# Blank, whitespace-only and Python-only spellings; "abc" and "20x5" raise.
+NUMBER_SPELLINGS = (
+    "", " ", " \t ", "nan", "-NaN", "inf", "-Infinity", "1_0", "1e3", " 2.5 ",
+    "-0.0", "0", "5e-324", "1e400", "abc",
+)
+plausible_numbers = st.one_of(
+    st.integers(1, 300).map(str), st.floats(0.5, 300.0).map(repr)
+)
+csv_numbers = st.one_of(
+    st.sampled_from(NUMBER_SPELLINGS),
+    st.integers(-5, 500).map(str),
+    st.floats(allow_nan=False).map(repr),
+)
+csv_years = st.one_of(
+    st.integers(1995, 2020).map(str), st.sampled_from((" 2005", "+2010", "2_016", "20x5"))
+)
+# Quoted ids holding commas and quotes come from csv.writer's quoting.
+csv_ids = st.text(alphabet='d-1, "', max_size=6)
+csv_rows = st.one_of(
+    st.tuples(csv_ids, csv_years, *[plausible_numbers] * 4).map(list),
+    st.tuples(csv_ids, csv_years, *[csv_numbers] * 4).map(list),
+    st.just([]),  # a blank line
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(csv_rows, max_size=12),
+    trailing_blank_lines=st.integers(0, 3),
+    quoting=st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)),
+    lineterminator=st.sampled_from(("\n", "\r\n")),
+)
+def test_column_reader_matches_per_row_loop(rows, trailing_blank_lines, quoting, lineterminator):
+    text = io.StringIO()
+    writer = csv.writer(text, quoting=quoting, lineterminator=lineterminator)
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows(rows)
+    text.write(lineterminator * trailing_blank_lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "districts.csv"
+        path.write_bytes(text.getvalue().encode("utf-8"))
+        try:
+            expected, expected_skipped = oracle_read_records(path, (2000, 2016))
+        except ParseError as err:
+            with pytest.raises(ParseError) as raised:
+                read_records(path, (2000, 2016))
+            assert str(raised.value) == str(err)
+            return
+        records, skipped = read_records(path, (2000, 2016))
+    # repr compares NaN fields as equal and tells -0.0 from 0.0.
+    assert repr(list(records)) == repr(expected)
+    assert skipped == expected_skipped
+    assert len(records) == len(expected)
+    assert repr([records[i] for i in range(-len(records), 0)]) == repr(expected)
+    assert repr(list(records[1::2])) == repr(expected[1::2])
+    try:
+        want = clean(expected)
+    except AllExcluded as err:
+        with pytest.raises(AllExcluded) as raised:
+            clean(records)
+        assert str(raised.value) == str(err)
+        return
+    got = clean(records)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.excluded_missing, got.excluded_extreme) == (want.excluded_missing, want.excluded_extreme)
+    assert got.fiscal == want.fiscal
