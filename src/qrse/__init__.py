@@ -2,8 +2,10 @@
 
 The package builds a four-parameter equilibrium density over educational
 returns, fits it to district data by minimum KL divergence, samples the
-Bayesian posterior with random-walk MCMC, and reports convergence and fit
-diagnostics. See the ``qrse`` console script for the file-based pipeline.
+Bayesian posterior with Metropolis-Hastings (an independence sampler from
+the Laplace fit, or a random walk where that fit is unusable), and reports
+convergence and fit diagnostics. See the ``qrse`` console script for the
+file-based pipeline.
 
 SciPy is imported only inside the MAP fit, never at module level: every CLI
 stage is a fresh process, and SciPy's statistics subpackage alone would cost

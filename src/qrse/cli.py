@@ -74,7 +74,7 @@ SETTINGS = {
     "reverse_kl": (_parse_bool, False, ("fit",), "fit the likelihood-consistent direction"),
     "chains": (int, 3, ("sample",), "number of chains (>= 2)"),
     "draws": (int, 30000, ("sample",), "post-tune draws per chain"),
-    "tune": (int, 4000, ("sample",), "adaptation steps per chain"),
+    "tune": (int, 4000, ("sample",), "burn-in steps per chain (random walk: adaptation)"),
     "prior_t_center": (float, None, ("sample",), "prior center for t (default: MAP)"),
     "prior_t_sd": (float, mcmc.DEFAULT_SCALE_SD, ("sample",), "prior sd for t"),
     "prior_s_center": (float, None, ("sample",), "prior center for s (default: MAP)"),
@@ -278,7 +278,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     posterior = mcmc.run_chains(cleaned.values, priors, config)
     mcmc.save_trace(posterior, outdir / TRACE_FILE)
     rates = " ".join(f"{r:.3f}" for r in posterior.acceptance_rates)
-    print(f"acceptance rates: {rates}")
+    print(f"acceptance rates: {rates} (kernel: {posterior.kernel})")
     print(f"wrote {outdir / TRACE_FILE}")
     return 0
 

@@ -216,7 +216,8 @@ def read_records(path, years: tuple[int, int] = DEFAULT_YEARS) -> tuple[District
     ``DistrictRecord`` is built only when one is indexed or iterated.
     Structural problems (bad header, wrong field count, non-numeric values,
     a malformed or oversized CSV field, bytes that are not UTF-8) raise
-    ParseError with the offending line number.
+    ParseError with the offending physical line number; for a record whose
+    quoted field spans lines, that is the line on which the record ends.
     """
     year_low, year_high = years
     ids: list[str] = []
@@ -234,7 +235,11 @@ def read_records(path, years: tuple[int, int] = DEFAULT_YEARS) -> tuple[District
                 raise ParseError(
                     f"line 1: header must be {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
                 )
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
+                # A quoted field may hold newlines, so records and physical
+                # lines can differ; the errors name the physical line on
+                # which the record ends, as the csv module's own errors do.
+                line_no = reader.line_num
                 if len(row) != len(CSV_HEADER):
                     if len(row) == 0:
                         continue  # tolerate trailing blank lines

@@ -1,12 +1,22 @@
-"""Random-walk Metropolis-Hastings sampling of the parameter posterior.
+"""Metropolis-Hastings sampling of the parameter posterior.
 
 The target combines the pointwise log-likelihood of the cleaned returns data
 with truncated-normal priors on the two scales (T, S) and normal priors on
-the two locations (mu, alpha). Proposals are Gaussian random-walk steps with
-a per-coordinate scale vector and, by default, a fixed correlation taken
-from the Laplace approximation at the posterior mode; scales adapt in
-windows of 100 steps during a tune phase and are frozen afterwards, so the
-recorded draws come from a fixed kernel.
+the two locations (mu, alpha). ``run_chains`` finds the posterior mode and
+the Laplace approximation there, then runs one of two kernels:
+
+- the independence kernel ("independence-t5"), whenever there is data, the
+  config carries no explicit step scales and the Laplace covariance is
+  usable: every proposal is drawn from one multivariate t with 5 degrees of
+  freedom, centred at the mode, with scale matrix 1.2^2 times the Laplace
+  covariance. Its heavier tails keep the ratio of target to proposal
+  bounded, which makes the kernel uniformly ergodic (Tierney 1994, Ann.
+  Statist. 22(4); Mengersen & Tweedie 1996, Ann. Statist. 24(1)). The tune
+  steps are burn-in;
+- the random walk ("random-walk") otherwise: Gaussian steps with a
+  per-coordinate scale vector and, when the Laplace fit gives one, its
+  correlation. Scales adapt in windows of 100 steps during the tune phase
+  and are frozen afterwards, so the recorded draws come from a fixed kernel.
 
 Everything is deterministic given (data, priors, config): chains use a
 counter-based generator keyed by seed + chain_index, and initial points are
@@ -15,12 +25,17 @@ jittered around the posterior mode. Each target evaluation takes log Z from
 caller passes one fixed grid. The data is checked for NaN and infinity once,
 when the target is built, not on every step.
 
-``run_chains`` runs the chains in parallel lanes, one per CPU the process
-may use (``os.sched_getaffinity``), at most one per chain: chain i runs in
-lane i % lanes, lane 0 in the calling process and each other lane in a
-forked process. Every start and Generator is made in the calling process
-before any lane runs, and a chain's draws are a pure function of them, so
-the output is bit-identical at any lane count, including one.
+``run_chains`` spreads its work over parallel lanes, one per CPU the
+process may use (``os.sched_getaffinity``): lane 0 is the calling process
+and each other lane a forked process. An independence chain's proposals do
+not depend on its state, so every chain draws its proposals first; the
+target evaluations of all chains are then dealt over the lanes in equal
+contiguous slices, and each chain's accept/reject sweep runs afterwards in
+the calling process. Random-walk chains run whole, chain i in lane
+i % lanes. Either way every start, proposal and Generator is made in the
+calling process before any lane runs, and each target value is a pure
+function of its point, so the output is bit-identical at any lane count,
+including one.
 
 The sampled posterior is truncated to mu and alpha within CORNER_SDS prior
 sds of their centers, and the sampler rejects proposals outside that box.
@@ -53,6 +68,12 @@ ADAPT_SHRINK = 0.9
 ACCEPT_HIGH = 0.5
 ACCEPT_LOW = 0.2
 STUCK_ACCEPTANCE = 0.01
+
+# Degrees of freedom of the independence kernel's multivariate t proposal.
+PROPOSAL_DOF = 5.0
+INDEPENDENCE = "independence-t5"
+RANDOM_WALK = "random-walk"
+KERNELS = (INDEPENDENCE, RANDOM_WALK)
 
 # How many prior standard deviations out the location corners sit when the
 # partition-function grid is checked at startup.
@@ -206,7 +227,9 @@ class PosteriorDraws:
     """Post-tune draws from every chain plus sampler diagnostics.
 
     ``draws`` has shape (chains, draws, 4) with columns (T, S, mu, alpha).
-    ``step_scales`` holds each chain's frozen post-tune proposal scales.
+    ``step_scales`` holds each chain's frozen post-tune proposal scales (for
+    the independence kernel, the proposal's per-coordinate scales).
+    ``kernel`` names the kernel that ran, one of KERNELS.
     """
 
     draws: np.ndarray
@@ -215,8 +238,11 @@ class PosteriorDraws:
     config: ChainConfig
     priors: PriorSpec
     rng_algorithm: str = RNG_ALGORITHM
+    kernel: str = RANDOM_WALK
 
     def __post_init__(self) -> None:
+        if self.kernel not in KERNELS:
+            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
         draws = np.asarray(self.draws, dtype=float)
         if draws.ndim != 3 or draws.shape[2] != 4:
             raise ValueError("draws must have shape (chains, draws, 4)")
@@ -529,18 +555,33 @@ def run_chain(
     seed,
     grid: EvalGrid | None = None,
     proposal_cholesky: np.ndarray | None = None,
+    *,
+    proposals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ChainResult:
     """One Metropolis-Hastings chain.
 
-    Proposals are Gaussian random-walk steps whose per-coordinate sds are
-    ``step_scales``. ``proposal_cholesky``, when given, is the lower
-    Cholesky factor of a fixed proposal correlation matrix, letting the
-    walk jump obliquely through correlated regions; None means independent
-    coordinates. During the first ``tune`` steps every scale is multiplied
-    by 1.1 when the rolling 100-step acceptance exceeds 0.5 and by 0.9
-    when it falls below 0.2 (the correlation never adapts). After tuning
-    the scales never change, and exactly ``draws`` states are recorded.
-    ``seed`` may be an integer or an already-constructed numpy Generator.
+    Without ``proposals`` this is the random walk. Proposals are Gaussian
+    steps whose per-coordinate sds are ``step_scales``.
+    ``proposal_cholesky``, when given, is the lower Cholesky factor of a
+    fixed proposal correlation matrix, letting the walk jump obliquely
+    through correlated regions; None means independent coordinates. During
+    the first ``tune`` steps every scale is multiplied by 1.1 when the
+    rolling 100-step acceptance exceeds 0.5 and by 0.9 when it falls below
+    0.2 (the correlation never adapts). After tuning the scales never
+    change, and exactly ``draws`` states are recorded.
+
+    With ``proposals`` this is the accept/reject sweep of the independence
+    kernel, and no target is evaluated here. ``proposals`` is
+    ``(points, log_weights)``: row 0 of ``points`` is ``initial`` and row
+    k the proposal at step k - 1, and each log weight is the log target at
+    that point minus the log proposal density there (up to one constant).
+    A proposal is accepted with probability min(1, exp(its log weight minus
+    the current state's)). The first ``tune`` steps are burn-in;
+    ``step_scales`` is returned as the chain's scales, and ``grid`` and
+    ``proposal_cholesky`` are not used.
+
+    ``seed`` may be an integer or an already-constructed numpy Generator;
+    either kernel draws one uniform per step from it.
 
     Raises
     ------
@@ -550,10 +591,27 @@ def run_chain(
     StuckChain
         If the post-tune acceptance rate is below STUCK_ACCEPTANCE.
     """
-    values = np.asarray(data, dtype=float)
-    target = _make_target(values, priors, grid)
     rng = seed if isinstance(seed, np.random.Generator) else rng_from_seed(seed)
+    if proposals is not None:
+        out, post_tune_accepts = _independence_sweep(*proposals, draws, tune, rng)
+        scales = step_scales
+    else:
+        out, post_tune_accepts, scales = _random_walk(
+            _make_target(data, priors, grid), initial, step_scales, draws, tune, rng,
+            proposal_cholesky,
+        )
+    acceptance = post_tune_accepts / draws
+    if acceptance < STUCK_ACCEPTANCE:
+        raise StuckChain(
+            f"post-tune acceptance {acceptance:.4f} below {STUCK_ACCEPTANCE}"
+        )
+    return ChainResult(
+        draws=out, acceptance_rate=acceptance, step_scales=tuple(float(s) for s in scales)
+    )
 
+
+def _random_walk(target, initial, step_scales, draws, tune, rng, proposal_cholesky):
+    """The random-walk chain: (recorded states, post-tune accepts, final scales)."""
     state = initial.as_array()
     log_p = target(state)
     if not math.isfinite(log_p):
@@ -585,90 +643,154 @@ def run_chain(
                 window_accepts = 0
         else:
             out[step - tune] = state
-    acceptance = post_tune_accepts / draws
-    if acceptance < STUCK_ACCEPTANCE:
-        raise StuckChain(
-            f"post-tune acceptance {acceptance:.4f} below {STUCK_ACCEPTANCE}"
-        )
-    return ChainResult(
-        draws=out, acceptance_rate=acceptance, step_scales=tuple(float(s) for s in scales)
-    )
+    return out, post_tune_accepts, scales
 
 
-def _lane_count(chains: int) -> int:
-    """How many processes share the chains: one per CPU this process may
-    run on, at most one per chain. Lanes need ``os.sched_getaffinity`` and
-    the fork start method (Linux), so elsewhere every chain runs here."""
+def _independence_sweep(points, log_weights, draws, tune, rng):
+    """The independence chain over precomputed weights: (recorded states,
+    post-tune accepts)."""
+    if not (len(points) == len(log_weights) == 1 + tune + draws):
+        raise ValueError("proposals need 1 + tune + draws points and log weights")
+    if not math.isfinite(log_weights[0]):
+        raise ValueError("initial point has non-finite log posterior")
+    # 1 - U lies in (0, 1], so its log is finite.
+    log_uniforms = np.log1p(-rng.random(tune + draws)).tolist()
+    weights = log_weights.tolist()
+    current = 0  # row of the current state
+    states = np.empty(tune + draws, dtype=np.intp)
+    post_tune_accepts = 0
+    for step, log_u in enumerate(log_uniforms):
+        if log_u < weights[step + 1] - weights[current]:
+            current = step + 1
+            if step >= tune:
+                post_tune_accepts += 1
+        states[step] = current
+    return points[states[tune:]], post_tune_accepts
+
+
+def _t_proposals(rng: np.random.Generator, mode: np.ndarray, factor: np.ndarray,
+                 count: int) -> np.ndarray:
+    """``count`` draws from the multivariate t with PROPOSAL_DOF degrees of
+    freedom, centre ``mode`` and scale matrix ``factor @ factor.T``."""
+    normal = rng.standard_normal((count, mode.size))
+    chi2 = rng.chisquare(PROPOSAL_DOF, count)
+    return mode + (normal @ factor.T) * np.sqrt(PROPOSAL_DOF / chi2)[:, None]
+
+
+def _t_log_density(points: np.ndarray, mode: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Log density of that t at each row of ``points``, less its constant."""
+    white = np.linalg.solve(factor, (points - mode).T)
+    squared = np.sum(white * white, axis=0)
+    return -0.5 * (PROPOSAL_DOF + mode.size) * np.log1p(squared / PROPOSAL_DOF)
+
+
+def _lane_count(jobs: int) -> int:
+    """How many processes share the work: one per CPU this process may run
+    on, at most one per job. Lanes need ``os.sched_getaffinity`` and the
+    fork start method (Linux), so elsewhere all work runs here."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(chains, len(os.sched_getaffinity(0)))
+    return min(jobs, len(os.sched_getaffinity(0)))
 
 
-def _run_lane(chain_args: list[tuple], indices) -> list[tuple[int, object]]:
+def _run_lane(chain_args: list[tuple[tuple, dict]], indices) -> list[tuple[int, object]]:
     """(index, ChainResult or the exception raised) for each chain in turn.
 
-    The lane stops at its first failure: its later chains have higher
-    indices, so they cannot change which failure ``run_chains`` raises.
+    Chain i runs ``run_chain(*args, **kwargs)`` for ``chain_args[i]``. The
+    lane stops at its first failure: its later chains have higher indices,
+    so they cannot change which failure ``run_chains`` raises.
     """
     outcomes = []
     for index in indices:
+        args, kwargs = chain_args[index]
         try:
-            outcomes.append((index, run_chain(*chain_args[index])))
+            outcomes.append((index, run_chain(*args, **kwargs)))
         except Exception as err:  # sent to the parent, which raises it
             outcomes.append((index, err))
             break
     return outcomes
 
 
-def _lane_main(writer, chain_args: list[tuple], indices) -> None:
-    writer.send(_run_lane(chain_args, indices))
+def _lane_main(writer, work, lane: int) -> None:
+    writer.send(work(lane))
 
 
-def _run_lanes(chain_args: list[tuple], lanes: int) -> dict[int, object]:
-    """Every chain's outcome, with chain i run in lane i % lanes.
+def _run_lanes(work, lanes: int, lost) -> list:
+    """``[work(lane) for lane in range(lanes)]``, the lanes in parallel.
 
     Lane 0 is this process. Each other lane is a forked process that
-    inherits the chain arguments and sends its outcomes back over a
-    one-way pipe. A lane that exits without sending gets a QrseError for
-    each of its chains. Every lane is joined before this returns or raises.
+    inherits ``work`` and everything it reads, and sends its result back
+    over a one-way pipe; ``work`` returns its failures instead of raising
+    them. A lane that exits without sending gives ``lost(lane, exit
+    status)`` instead. With one lane no process is started. Every lane is
+    joined before this returns or raises.
     """
+    if lanes == 1:
+        return [work(0)]
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
     children = []
     try:
         for lane in range(1, lanes):
-            indices = range(lane, len(chain_args), lanes)
             reader, writer = context.Pipe(duplex=False)
             process = context.Process(
-                target=_lane_main, args=(writer, chain_args, indices), daemon=True
+                target=_lane_main, args=(writer, work, lane), daemon=True
             )
             # NumPy's OpenBLAS pool is the only other thread here, and
             # OpenBLAS stops it before a fork (pthread_atfork), so the child
             # inherits no lock a missing thread holds.
             process.start()
             writer.close()  # else the reader never sees EOF from a dead lane
-            children.append((process, reader, indices))
-        outcomes = dict(_run_lane(chain_args, range(0, len(chain_args), lanes)))
-        for lane, (process, reader, indices) in enumerate(children, start=1):
+            children.append((process, reader))
+        results = [work(0)]
+        for lane, (process, reader) in enumerate(children, start=1):
             try:
-                outcomes.update(reader.recv())
+                results.append(reader.recv())
             except (EOFError, OSError):
                 process.join()
-                lost = QrseError(
-                    f"sampler lane {lane} (chains {', '.join(map(str, indices))}) "
-                    f"exited with status {process.exitcode} before returning its draws"
-                )
-                outcomes.update((index, lost) for index in indices)
+                results.append(lost(lane, process.exitcode))
     except BaseException:
-        for process, _, _ in children:
+        for process, _ in children:
             process.terminate()
         raise
     finally:
-        for process, reader, _ in children:
+        for process, reader in children:
             process.join()
             reader.close()
-    return outcomes
+    return results
+
+
+def _log_targets(target, points: np.ndarray) -> np.ndarray:
+    """The target at every row of ``points``, dealt over ``_lane_count``
+    lanes in equal contiguous slices, lane 0 taking the first.
+
+    Raises the first exception of the lowest lane that failed, or a
+    QrseError if a lane's process exits without returning its values.
+    """
+    count = len(points)
+    lanes = _lane_count(count)
+    bounds = [count * lane // lanes for lane in range(lanes + 1)]
+
+    def work(lane: int):
+        try:
+            return np.array(
+                [target(point) for point in points[bounds[lane]:bounds[lane + 1]]], dtype=float
+            )
+        except Exception as err:  # sent to the parent, which raises it
+            return err
+
+    def lost(lane: int, status) -> QrseError:
+        return QrseError(
+            f"sampler lane {lane} (target evaluations {bounds[lane]}-{bounds[lane + 1] - 1}) "
+            f"exited with status {status} before returning its values"
+        )
+
+    slices = _run_lanes(work, lanes, lost)
+    for result in slices:
+        if isinstance(result, Exception):
+            raise result
+    return np.concatenate(slices)
 
 
 def run_chains(
@@ -678,17 +800,31 @@ def run_chains(
 
     Chain i is keyed by seed + i (the seed split rule). Unless the config
     carries explicit initial points, chains start at the posterior mode
-    jittered by up to 10 percent of each prior sd; unless it carries
-    explicit step scales, the Laplace approximation at the mode sets both
-    the scales and the proposal correlation (explicit scales imply
-    independent proposal coordinates).
+    jittered by up to 10 percent of each prior sd. Unless it carries
+    explicit step scales, the Laplace approximation at the mode sets the
+    proposal; explicit scales imply a random walk with independent
+    proposal coordinates.
+
+    The kernel is the independence sampler when there is data, the config
+    carries no step scales and the Laplace Hessian is negative definite.
+    Its proposals are a multivariate t with PROPOSAL_DOF degrees of
+    freedom, centred at the mode, with scale matrix 1.2^2 times the Laplace
+    covariance; the tune steps are burn-in. Otherwise (no data, explicit
+    scales, or a Laplace fit that fell back to per-coordinate curvature, as
+    at a boundary mode or a saddle) it is the random walk of ``run_chain``.
+    ``PosteriorDraws.kernel`` records which ran.
 
     The data is checked for NaN and infinity before the mode search, not
-    on every step. Every start and Generator is made here, in chain order. The chains then run in
-    ``_lane_count`` lanes, chain i in lane i % lanes: lane 0 in this
-    process, each other lane in a forked process. A chain's draws depend
-    only on its data, priors, start, scales and Generator, so the result is
-    bit-identical at any lane count. With one lane no process is started.
+    on every step. Every start, proposal and Generator is made here, in
+    chain order, and the work then runs in ``_lane_count`` lanes: lane 0 in
+    this process, each other lane in a forked process. For the
+    independence kernel, the chains x (1 + tune + draws) target evaluations
+    (each chain's start, then its proposals) are dealt over the lanes in
+    equal contiguous slices, and each chain's accept/reject sweep then runs
+    here, through ``run_chain``, in chain order. Random-walk chains run
+    whole, chain i in lane i % lanes. Each target value depends only on its
+    point, so the result is bit-identical at any lane count. With one lane
+    no process is started.
 
     Raises
     ------
@@ -699,7 +835,7 @@ def run_chains(
     StuckChain
         Re-raised with the chain index attached.
     QrseError
-        If a lane's process exits without returning its chains' draws.
+        If a lane's process exits without returning its work.
 
     When several chains fail, the one with the lowest index is raised.
     """
@@ -716,9 +852,14 @@ def run_chains(
     else:
         scales = np.asarray(config.step_scales, dtype=float)
         proposal_cholesky = None
+    independent = values.size > 0 and proposal_cholesky is not None
+    if independent:
+        factor = scales[:, None] * proposal_cholesky  # 1.2^2 x covariance
+        steps = config.tune + config.draws
+        points = np.empty((config.chains, 1 + steps, 4))
 
     inset = 1e-6 * (priors.bound_high - priors.bound_low)
-    chain_args = []
+    starts, rngs = [], []
     for index in range(config.chains):
         rng = rng_from_seed(config.seed + index)
         if config.initial is not None:
@@ -730,16 +871,41 @@ def run_chains(
                 point[:2], priors.bound_low + inset, priors.bound_high - inset
             )
             start = QrseParams.from_array(point)
-        chain_args.append(
-            (values, priors, start, scales, config.draws, config.tune, rng,
-             grid, proposal_cholesky)
-        )
+        if independent:
+            points[index, 0] = start.as_array()
+            points[index, 1:] = _t_proposals(rng, mode, factor, steps)
+        starts.append(start)
+        rngs.append(rng)
+    chain_args = [
+        ((values, priors, start, scales, config.draws, config.tune, rng, grid,
+          proposal_cholesky), {})
+        for start, rng in zip(starts, rngs)
+    ]
 
-    lanes = _lane_count(config.chains)
-    if lanes == 1:
+    if independent:
+        flat = points.reshape(-1, 4)
+        log_weights = _log_targets(target, flat) - _t_log_density(flat, mode, factor)
+        log_weights = log_weights.reshape(config.chains, 1 + steps)
+        chain_args = [
+            (args, {"proposals": (points[index], log_weights[index])})
+            for index, (args, _) in enumerate(chain_args)
+        ]
         outcomes = dict(_run_lane(chain_args, range(config.chains)))
     else:
-        outcomes = _run_lanes(chain_args, lanes)
+        lanes = _lane_count(config.chains)
+
+        def work(lane: int):
+            return _run_lane(chain_args, range(lane, config.chains, lanes))
+
+        def lost(lane: int, status):
+            indices = range(lane, config.chains, lanes)
+            error = QrseError(
+                f"sampler lane {lane} (chains {', '.join(map(str, indices))}) "
+                f"exited with status {status} before returning its draws"
+            )
+            return [(index, error) for index in indices]
+
+        outcomes = dict(pair for lane in _run_lanes(work, lanes, lost) for pair in lane)
     results = []
     for index in range(config.chains):
         outcome = outcomes[index]
@@ -754,6 +920,7 @@ def run_chains(
         step_scales=tuple(result.step_scales for result in results),
         config=config,
         priors=priors,
+        kernel=INDEPENDENCE if independent else RANDOM_WALK,
     )
 
 
@@ -763,6 +930,7 @@ def save_trace(posterior: PosteriorDraws, path) -> None:
     metadata = {
         "format": TRACE_FORMAT,
         "rng": posterior.rng_algorithm,
+        "kernel": posterior.kernel,
         "seed": config.seed,
         "chains": config.chains,
         "draws": config.draws,
@@ -787,7 +955,9 @@ def load_trace(path) -> PosteriorDraws:
     """Read a trace file written by save_trace back into PosteriorDraws.
 
     Raises ParseError, naming the file, unless its metadata, format tag,
-    header, row count and (chain, draw) row order are as save_trace writes.
+    kernel name, header, row count and (chain, draw) row order are as
+    save_trace writes. A trace without a kernel name was written before
+    there was a choice, so it ran the random walk.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -821,6 +991,7 @@ def load_trace(path) -> PosteriorDraws:
             config=config,
             priors=PriorSpec.from_json(metadata["priors"]),
             rng_algorithm=str(metadata["rng"]),
+            kernel=metadata.get("kernel", RANDOM_WALK),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"{path}: not a valid trace file: {err}") from None

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import numpy as np
@@ -163,6 +164,10 @@ class TestSampleAndReport:
                  "--draws", "150", "--tune", "100", "--seed", "1")
         assert rc == 0
         assert (pipeline_dir / "trace.csv").exists()
+        assert re.search(
+            r"^acceptance rates: (0\.\d{3} ){2}\(kernel: independence-t5\)$",
+            capsys.readouterr().out, re.M,
+        )
 
         rc = run("report", "--outdir", str(pipeline_dir))
         assert rc == 0
@@ -354,7 +359,7 @@ EXPECTED_FLAGS = {
     "sample": COMMON_FLAGS | {
         (("--chains",), "number of chains (>= 2)"),
         (("--draws",), "post-tune draws per chain"),
-        (("--tune",), "adaptation steps per chain"),
+        (("--tune",), "burn-in steps per chain (random walk: adaptation)"),
         (("--prior-t-center",), "prior center for t (default: MAP)"),
         (("--prior-s-center",), "prior center for s (default: MAP)"),
         (("--prior-mu-center",), "prior center for mu (default: MAP)"),

@@ -109,6 +109,22 @@ class TestReadRecords:
         with pytest.raises(ParseError, match="^line 302: not valid UTF-8"):
             read_records(path, (2000, 2016))
 
+    @pytest.mark.parametrize("field, message", [
+        (b"abc", "column 'total_local_education_expenditures' is not numeric"),
+        (b"caf\xe9", "not valid UTF-8"),
+        (b"9" * (csv.field_size_limit() + 1), "field larger than field limit"),
+    ])
+    def test_errors_name_the_physical_line(self, tmp_path, field, message):
+        # Record 3 starts on line 3 with a quoted id holding a newline and
+        # ends on line 4, where every kind of error must point.
+        path = tmp_path / "multiline.csv"
+        path.write_bytes(
+            CSV_HEADER.encode() + b"\nd-1,2005,24.0,3.0,2,6\n"
+            + b'"d\n2",2005,' + field + b",3.0,2,6\nd-3,2005,24.0,3.0,2,6\n"
+        )
+        with pytest.raises(ParseError, match=f"^line 4: {message}"):
+            read_records(path, (2000, 2016))
+
     def test_returns_a_read_only_sequence(self, district_csv):
         records, _ = read_records(district_csv, (2000, 2016))
         rows = list(records)
@@ -382,7 +398,8 @@ def oracle_read_records(path, years):
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         next(reader)
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             if len(row) == 0:
                 continue
             if len(row) != len(header):
@@ -418,8 +435,9 @@ csv_numbers = st.one_of(
 csv_years = st.one_of(
     st.integers(1995, 2020).map(str), st.sampled_from((" 2005", "+2010", "2_016", "20x5"))
 )
-# Quoted ids holding commas and quotes come from csv.writer's quoting.
-csv_ids = st.text(alphabet='d-1, "', max_size=6)
+# Quoted ids holding commas, quotes and newlines come from csv.writer's
+# quoting; a newline puts later records on later physical lines.
+csv_ids = st.text(alphabet='d-1, "\n', max_size=6)
 csv_rows = st.one_of(
     st.tuples(csv_ids, csv_years, *[plausible_numbers] * 4).map(list),
     st.tuples(csv_ids, csv_years, *[csv_numbers] * 4).map(list),

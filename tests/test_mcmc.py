@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import json
 import math
 import multiprocessing
 import os
@@ -414,6 +415,140 @@ class TestRunChains:
                 build()
 
 
+class TestKernelChoice:
+    """The independence kernel runs only where the Laplace fit can shape it;
+    every other case keeps the random walk, and the draws record which."""
+
+    @pytest.fixture(autouse=True)
+    def one_lane(self, lanes):
+        lanes(1)  # every run_chain call is then seen here
+
+    def kernel_seen(self, data, priors, config, tmp_path, monkeypatch):
+        calls = []
+        real = mcmc.run_chain
+
+        def run_chain(*args, **kwargs):
+            calls.append("proposals" in kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mcmc, "run_chain", run_chain)
+        posterior = run_chains(data, priors, config)
+        assert calls == [posterior.kernel == mcmc.INDEPENDENCE] * config.chains
+        save_trace(posterior, tmp_path / "trace.csv")
+        assert load_trace(tmp_path / "trace.csv").kernel == posterior.kernel
+        return posterior.kernel
+
+    def test_data_and_laplace_fit_give_independence(self, small_data, tmp_path, monkeypatch):
+        config = ChainConfig(chains=2, draws=50, tune=10)
+        assert self.kernel_seen(small_data, PRIORS, config, tmp_path, monkeypatch) == (
+            "independence-t5"
+        )
+
+    def test_empty_data_gives_random_walk(self, tmp_path, monkeypatch):
+        config = ChainConfig(chains=2, draws=50, tune=10)
+        assert self.kernel_seen(np.array([]), PRIORS, config, tmp_path, monkeypatch) == (
+            "random-walk"
+        )
+
+    def test_explicit_scales_give_random_walk(self, small_data, tmp_path, monkeypatch):
+        config = ChainConfig(chains=2, draws=50, tune=10, step_scales=(0.1, 0.1, 0.3, 0.5))
+        assert self.kernel_seen(small_data, PRIORS, config, tmp_path, monkeypatch) == (
+            "random-walk"
+        )
+
+    def test_boundary_mode_gives_random_walk(self, small_data, tmp_path, monkeypatch):
+        # A narrow T prior centred below the support puts the mode on T's
+        # lower bound, where the Laplace fit falls back to per-coordinate
+        # scales.
+        priors = PriorSpec(t_center=-3.0, s_center=4.9, mu_center=8.66, alpha_center=17.8,
+                           t_sd=0.5)
+        target = mcmc._make_target(small_data, priors, None)
+        mode = mcmc._posterior_mode(target, priors)
+        assert mode[0] == pytest.approx(priors.bound_low, abs=1e-9)
+        assert mcmc._laplace_proposal(target, mode, priors)[1] is None
+        config = ChainConfig(chains=2, draws=50, tune=10)
+        assert self.kernel_seen(small_data, priors, config, tmp_path, monkeypatch) == (
+            "random-walk"
+        )
+
+
+class TestIndependenceKernel:
+    FACTOR = np.array([
+        [0.5, 0.0, 0.0, 0.0],
+        [0.1, 0.4, 0.0, 0.0],
+        [0.3, -0.2, 2.0, 0.0],
+        [0.0, 0.5, 1.5, 1.0],
+    ])
+
+    def test_t_log_density_matches_scipy(self):
+        center = REF.as_array()
+        points = mcmc._t_proposals(np.random.default_rng(0), center, self.FACTOR, 50)
+        expected = stats.multivariate_t.logpdf(
+            points, loc=center, shape=self.FACTOR @ self.FACTOR.T, df=mcmc.PROPOSAL_DOF
+        )
+        got = mcmc._t_log_density(points, center, self.FACTOR)
+        # Equal up to the normalising constant the sampler leaves out.
+        np.testing.assert_allclose(got - expected, (got - expected)[0], rtol=0, atol=1e-10)
+
+    def test_t_proposals_match_their_scale_matrix(self):
+        draws = mcmc._t_proposals(
+            np.random.default_rng(1), np.zeros(4), self.FACTOR, 200_000
+        )
+        # Covariance of a t is dof / (dof - 2) times its scale matrix.
+        dof = mcmc.PROPOSAL_DOF
+        expected = dof / (dof - 2.0) * self.FACTOR @ self.FACTOR.T
+        np.testing.assert_allclose(np.cov(draws.T), expected, atol=0.05 * expected.max())
+
+    def test_equal_weights_accept_every_proposal(self):
+        points = np.random.default_rng(2).uniform(1.0, 2.0, (31, 4))
+        result = run_chain(np.array([]), PRIORS, QrseParams.from_array(points[0]),
+                           (1.0,) * 4, draws=20, tune=10, seed=0,
+                           proposals=(points, np.zeros(31)))
+        assert result.acceptance_rate == 1.0
+        np.testing.assert_array_equal(result.draws, points[11:])
+        assert result.step_scales == (1.0,) * 4
+
+    def test_stuck_sweep(self):
+        points = np.ones((11, 4))
+        weights = np.full(11, -50.0)
+        weights[0] = 0.0
+        with pytest.raises(StuckChain, match="0.0000"):
+            run_chain(np.array([]), PRIORS, QrseParams(1.0, 1.0, 1.0, 1.0), (1.0,) * 4,
+                      draws=10, tune=0, seed=0, proposals=(points, weights))
+
+    def test_start_outside_support_rejected(self):
+        weights = np.zeros(11)
+        weights[0] = -math.inf
+        with pytest.raises(ValueError, match="initial point"):
+            run_chain(np.array([]), PRIORS, REF, (1.0,) * 4, draws=10, tune=0, seed=0,
+                      proposals=(np.ones((11, 4)), weights))
+
+    def test_gaussian_posterior_moments(self, small_data, monkeypatch):
+        # With log_posterior replaced by a correlated Gaussian, run_chains
+        # (mode, Laplace fit, t proposals, weights, sweep) must recover its
+        # mean and covariance. Weighting by the target alone, without the
+        # proposal density, shrinks every variance to about 0.44 of truth.
+        center = REF.as_array()
+        covariance = 0.01 * self.FACTOR @ self.FACTOR.T
+        precision = np.linalg.inv(covariance)
+
+        def log_posterior(params, *args, **kwargs):
+            shift = params.as_array() - center
+            return -0.5 * float(shift @ precision @ shift)
+
+        monkeypatch.setattr(mcmc, "log_posterior", log_posterior)
+        config = ChainConfig(chains=4, draws=10_000, tune=500, seed=5)
+        posterior = run_chains(small_data, PRIORS, config)
+        assert posterior.kernel == "independence-t5"
+        pooled = posterior.draws.reshape(-1, 4)
+        # Batch means over 500-draw batches give each mean's MCSE.
+        batches = posterior.draws.reshape(4, 20, 500, 4).mean(axis=2).reshape(-1, 4)
+        mcse = batches.std(axis=0, ddof=1) / math.sqrt(len(batches))
+        assert np.all(np.abs(pooled.mean(axis=0) - center) <= 4.0 * mcse)
+        np.testing.assert_allclose(np.diag(np.cov(pooled.T)), np.diag(covariance), rtol=0.1)
+        np.testing.assert_allclose(np.cov(pooled.T), covariance, atol=0.05 * covariance.max())
+
+
 # Explicit starts and scales skip the mode search, and let a patched
 # run_chain tell the chains apart by their start.
 LANE_STARTS = tuple(
@@ -491,22 +626,69 @@ def stick():
     reason="lanes are forked processes",
 )
 class TestLanes:
-    @pytest.mark.parametrize("chains, lane_counts", [(3, (2, 3)), (5, (2,))])
-    def test_outputs_do_not_depend_on_lanes(
-        self, small_data, lanes, fork_starts, chains, lane_counts
-    ):
-        config = ChainConfig(chains=chains, draws=100, tune=150, seed=0)
+    @staticmethod
+    def assert_lane_invariant(data, config, lanes, fork_starts, lane_counts, kernel):
         lanes(1)
-        serial = run_chains(small_data, PRIORS, config)
+        serial = run_chains(data, PRIORS, config)
         assert fork_starts == []
+        assert serial.kernel == kernel
         for count in lane_counts:
             lanes(count)
-            laned = run_chains(small_data, PRIORS, config)
+            laned = run_chains(data, PRIORS, config)
             assert len(fork_starts) == count - 1
             fork_starts.clear()
             np.testing.assert_array_equal(laned.draws, serial.draws)
             np.testing.assert_array_equal(laned.acceptance_rates, serial.acceptance_rates)
             np.testing.assert_array_equal(laned.step_scales, serial.step_scales)
+            assert laned.kernel == kernel
+
+    # The independence kernel deals target evaluations, not chains, so
+    # four lanes for three chains all get work.
+    @pytest.mark.parametrize("chains, lane_counts", [(3, (2, 3, 4)), (5, (2,))])
+    def test_outputs_do_not_depend_on_lanes(
+        self, small_data, lanes, fork_starts, chains, lane_counts
+    ):
+        config = ChainConfig(chains=chains, draws=100, tune=150, seed=0)
+        self.assert_lane_invariant(
+            small_data, config, lanes, fork_starts, lane_counts, mcmc.INDEPENDENCE
+        )
+
+    def test_independence_sweeps_run_here(self, small_data, lanes, monkeypatch):
+        # Lane 0 evaluates its slice through log_posterior, and every chain's
+        # sweep is one run_chain call in this process, so both can be traced.
+        parent = os.getpid()
+        seen = {"sweeps": 0, "targets": 0}
+        real_chain, real_target = mcmc.run_chain, mcmc.log_posterior
+
+        def run_chain(*args, **kwargs):
+            assert os.getpid() == parent and "proposals" in kwargs
+            seen["sweeps"] += 1
+            return real_chain(*args, **kwargs)
+
+        def log_posterior(*args, **kwargs):
+            seen["targets"] += os.getpid() == parent
+            return real_target(*args, **kwargs)
+
+        monkeypatch.setattr(mcmc, "run_chain", run_chain)
+        monkeypatch.setattr(mcmc, "log_posterior", log_posterior)
+        config = ChainConfig(chains=3, draws=100, tune=50)
+        lanes(1)
+        run_chains(small_data, PRIORS, config)
+        serial = dict(seen)
+        lanes(2)
+        seen.update(sweeps=0, targets=0)
+        run_chains(small_data, PRIORS, config)
+        assert serial["sweeps"] == seen["sweeps"] == 3
+        # Lane 1 took the last 227 of the 453 evaluations (fewer reach
+        # log_posterior: points outside the support are rejected before it).
+        assert serial["targets"] - 227 <= seen["targets"] < serial["targets"]
+
+    def test_random_walk_outputs_do_not_depend_on_lanes(self, small_data, lanes, fork_starts):
+        config = ChainConfig(chains=3, draws=100, tune=150, seed=0,
+                             step_scales=(0.1, 0.1, 0.3, 0.5))
+        self.assert_lane_invariant(
+            small_data, config, lanes, fork_starts, (2, 3), mcmc.RANDOM_WALK
+        )
 
     def test_one_lane_starts_no_process(self, small_data, lanes, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -550,6 +732,52 @@ class TestLanes:
         )
         assert multiprocessing.active_children() == []
 
+    def test_evaluation_lane_that_dies_raises(self, small_data, lanes, monkeypatch):
+        # Each chain has 1 + 50 + 100 target evaluations: 453 in all, 226
+        # in lane 0 and 227 in lane 1.
+        parent = os.getpid()
+        real = mcmc.log_posterior
+
+        def log_posterior(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mcmc, "log_posterior", log_posterior)
+        lanes(2)
+        with deadline(60), pytest.raises(QrseError) as caught:
+            run_chains(small_data, PRIORS, ChainConfig(chains=3, draws=100, tune=50))
+        assert str(caught.value) == (
+            "sampler lane 1 (target evaluations 226-452) exited with status 1 "
+            "before returning its values"
+        )
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing, named", [({1, 2}, 1), ({0, 2}, 0), ({2}, 2)])
+    @pytest.mark.parametrize("lane_count", [1, 2])
+    def test_lowest_stuck_independence_chain_is_raised(
+        self, small_data, lanes, monkeypatch, failing, named, lane_count
+    ):
+        # A start with a huge weight is never left, so its chain sticks.
+        # The starts avoid the prior center, where the mode search begins.
+        all_starts = tuple(
+            QrseParams(T=2.01 + 0.1 * i, S=4.9, mu=8.66, alpha=17.8) for i in range(3)
+        )
+        real = mcmc.log_posterior
+        starts = [all_starts[i] for i in failing]
+
+        def log_posterior(params, *args, **kwargs):
+            bonus = 1e6 if params in starts else 0.0
+            return real(params, *args, **kwargs) + bonus
+
+        monkeypatch.setattr(mcmc, "log_posterior", log_posterior)
+        lanes(lane_count)
+        config = ChainConfig(chains=3, draws=50, tune=0, seed=0, initial=all_starts)
+        with deadline(60), pytest.raises(StuckChain) as caught:
+            run_chains(small_data, PRIORS, config)
+        assert str(caught.value) == f"chain {named}: post-tune acceptance 0.0000 below 0.01"
+        assert multiprocessing.active_children() == []
+
 
 class TestDataChecks:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -585,6 +813,36 @@ class TestTrace:
         assert restored.priors == small_posterior.priors
         assert restored.config.seed == small_posterior.config.seed
         assert restored.rng_algorithm == small_posterior.rng_algorithm
+        assert restored.kernel == small_posterior.kernel == "independence-t5"
+
+    def test_kernel_metadata(self, small_posterior, tmp_path):
+        path = tmp_path / "trace.csv"
+        save_trace(small_posterior, path)
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0][2:])["kernel"] == "independence-t5"
+
+        # Every trace written before the kernel was recorded ran the walk.
+        metadata = json.loads(lines[0][2:])
+        del metadata["kernel"]
+        path.write_text("\n".join(["# " + json.dumps(metadata)] + lines[1:]) + "\n")
+        assert load_trace(path).kernel == "random-walk"
+
+        metadata["kernel"] = "gibbs"
+        path.write_text("\n".join(["# " + json.dumps(metadata)] + lines[1:]) + "\n")
+        with pytest.raises(ParseError, match="kernel must be one of") as caught:
+            load_trace(path)
+        assert str(path) in str(caught.value)
+
+    def test_kernel_must_be_known(self, small_posterior):
+        with pytest.raises(ValueError, match="kernel"):
+            PosteriorDraws(
+                draws=small_posterior.draws,
+                acceptance_rates=small_posterior.acceptance_rates,
+                step_scales=small_posterior.step_scales,
+                config=small_posterior.config,
+                priors=PRIORS,
+                kernel="independence",
+            )
 
     def test_format_header(self, small_posterior, tmp_path):
         path = tmp_path / "trace.csv"
