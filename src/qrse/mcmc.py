@@ -27,15 +27,16 @@ when the target is built, not on every step.
 
 ``run_chains`` spreads its work over parallel lanes, one per CPU the
 process may use (``os.sched_getaffinity``): lane 0 is the calling process
-and each other lane a forked process. An independence chain's proposals do
-not depend on its state, so every chain draws its proposals first; the
-target evaluations of all chains are then dealt over the lanes in equal
-contiguous slices, and each chain's accept/reject sweep runs afterwards in
-the calling process. Random-walk chains run whole, chain i in lane
-i % lanes. Either way every start, proposal and Generator is made in the
-calling process before any lane runs, and each target value is a pure
-function of its point, so the output is bit-identical at any lane count,
-including one.
+and each other lane a forked process. One dealer serves both kernels: it
+splits a list of jobs into equal contiguous slices, one per lane. An
+independence chain's proposals do not depend on its state, so every chain
+draws its proposals first; the jobs are then the target evaluations of all
+chains, and each chain's accept/reject sweep runs afterwards in the calling
+process. For the random walk the jobs are whole chains, so with 3 chains
+on 2 lanes lane 0 runs chain 0 and lane 1 chains 1 and 2. Either way every
+start, proposal and Generator is made in the calling process before any
+lane runs, and each target value is a pure function of its point, so the
+output is bit-identical at any lane count, including one.
 
 The sampled posterior is truncated to mu and alpha within CORNER_SDS prior
 sds of their centers, and the sampler rejects proposals outside that box.
@@ -229,7 +230,9 @@ class PosteriorDraws:
     ``draws`` has shape (chains, draws, 4) with columns (T, S, mu, alpha).
     ``step_scales`` holds each chain's frozen post-tune proposal scales (for
     the independence kernel, the proposal's per-coordinate scales).
-    ``kernel`` names the kernel that ran, one of KERNELS.
+    ``kernel`` names the kernel that ran, one of KERNELS. The chain and
+    draw counts of ``draws``, ``config``, ``acceptance_rates`` and
+    ``step_scales`` must agree.
     """
 
     draws: np.ndarray
@@ -246,6 +249,13 @@ class PosteriorDraws:
         draws = np.asarray(self.draws, dtype=float)
         if draws.ndim != 3 or draws.shape[2] != 4:
             raise ValueError("draws must have shape (chains, draws, 4)")
+        chains = draws.shape[0]
+        if (self.config.chains, self.config.draws) != draws.shape[:2]:
+            raise ValueError(f"draws shape {draws.shape[:2]} does not match the config")
+        if len(self.acceptance_rates) != chains:
+            raise ValueError(f"need one acceptance rate per chain ({chains})")
+        if len(self.step_scales) != chains or any(len(s) != 4 for s in self.step_scales):
+            raise ValueError(f"need four step scales per chain ({chains})")
         low, high = self.priors.bound_low, self.priors.bound_high
         scales_stored = draws[:, :, :2]
         if np.any(scales_stored < low) or np.any(scales_stored > high):
@@ -693,49 +703,43 @@ def _lane_count(jobs: int) -> int:
     return min(jobs, len(os.sched_getaffinity(0)))
 
 
-def _run_lane(chain_args: list[tuple[tuple, dict]], indices) -> list[tuple[int, object]]:
-    """(index, ChainResult or the exception raised) for each chain in turn.
-
-    Chain i runs ``run_chain(*args, **kwargs)`` for ``chain_args[i]``. The
-    lane stops at its first failure: its later chains have higher indices,
-    so they cannot change which failure ``run_chains`` raises.
-    """
-    outcomes = []
-    for index in indices:
-        args, kwargs = chain_args[index]
-        try:
-            outcomes.append((index, run_chain(*args, **kwargs)))
-        except Exception as err:  # sent to the parent, which raises it
-            outcomes.append((index, err))
-            break
-    return outcomes
+def _lane_main(writer, fn, jobs) -> None:
+    try:
+        results = [fn(job) for job in jobs]
+    except Exception as err:  # sent to the parent, which raises it
+        results = err
+    writer.send(results)
 
 
-def _lane_main(writer, work, lane: int) -> None:
-    writer.send(work(lane))
-
-
-def _run_lanes(work, lanes: int, lost) -> list:
-    """``[work(lane) for lane in range(lanes)]``, the lanes in parallel.
+def _deal(fn, jobs, what: str) -> list:
+    """``[fn(job) for job in jobs]``, dealt over ``_lane_count(len(jobs))``
+    lanes in equal contiguous slices, lane 0 taking the first.
 
     Lane 0 is this process. Each other lane is a forked process that
-    inherits ``work`` and everything it reads, and sends its result back
-    over a one-way pipe; ``work`` returns its failures instead of raising
-    them. A lane that exits without sending gives ``lost(lane, exit
-    status)`` instead. With one lane no process is started. Every lane is
-    joined before this returns or raises.
+    inherits ``fn`` and everything it reads, and sends back over a one-way
+    pipe its results or the first exception it met. A lane stops at its
+    first failure, and the failure of the lowest job is raised: lane 0's at
+    once, any other lane's once the lanes before it have returned. A lane
+    whose process exits without sending raises a QrseError that names it
+    and its slice of ``what``. With one lane no process is started. Every
+    lane is joined before this returns or raises.
     """
-    if lanes == 1:
-        return [work(0)]
+    count = len(jobs)
+    lanes = _lane_count(count)
+    if lanes <= 1:
+        return [fn(job) for job in jobs]
     import multiprocessing
 
+    bounds = [count * lane // lanes for lane in range(lanes + 1)]
     context = multiprocessing.get_context("fork")
     children = []
     try:
         for lane in range(1, lanes):
             reader, writer = context.Pipe(duplex=False)
             process = context.Process(
-                target=_lane_main, args=(writer, work, lane), daemon=True
+                target=_lane_main,
+                args=(writer, fn, jobs[bounds[lane]:bounds[lane + 1]]),
+                daemon=True,
             )
             # NumPy's OpenBLAS pool is the only other thread here, and
             # OpenBLAS stops it before a fork (pthread_atfork), so the child
@@ -743,13 +747,19 @@ def _run_lanes(work, lanes: int, lost) -> list:
             process.start()
             writer.close()  # else the reader never sees EOF from a dead lane
             children.append((process, reader))
-        results = [work(0)]
+        results = [fn(job) for job in jobs[:bounds[1]]]
         for lane, (process, reader) in enumerate(children, start=1):
             try:
-                results.append(reader.recv())
+                outcome = reader.recv()
             except (EOFError, OSError):
                 process.join()
-                results.append(lost(lane, process.exitcode))
+                raise QrseError(
+                    f"sampler lane {lane} ({what} {bounds[lane]}-{bounds[lane + 1] - 1}) "
+                    f"exited with status {process.exitcode} before returning its results"
+                ) from None
+            if isinstance(outcome, Exception):
+                raise outcome
+            results.extend(outcome)
     except BaseException:
         for process, _ in children:
             process.terminate()
@@ -759,38 +769,6 @@ def _run_lanes(work, lanes: int, lost) -> list:
             process.join()
             reader.close()
     return results
-
-
-def _log_targets(target, points: np.ndarray) -> np.ndarray:
-    """The target at every row of ``points``, dealt over ``_lane_count``
-    lanes in equal contiguous slices, lane 0 taking the first.
-
-    Raises the first exception of the lowest lane that failed, or a
-    QrseError if a lane's process exits without returning its values.
-    """
-    count = len(points)
-    lanes = _lane_count(count)
-    bounds = [count * lane // lanes for lane in range(lanes + 1)]
-
-    def work(lane: int):
-        try:
-            return np.array(
-                [target(point) for point in points[bounds[lane]:bounds[lane + 1]]], dtype=float
-            )
-        except Exception as err:  # sent to the parent, which raises it
-            return err
-
-    def lost(lane: int, status) -> QrseError:
-        return QrseError(
-            f"sampler lane {lane} (target evaluations {bounds[lane]}-{bounds[lane + 1] - 1}) "
-            f"exited with status {status} before returning its values"
-        )
-
-    slices = _run_lanes(work, lanes, lost)
-    for result in slices:
-        if isinstance(result, Exception):
-            raise result
-    return np.concatenate(slices)
 
 
 def run_chains(
@@ -816,15 +794,15 @@ def run_chains(
 
     The data is checked for NaN and infinity before the mode search, not
     on every step. Every start, proposal and Generator is made here, in
-    chain order, and the work then runs in ``_lane_count`` lanes: lane 0 in
-    this process, each other lane in a forked process. For the
-    independence kernel, the chains x (1 + tune + draws) target evaluations
-    (each chain's start, then its proposals) are dealt over the lanes in
-    equal contiguous slices, and each chain's accept/reject sweep then runs
-    here, through ``run_chain``, in chain order. Random-walk chains run
-    whole, chain i in lane i % lanes. Each target value depends only on its
-    point, so the result is bit-identical at any lane count. With one lane
-    no process is started.
+    chain order, and the work is then dealt over ``_lane_count`` lanes in
+    equal contiguous slices: lane 0 in this process, each other lane in a
+    forked process. For the independence kernel the slices cut the chains
+    x (1 + tune + draws) target evaluations (each chain's start, then its
+    proposals), and each chain's accept/reject sweep then runs here,
+    through ``run_chain``, in chain order. For the random walk they cut the
+    list of chains, and each chain runs whole in its lane. Each target
+    value depends only on its point, so the result is bit-identical at any
+    lane count. With one lane no process is started.
 
     Raises
     ------
@@ -876,44 +854,23 @@ def run_chains(
             points[index, 1:] = _t_proposals(rng, mode, factor, steps)
         starts.append(start)
         rngs.append(rng)
-    chain_args = [
-        ((values, priors, start, scales, config.draws, config.tune, rng, grid,
-          proposal_cholesky), {})
-        for start, rng in zip(starts, rngs)
-    ]
+
+    def chain(index: int, **kwargs) -> ChainResult:
+        try:
+            return run_chain(
+                values, priors, starts[index], scales, config.draws, config.tune,
+                rngs[index], grid, proposal_cholesky, **kwargs,
+            )
+        except StuckChain as err:
+            raise StuckChain(f"chain {index}: {err}") from None
 
     if independent:
         flat = points.reshape(-1, 4)
-        log_weights = _log_targets(target, flat) - _t_log_density(flat, mode, factor)
-        log_weights = log_weights.reshape(config.chains, 1 + steps)
-        chain_args = [
-            (args, {"proposals": (points[index], log_weights[index])})
-            for index, (args, _) in enumerate(chain_args)
-        ]
-        outcomes = dict(_run_lane(chain_args, range(config.chains)))
+        targets = np.array(_deal(target, flat, "target evaluations"), dtype=float)
+        log_weights = (targets - _t_log_density(flat, mode, factor)).reshape(config.chains, -1)
+        results = [chain(i, proposals=(points[i], log_weights[i])) for i in range(config.chains)]
     else:
-        lanes = _lane_count(config.chains)
-
-        def work(lane: int):
-            return _run_lane(chain_args, range(lane, config.chains, lanes))
-
-        def lost(lane: int, status):
-            indices = range(lane, config.chains, lanes)
-            error = QrseError(
-                f"sampler lane {lane} (chains {', '.join(map(str, indices))}) "
-                f"exited with status {status} before returning its draws"
-            )
-            return [(index, error) for index in indices]
-
-        outcomes = dict(pair for lane in _run_lanes(work, lanes, lost) for pair in lane)
-    results = []
-    for index in range(config.chains):
-        outcome = outcomes[index]
-        if isinstance(outcome, StuckChain):
-            raise StuckChain(f"chain {index}: {outcome}") from None
-        if isinstance(outcome, Exception):
-            raise outcome
-        results.append(outcome)
+        results = _deal(chain, range(config.chains), "chains")
     return PosteriorDraws(
         draws=np.stack([result.draws for result in results]),
         acceptance_rates=tuple(result.acceptance_rate for result in results),

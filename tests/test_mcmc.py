@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -642,8 +643,8 @@ class TestLanes:
             np.testing.assert_array_equal(laned.step_scales, serial.step_scales)
             assert laned.kernel == kernel
 
-    # The independence kernel deals target evaluations, not chains, so
-    # four lanes for three chains all get work.
+    # The independence kernel deals target evaluations, so four lanes for
+    # three chains all get work.
     @pytest.mark.parametrize("chains, lane_counts", [(3, (2, 3, 4)), (5, (2,))])
     def test_outputs_do_not_depend_on_lanes(
         self, small_data, lanes, fork_starts, chains, lane_counts
@@ -687,7 +688,7 @@ class TestLanes:
         config = ChainConfig(chains=3, draws=100, tune=150, seed=0,
                              step_scales=(0.1, 0.1, 0.3, 0.5))
         self.assert_lane_invariant(
-            small_data, config, lanes, fork_starts, (2, 3), mcmc.RANDOM_WALK
+            small_data, config, lanes, fork_starts, (2, 3, 4), mcmc.RANDOM_WALK
         )
 
     def test_one_lane_starts_no_process(self, small_data, lanes, monkeypatch):
@@ -702,12 +703,12 @@ class TestLanes:
             run_chains(small_data, PRIORS, LANE_CONFIG)
 
     @pytest.mark.parametrize(
-        "failing, named", [({1}, 1), ({0, 1}, 0), ({1, 2}, 1)]
+        "failing, named", [({1}, 1), ({0, 1}, 0), ({1, 2}, 1), ({2}, 2), ({0, 2}, 0)]
     )
     def test_lowest_stuck_chain_is_raised(
         self, small_data, lanes, monkeypatch, failing, named
     ):
-        # With 2 lanes, chain 1 runs in the child and chains 0 and 2 here.
+        # With 2 lanes, chain 0 runs here and chains 1 and 2 in the child.
         fail_chains(monkeypatch, failing, stick)
         lanes(2)
         with deadline(60), pytest.raises(StuckChain) as caught:
@@ -728,7 +729,7 @@ class TestLanes:
         with deadline(60), pytest.raises(QrseError) as caught:
             run_chains(small_data, PRIORS, LANE_CONFIG)
         assert str(caught.value) == (
-            "sampler lane 1 (chains 1) exited with status 1 before returning its draws"
+            "sampler lane 1 (chains 1-2) exited with status 1 before returning its results"
         )
         assert multiprocessing.active_children() == []
 
@@ -749,8 +750,28 @@ class TestLanes:
             run_chains(small_data, PRIORS, ChainConfig(chains=3, draws=100, tune=50))
         assert str(caught.value) == (
             "sampler lane 1 (target evaluations 226-452) exited with status 1 "
-            "before returning its values"
+            "before returning its results"
         )
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("config", [LANE_CONFIG, ChainConfig(chains=3, draws=100, tune=50)],
+                             ids=["random-walk", "independence"])
+    def test_error_in_other_lane_is_raised(self, small_data, lanes, monkeypatch, config):
+        # Lane 1 holds chains 1 and 2, or the last 227 target evaluations.
+        parent = os.getpid()
+        real = mcmc.log_posterior
+
+        def log_posterior(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ValueError("bad point in lane 1")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mcmc, "log_posterior", log_posterior)
+        lanes(2)
+        with deadline(60), pytest.raises(ValueError) as caught:
+            run_chains(small_data, PRIORS, config)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "bad point in lane 1"
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("failing, named", [({1, 2}, 1), ({0, 2}, 0), ({2}, 2)])
@@ -882,6 +903,46 @@ class TestTrace:
         ids=["truncated", "no-rows", "format-tag", "bad-json", "header", "swapped", "draw-index"],
     )
     def test_rejects_malformed_trace(self, small_posterior, tmp_path, edit, message):
+        path = self.write_trace(small_posterior, tmp_path, edit)
+        with pytest.raises(ParseError, match=message) as caught:
+            load_trace(path)
+        assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"acceptance_rates": (0.5,)}, "one acceptance rate per chain"),
+            ({"step_scales": ((1.0,),) * 3}, "four step scales per chain"),
+            ({"step_scales": ((1.0,) * 4,) * 2}, "four step scales per chain"),
+            ({"config": ChainConfig(chains=2, draws=5)}, "does not match the config"),
+            ({"config": ChainConfig(chains=3, draws=99)}, "does not match the config"),
+        ],
+        ids=["rates", "scale-width", "scale-rows", "config-chains", "config-draws"],
+    )
+    def test_metadata_must_match_draws(self, small_posterior, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(small_posterior, **change)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"acceptance_rates": [0.5]}, "one acceptance rate per chain"),
+            ({"step_scales": [[1.0]]}, "four step scales per chain"),
+            ({"step_scales": [[1.0]] * 3}, "four step scales per chain"),
+            # load_trace shapes the rows by the metadata's counts, so counts
+            # that disagree with the rows show as rows out of order.
+            ({"chains": 2, "draws": 150}, "order"),
+        ],
+        ids=["rates", "scale-rows", "scale-width", "config"],
+    )
+    def test_rejects_metadata_that_disagrees_with_draws(
+        self, small_posterior, tmp_path, change, message
+    ):
+        def edit(lines):
+            metadata = json.loads(lines[0][2:])
+            metadata.update(change)
+            return ["# " + json.dumps(metadata)] + lines[1:]
+
         path = self.write_trace(small_posterior, tmp_path, edit)
         with pytest.raises(ParseError, match=message) as caught:
             load_trace(path)
