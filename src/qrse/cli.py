@@ -184,7 +184,9 @@ def _load_artifact(path: Path, what: str, from_json):
     payload = _load_json(path, what)
     try:
         return from_json(payload)
-    except (KeyError, TypeError, ValueError) as err:
+    except KeyError as err:
+        raise ParseError(f"{path}: missing key {err}") from None
+    except (TypeError, ValueError) as err:
         raise ParseError(f"{path}: {err}") from None
 
 

@@ -40,9 +40,8 @@ output is bit-identical at any lane count, including one.
 
 The sampled posterior is truncated to mu and alpha within CORNER_SDS prior
 sds of their centers, and the sampler rejects proposals outside that box.
-Before any chain runs, ``run_chains`` builds the local grid at the box's
-corners with the two extreme ratios of T to S, so a prior whose local grid
-would be too large or clip the density fails at startup, not mid-chain.
+Before any chain runs, ``run_chains`` builds the largest local log Z grid
+the support allows, so an oversized one fails at startup, not mid-chain.
 """
 
 from __future__ import annotations
@@ -306,26 +305,19 @@ def build_sampling_grid(
 
 
 def _check_local_grids(priors: PriorSpec) -> None:
-    """Build the local log Z grid where the support makes it largest.
+    """Build the largest local log Z grid the support allows.
 
-    Its point count grows with max(T, S) / min(T, S), which peaks at the
-    truncation corners (low, high) and (high, low); the density's edge
-    mass there is checked at the corners of the location box.
+    Its size grows with T / min(T, S), so it peaks at (T, S) = (bound_high,
+    bound_low); mu and alpha cannot change it and sit at the prior centres.
 
     Raises
     ------
     GridTooLarge
-        If the grid at those corners would exceed MAX_LOCAL_POINTS.
-    GridTooNarrow
-        If its outermost cell holds more than EDGE_MASS_LIMIT.
+        If that grid would exceed MAX_LOCAL_POINTS.
     """
-    low, high = priors.bound_low, priors.bound_high
-    mu_corners, alpha_corners = _location_box(priors)
-    for T, S in ((low, high), (high, low)):
-        for mu in mu_corners:
-            for alpha in alpha_corners:
-                corner = QrseParams(T=T, S=S, mu=mu, alpha=alpha)
-                build_density(corner, EvalGrid.local(corner))
+    corner = QrseParams(T=priors.bound_high, S=priors.bound_low,
+                        mu=priors.mu_center, alpha=priors.alpha_center)
+    build_density(corner, EvalGrid.local(corner))
 
 
 def log_posterior(
@@ -808,7 +800,7 @@ def run_chains(
     ------
     ValueError
         If the data holds a NaN or an infinity.
-    GridTooLarge, GridTooNarrow
+    GridTooLarge
         From the startup check of the local log Z grid (no explicit grid).
     StuckChain
         Re-raised with the chain index attached.
@@ -950,5 +942,7 @@ def load_trace(path) -> PosteriorDraws:
             rng_algorithm=str(metadata["rng"]),
             kernel=metadata.get("kernel", RANDOM_WALK),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except KeyError as err:
+        raise ParseError(f"{path}: not a valid trace file: missing key {err}") from None
+    except (TypeError, ValueError) as err:
         raise ParseError(f"{path}: not a valid trace file: {err}") from None

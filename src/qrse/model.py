@@ -13,8 +13,8 @@ where H is the binary entropy of the entry probability. The partition
 function is computed by quadrature on a uniform grid. Tabulated densities
 (pdf values, bin probabilities, inverse-CDF draws) are exact relative to
 their grid's discretization. A log-likelihood without an explicit grid
-takes log Z from ``local_log_z``, on a fine grid built around each
-parameter point, which is accurate to about 1e-11 relative.
+takes log Z from ``local_log_z``, which adds both exponential tails in
+closed form and is accurate to about 1e-11 relative.
 
 All four parameters are in thousands of dollars. Operations broadcast over
 numpy arrays and accept scalars.
@@ -39,12 +39,12 @@ AUTO_SPAN_SCALES = 8.0
 DEFAULT_GRID_POINTS = 4001
 EDGE_MASS_LIMIT = 1e-4
 
-# local_log_z's grid is centred on mu, reaches LOCAL_SPAN_SCALES units of
-# max(T, S) either side and is at most min(T, S) / LOCAL_CELLS_PER_SCALE
-# apart: ceil(192 max / min) + 1 points. The mass sits near mu whatever alpha
-# is: over the 81 support points of tests/test_mcmc.py's accuracy test the
-# worst relative log Z error is 1.3e-11. No grid may exceed MAX_LOCAL_POINTS.
-LOCAL_SPAN_SCALES = 24.0
+# In float64 np.tanh(u) is exactly +-1 once |u| >= 18.9904, so past mu +-
+# SATURATION_SCALES * T the log kernel is exactly -+(x - alpha)/S. local_log_z
+# sums it out to there, at most min(T, S) / LOCAL_CELLS_PER_SCALE apart (157
+# points when T <= S), and adds the rest in closed form. No grid may exceed
+# MAX_LOCAL_POINTS.
+SATURATION_SCALES = 19.5
 LOCAL_CELLS_PER_SCALE = 4.0
 MAX_LOCAL_POINTS = 2**20
 
@@ -309,24 +309,22 @@ def local_grid_size(T: float, S: float) -> int:
     GridTooLarge
         If the count would exceed MAX_LOCAL_POINTS.
     """
-    cells = 2.0 * LOCAL_SPAN_SCALES * LOCAL_CELLS_PER_SCALE * (max(T, S) / min(T, S))
-    if not cells <= MAX_LOCAL_POINTS - 1:  # also catches an infinite ratio
+    half = SATURATION_SCALES * LOCAL_CELLS_PER_SCALE * T / min(T, S)
+    if not half <= (MAX_LOCAL_POINTS - 1) // 2:  # also catches an infinite ratio
         raise GridTooLarge(
-            f"log Z at T={float(T)!r}, S={float(S)!r} needs a {cells + 1:.0f}-point "
+            f"log Z at T={float(T)!r}, S={float(S)!r} needs a {2 * half + 1:.0f}-point "
             f"grid (limit {MAX_LOCAL_POINTS}); narrow the range of T and S"
         )
-    return math.ceil(cells) + 1
+    return 2 * math.ceil(half) + 1
 
 
 def _local_axis(params: QrseParams) -> tuple[np.ndarray, float]:
-    """Points and spacing of the uniform grid local to ``params``."""
-    n_points = local_grid_size(params.T, params.S)
-    reach = LOCAL_SPAN_SCALES * max(params.T, params.S)
-    spacing = 2.0 * reach / (n_points - 1)
-    points = np.arange(n_points, dtype=float)
-    points *= spacing
-    points += params.mu - reach
-    return points, spacing
+    """Uniform grid over mu +- 19.5 T. GridTooLarge if too large or too fine."""
+    half = local_grid_size(params.T, params.S) // 2
+    spacing = SATURATION_SCALES * params.T / half
+    if not spacing / params.S > 0.0:
+        raise GridTooLarge(f"log Z at {params} needs a grid spacing that underflows to 0")
+    return np.arange(-half, half + 1) * spacing + params.mu, spacing
 
 
 def _log_partition(kernel: np.ndarray, spacing: float) -> tuple[float, np.ndarray]:
@@ -358,22 +356,27 @@ def _log_partition(kernel: np.ndarray, spacing: float) -> tuple[float, np.ndarra
 
 
 def local_log_z(params: QrseParams) -> float:
-    """Log partition function on a uniform grid built for ``params``.
+    """Log partition function as an infinite uniform sum: nothing is cut off.
 
-    The grid is centred on mu and sized by ``local_grid_size``; the sum is
-    ``build_density``'s, but no grid or table object is built. The kernel
-    runs through ``_blockwise`` rather than ``log_kernel``, so a profile of
+    The max-shifted kernel is summed on ``EvalGrid.local``'s grid. Past its
+    ends the kernel is exactly linear, so the rest of the sum at spacing dx
+    is geometric with ratio r = exp(-dx/S): each end weight times dx r /
+    (1 - r) = dx / expm1(dx/S), which tends to S, not infinity. Such sums
+    converge geometrically in 1/dx (Trefethen & Weideman 2014, SIAM Review
+    56(3)). The kernel runs through ``_blockwise``, so a profile of
     ``log_kernel`` under ``log_likelihood`` shows the data side alone.
 
     Raises
     ------
     GridTooLarge
-        If the grid would exceed MAX_LOCAL_POINTS.
-    GridTooNarrow
-        As ``build_density``.
+        As ``_local_axis``.
     """
     points, spacing = _local_axis(params)
-    return _log_partition(_blockwise(_log_kernel_block, points, params), spacing)[0]
+    kernel = _blockwise(_log_kernel_block, points, params)
+    peak = float(np.max(kernel))
+    weights = np.exp(kernel - peak)
+    tails = (weights[0] + weights[-1]) * (spacing / math.expm1(spacing / params.S))
+    return peak + math.log(float(np.sum(weights)) * spacing + tails)
 
 
 def build_density(params: QrseParams, grid: EvalGrid | None = None) -> DensityTable:

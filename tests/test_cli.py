@@ -83,6 +83,41 @@ class TestIngest:
                  "--outdir", str(tmp_path), "--bins", "-1")
         assert rc == 2
 
+    def test_non_integer_bins(self, district_csv, tmp_path, capsys):
+        rc = run("ingest", "--input", str(district_csv),
+                 "--outdir", str(tmp_path), "--bins", "ten")
+        assert rc == 2
+        assert "--bins must be an integer or 'fd', got 'ten'" in capsys.readouterr().err
+
+    def test_single_year(self, district_csv, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        rc = run("ingest", "--input", str(district_csv), "--outdir", str(outdir),
+                 "--years", "2005")
+        assert rc == 0
+        assert json.loads((outdir / "cleaned.json").read_text())["values"] == [11.5, 13.5]
+        assert "8 outside 2005-2005" in capsys.readouterr().out
+
+    def test_reversed_year_range(self, district_csv, tmp_path, capsys):
+        rc = run("ingest", "--input", str(district_csv),
+                 "--outdir", str(tmp_path), "--years", "2016-2000")
+        assert rc == 2
+        assert "--years must be YYYY or YYYY-YYYY, got '2016-2000'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: file is empty"),
+            (CSV_HEADER + "\nd-1,2005,24.0,3.0,2,6\nd-2,2005,30.0,6.0,2,4\nd-3,2010,18.0,2.0,2\n",
+             "line 4: expected 6 fields, got 5"),
+        ],
+        ids=["empty", "short-row"],
+    )
+    def test_malformed_csv_exits_2_with_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        assert run("ingest", "--input", str(path), "--outdir", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
@@ -262,13 +297,24 @@ class TestSampleAndReport:
         assert calls == []
 
     def test_oversized_local_grid_exits_2(self, pipeline_dir, capsys):
-        # T / S up to 8e6 would need a 1.5e9-point log Z grid.
+        # T / S up to 8e6 would need a 1.2e9-point log Z grid.
         rc = run("sample", "--outdir", str(pipeline_dir), "--chains", "2",
                  "--draws", "10", "--tune", "0", "--prior-bound-low", "1e-6")
         assert rc == 2
         err = capsys.readouterr().err
-        assert "1536000001-point grid" in err
+        assert "1248000001-point grid" in err
         assert "Traceback" not in err and "MemoryError" not in err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [([], "expected a JSON object"), ({"T": 1}, "missing key 'S'")],
+        ids=["not-an-object", "missing-key"],
+    )
+    def test_malformed_map_exits_2(self, pipeline_dir, tmp_path, capsys, payload, message):
+        shutil.copy(pipeline_dir / "cleaned.json", tmp_path)
+        (tmp_path / "map.json").write_text(json.dumps(payload))
+        assert run("sample", "--outdir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'map.json'}: {message}\n"
 
     def test_stuck_chain_exit_code(self, pipeline_dir, monkeypatch):
         def explode(*args, **kwargs):
@@ -334,6 +380,25 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("chains = many\n")
         assert run("ingest", "--config", str(cfg)) == 2
+
+    def test_boolean_from_file_matches_flag(self, pipeline_dir, tmp_path):
+        by_file, by_flag, forward = (tmp_path / name for name in ("file", "flag", "forward"))
+        for outdir in (by_file, by_flag, forward):
+            outdir.mkdir()
+            shutil.copy(pipeline_dir / "histogram.json", outdir)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("reverse_kl = yes\nrestarts = 0\n")
+        assert run("fit", "--config", str(cfg), "--outdir", str(by_file)) == 0
+        assert run("fit", "--outdir", str(by_flag), "--restarts", "0", "--reverse-kl") == 0
+        assert run("fit", "--outdir", str(forward), "--restarts", "0") == 0
+        fitted = [(outdir / "map.json").read_bytes() for outdir in (by_file, by_flag, forward)]
+        assert fitted[0] == fitted[1] != fitted[2]
+
+    def test_bad_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("reverse_kl = maybe\n")
+        assert run("fit", "--config", str(cfg), "--outdir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 1: not a boolean: 'maybe'\n"
 
 
 # Every subcommand's flags and help text, which the settings and commands

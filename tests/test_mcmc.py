@@ -179,7 +179,8 @@ class TestBuildSamplingGrid:
 
 
 def fine_log_z(params: QrseParams) -> float:
-    """log Z on a grid 10x finer and 2.5x wider than the local grid."""
+    """log Z on a grid 10x finer than the local grid, reaching 60 max(T, S)
+    either side of mu, past which the density holds under exp(-60)."""
     wide, narrow = max(params.T, params.S), min(params.T, params.S)
     grid = EvalGrid.from_bounds(
         params.mu - 60.0 * wide, params.mu + 60.0 * wide, math.ceil(4800.0 * wide / narrow) + 1
@@ -225,12 +226,12 @@ class TestLocalLogZAccuracy:
 
 class TestLocalGridCheck:
     def test_startup_check_at_extreme_scale_ratios(self, monkeypatch):
+        # T high and S low give the most points; location cannot change it.
         checked = []
         monkeypatch.setattr(mcmc, "build_density", lambda p, grid: checked.append((p, grid)))
         mcmc._check_local_grids(PRIORS)
-        assert {(p.T, p.S) for p, _ in checked} == {(0.1, 8.0), (8.0, 0.1)}
-        assert len(checked) == 8
-        assert all(grid.points.size == 15361 for _, grid in checked)
+        assert [p for p, _ in checked] == [QrseParams(T=8.0, S=0.1, mu=8.66, alpha=17.8)]
+        assert checked[0][1].points.size == 12481
 
     def test_oversized_grid_fails_before_any_chain(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -240,7 +241,7 @@ class TestLocalGridCheck:
         priors = PriorSpec(t_center=2.1, s_center=4.9, mu_center=8.66, alpha_center=17.8,
                            bound_low=1e-6)
         data = sample(REF, SampleConfig(n=50, seed=1))
-        with pytest.raises(GridTooLarge, match="1536000001-point"):
+        with pytest.raises(GridTooLarge, match="1248000001-point"):
             run_chains(data, priors, ChainConfig(chains=2, draws=10, tune=0))
 
 
@@ -880,6 +881,17 @@ class TestTrace:
         with pytest.raises(ParseError, match="bad.csv"):
             load_trace(path)
 
+    def test_missing_key_is_named(self, small_posterior, tmp_path):
+        def edit(lines):
+            metadata = json.loads(lines[0][2:])
+            del metadata["chains"]
+            return ["# " + json.dumps(metadata)] + lines[1:]
+
+        path = self.write_trace(small_posterior, tmp_path, edit)
+        with pytest.raises(ParseError) as caught:
+            load_trace(path)
+        assert str(caught.value) == f"{path}: not a valid trace file: missing key 'chains'"
+
 
     def write_trace(self, posterior, tmp_path, edit):
         path = tmp_path / "trace.csv"
@@ -950,8 +962,7 @@ class TestTrace:
 
 
 class TestLocationBox:
-    """The target is truncated to the location box; the startup check builds
-    the local log Z grid at its corners."""
+    """The target is truncated to the location box."""
 
     def test_target_rejects_locations_outside_the_box(self):
         target = mcmc._make_target(np.array([]), PRIORS, None)

@@ -24,7 +24,7 @@ from qrse import (
     log_likelihood,
     payoff_difference,
 )
-from qrse.model import MAX_LOCAL_POINTS, local_grid_size, local_log_z
+from qrse.model import local_grid_size, local_log_z
 from tests.conftest import REF
 
 # Binary entropy at p = 3/4, from -(p ln p + (1-p) ln(1-p)):
@@ -248,29 +248,69 @@ class TestLogLikelihood:
             log_likelihood(np.array([1.0, math.nan]), REF)
 
 
+# T below, between and above S, with alpha on either side of mu.
+LOCAL_POINTS = (
+    REF,
+    QrseParams(T=0.1, S=8.0, mu=-3.0, alpha=40.0),
+    QrseParams(T=8.0, S=0.1, mu=40.0, alpha=-20.0),
+)
+
+
 class TestLocalLogZ:
     def test_grid_shape(self):
-        for params in (REF, QrseParams(T=0.1, S=8.0, mu=-3.0, alpha=40.0)):
+        for params in LOCAL_POINTS:
             grid = EvalGrid.local(params)
-            reach = 24.0 * max(params.T, params.S)
+            reach = 19.5 * params.T
             assert grid.points.size == local_grid_size(params.T, params.S)
             assert grid.points[0] == pytest.approx(params.mu - reach, abs=1e-12)
             assert grid.points[-1] == pytest.approx(params.mu + reach, abs=1e-12)
             assert grid.spacing <= min(params.T, params.S) / 4.0
 
-    def test_same_bits_as_build_density_on_its_grid(self):
-        for params in (REF, QrseParams(T=8.0, S=0.1, mu=40.0, alpha=-20.0)):
-            table = build_density(params, EvalGrid.local(params))
-            assert local_log_z(params) == table.log_z
+    def test_kernel_is_exactly_linear_past_the_grid(self):
+        # The closed-form tails rest on this: from mu +- 19.5 T outwards
+        # tanh rounds to +-1, the entropy to 0 and the kernel to a line.
+        for params in LOCAL_POINTS:
+            ends = EvalGrid.local(params).points[[0, -1]]
+            steps = params.T * np.array([19.5, 20.0, 50.0, 400.0])
+            x = np.concatenate([ends, params.mu - steps, params.mu + steps])
+            np.testing.assert_array_equal(conditional_entropy(x, params), 0.0)
+            np.testing.assert_array_equal(
+                log_kernel(x, params), -np.sign(x - params.mu) * ((x - params.alpha) / params.S)
+            )
+
+    def test_tails_match_extended_sum(self):
+        # The same grid, extended at its spacing until the weights past
+        # both ends underflow (the kernel falls dx / S per step), summed
+        # term by term.
+        for params in LOCAL_POINTS:
+            grid = EvalGrid.local(params)
+            half = grid.points.size // 2 + math.ceil(800.0 * params.S / grid.spacing)
+            points = np.arange(-half, half + 1) * grid.spacing + params.mu
+            explicit = build_density(params, EvalGrid(points=points, spacing=grid.spacing))
+            assert explicit.pdf[0] == explicit.pdf[-1] == 0.0
+            assert local_log_z(params) == pytest.approx(explicit.log_z, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("S", [4.9, 8.0])
+    def test_vanishing_temperature_limit(self, S):
+        # As T -> 0 the kernel tends to -sign(x - mu) (x - alpha) / S, whose
+        # integral is 2 S cosh((mu - alpha) / S); log Z differs by O(T).
+        params = QrseParams(T=1e-9, S=S, mu=8.66, alpha=17.8)
+        limit = math.log(2.0 * S * math.cosh((params.mu - params.alpha) / S))
+        assert local_log_z(params) == pytest.approx(limit, rel=0.0, abs=1e-9)
 
     def test_default_bounds_worst_corner_size(self):
-        # 192 * 8 / 0.1 cells: the most any in-support proposal needs.
-        assert local_grid_size(0.1, 8.0) == local_grid_size(8.0, 0.1) == 15361
+        # The grid reaches 19.5 T either side at min(T, S) / 4 apart.
+        assert local_grid_size(0.1, 8.0) == local_grid_size(2.1, 4.9) == 157
+        assert local_grid_size(8.0, 0.1) == 12481
 
-    @pytest.mark.parametrize("T", [1e-6, 5e-324])
-    def test_over_the_cap_is_typed(self, T):
-        params = QrseParams(T=T, S=8.0, mu=0.0, alpha=1.0)
-        with pytest.raises(GridTooLarge, match=str(MAX_LOCAL_POINTS)) as caught:
+    @pytest.mark.parametrize(
+        "T, S, message",
+        [(8.0, 1e-6, "1248000001-point grid"), (5e-324, 8.0, "spacing that underflows to 0")],
+        ids=["1e-06", "5e-324"],
+    )
+    def test_over_the_cap_is_typed(self, T, S, message):
+        params = QrseParams(T=T, S=S, mu=0.0, alpha=1.0)
+        with pytest.raises(GridTooLarge, match=message) as caught:
             local_log_z(params)
         assert isinstance(caught.value, QrseError)
         with pytest.raises(GridTooLarge):
