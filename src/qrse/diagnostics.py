@@ -60,19 +60,15 @@ def split_rhat(chains) -> float:
     ratio is evaluated on the transformed split chains. Values near 1
     indicate convergence (Vehtari et al. 2021, Bayesian Analysis 16(2)).
 
-    The inverse CDF is the standard library's ``NormalDist.inv_cdf``,
-    applied once per distinct rank; it agrees with SciPy's ``ndtri`` to
-    within a few ulp.
+    The inverse CDF is ``_normal_quantile``, which agrees with the standard
+    library's ``NormalDist.inv_cdf`` and SciPy's ``ndtri`` to within a few
+    ulp.
 
     Raises
     ------
     InsufficientDraws
         With fewer than 2 chains or fewer than 4 draws per chain.
     """
-    # Imported here, not at module level: ``statistics`` adds about 4 ms to
-    # the start-up of every stage.
-    from statistics import NormalDist
-
     arr = np.asarray(chains, dtype=float)
     if arr.ndim != 2:
         raise ValueError("chains must be a 2-d array (chains x draws)")
@@ -86,11 +82,8 @@ def split_rhat(chains) -> float:
     half = n_draws // 2
     splits = np.concatenate([arr[:, :half], arr[:, n_draws - half:]], axis=0)
     flat = splits.reshape(-1)
-    probs, where = np.unique(
-        (_average_ranks(flat) - 0.375) / (flat.size + 0.25), return_inverse=True
-    )
-    inv_cdf = NormalDist().inv_cdf
-    z = np.array([inv_cdf(p) for p in probs.tolist()])[where].reshape(splits.shape)
+    z = _normal_quantile((_average_ranks(flat) - 0.375) / (flat.size + 0.25))
+    z = z.reshape(splits.shape)
     within = float(np.mean(np.var(z, axis=1, ddof=1)))
     between = half * float(np.var(np.mean(z, axis=1), ddof=1))
     # Rank-normalized draws have O(1) spread, so any genuine within-chain
@@ -100,6 +93,69 @@ def split_rhat(chains) -> float:
         return math.inf
     var_plus = (half - 1) / half * within + between / half
     return math.sqrt(var_plus / within)
+
+
+# Wichura's AS241 (PPND16) rational approximations to the normal quantile
+# (Applied Statistics 37(3), 1988), highest power first: numerator and
+# denominator for |p - 1/2| <= 0.425, then for the tails with r =
+# sqrt(-log(min(p, 1 - p))) at most 5 and beyond 5.
+_CENTRAL = (
+    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
+     4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
+     2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+     4.23133_30701_60091_1252e+1, 1.0),
+)
+_NEAR_TAIL = (
+    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
+     1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
+     1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+     2.05319_16266_37758_82187e+0, 1.0),
+)
+_FAR_TAIL = (
+    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
+     2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
+     7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+     5.99832_20655_58879_37690e-1, 1.0),
+)
+
+
+def _horner(coefficients, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator at r, each by Horner's rule."""
+    num, den = (np.full_like(r, c[0]) for c in coefficients)
+    for a, b in zip(*(c[1:] for c in coefficients)):
+        num = num * r + a
+        den = den * r + b
+    return num, den
+
+
+def _normal_quantile(p: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF at each p in (0, 1), by AS241.
+
+    The same rational approximations, in the same order of operations, as
+    the standard library's ``NormalDist.inv_cdf``; only numpy's log and
+    sqrt can differ from the C library's, by an ulp or so.
+    """
+    q = p - 0.5
+    x = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    num, den = _horner(_CENTRAL, 0.180625 - q[central] * q[central])
+    x[central] = num * q[central] / den
+    tail = ~central
+    r = np.sqrt(-np.log(np.where(q[tail] <= 0.0, p[tail], 1.0 - p[tail])))
+    near = r <= 5.0
+    magnitude = np.empty_like(r)
+    num, den = _horner(_NEAR_TAIL, r[near] - 1.6)
+    magnitude[near] = num / den
+    num, den = _horner(_FAR_TAIL, r[~near] - 5.0)
+    magnitude[~near] = num / den
+    x[tail] = np.where(q[tail] < 0.0, -magnitude, magnitude)
+    return x
 
 
 def hdi(samples, prob: float = DEFAULT_HDI_PROB) -> tuple[float, float]:

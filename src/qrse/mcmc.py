@@ -28,15 +28,19 @@ when the target is built, not on every step.
 ``run_chains`` spreads its work over parallel lanes, one per CPU the
 process may use (``os.sched_getaffinity``): lane 0 is the calling process
 and each other lane a forked process. One dealer serves both kernels: it
-splits a list of jobs into equal contiguous slices, one per lane. An
-independence chain's proposals do not depend on its state, so every chain
-draws its proposals first; the jobs are then the target evaluations of all
-chains, and each chain's accept/reject sweep runs afterwards in the calling
-process. For the random walk the jobs are whole chains, so with 3 chains
-on 2 lanes lane 0 runs chain 0 and lane 1 chains 1 and 2. Either way every
-start, proposal and Generator is made in the calling process before any
-lane runs, and each target value is a pure function of its point, so the
-output is bit-identical at any lane count, including one.
+splits a list of jobs into equal contiguous slices, one per lane, and
+makes one call per lane on its slice. An independence chain's proposals do
+not depend on its state, so every chain draws its proposals first; the
+jobs are then the target evaluations of all chains, and each lane's call
+is ``_log_targets``, which evaluates its rows in blocks with the same bits
+as the one-point target. Each chain's accept/reject sweep runs afterwards
+in the calling process. For the random walk the jobs are whole chains, so
+with 3 chains on 2 lanes lane 0 runs chain 0 and lane 1 chains 1 and 2.
+The mode search, the Laplace fit and the random walk evaluate one point
+at a time, through ``log_posterior``. Either way every start, proposal and
+Generator is made in the calling process before any lane runs, and each
+target value is a pure function of its point, so the output is
+bit-identical at any lane count, including one.
 
 The sampled posterior is truncated to mu and alpha within CORNER_SDS prior
 sds of their centers, and the sampler rejects proposals outside that box.
@@ -54,7 +58,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfSupport, ParseError, QrseError, StuckChain
-from .model import DEFAULT_GRID_POINTS, EvalGrid, QrseParams, build_density, log_likelihood
+from .model import (
+    DEFAULT_GRID_POINTS,
+    EvalGrid,
+    QrseParams,
+    _log_likelihood_rows,
+    build_density,
+    log_likelihood,
+)
 from .synthetic import RNG_ALGORITHM, rng_from_seed
 
 DEFAULT_SCALE_SD = 2.0
@@ -86,7 +97,7 @@ TRACE_FORMAT = "qrse-trace-v1"
 TRACE_HEADER = "chain,draw,T,S,mu,alpha"
 
 
-def _normal_logpdf(x: float, center: float, sd: float) -> float:
+def _normal_logpdf(x, center: float, sd: float):
     z = (x - center) / sd
     return -0.5 * z * z - math.log(sd) - _HALF_LOG_2PI
 
@@ -161,13 +172,18 @@ class PriorSpec:
                 f"T={float(params.T)!r}, S={float(params.S)!r} outside "
                 f"[{self.bound_low}, {self.bound_high}]"
             )
+        return self._log_density(params.T, params.S, params.mu, params.alpha)
+
+    def _log_density(self, T, S, mu, alpha):
+        """``log_density`` without the support check, at scalars or at
+        arrays of rows."""
         return (
-            _normal_logpdf(params.T, self.t_center, self.t_sd)
+            _normal_logpdf(T, self.t_center, self.t_sd)
             - self._t_log_mass
-            + _normal_logpdf(params.S, self.s_center, self.s_sd)
+            + _normal_logpdf(S, self.s_center, self.s_sd)
             - self._s_log_mass
-            + _normal_logpdf(params.mu, self.mu_center, self.mu_sd)
-            + _normal_logpdf(params.alpha, self.alpha_center, self.alpha_sd)
+            + _normal_logpdf(mu, self.mu_center, self.mu_sd)
+            + _normal_logpdf(alpha, self.alpha_center, self.alpha_sd)
         )
 
     def centers(self) -> np.ndarray:
@@ -371,6 +387,30 @@ def _make_target(data, priors: PriorSpec, grid: EvalGrid | None):
         return log_posterior(params, values, priors, grid, _finite=True)
 
     return target
+
+
+def _log_targets(points: np.ndarray, values: np.ndarray, priors: PriorSpec,
+                 grid: EvalGrid | None) -> np.ndarray:
+    """``[target(p) for p in points]`` for ``_make_target``'s target, bit for
+    bit, in a few calls over blocks of rows: -inf outside the support and
+    the location box, log prior plus ``_log_likelihood_rows`` inside.
+    ``values`` must be finite.
+    """
+    T, S, mu, alpha = points.T
+    (mu_low, mu_high), (alpha_low, alpha_high) = _location_box(priors)
+    inside = (
+        (priors.bound_low <= T) & (T <= priors.bound_high)
+        & (priors.bound_low <= S) & (S <= priors.bound_high)
+        & (mu_low <= mu) & (mu <= mu_high)
+        & (alpha_low <= alpha) & (alpha <= alpha_high)
+    )
+    rows = points[inside]
+    log_p = priors._log_density(*rows.T)
+    if values.size:
+        log_p = log_p + _log_likelihood_rows(values, rows, grid)
+    out = np.full(len(points), -math.inf)
+    out[inside] = log_p
+    return out
 
 
 def _posterior_mode(target, priors: PriorSpec) -> np.ndarray:
@@ -697,29 +737,31 @@ def _lane_count(jobs: int) -> int:
 
 def _lane_main(writer, fn, jobs) -> None:
     try:
-        results = [fn(job) for job in jobs]
+        results = fn(jobs)
     except Exception as err:  # sent to the parent, which raises it
         results = err
     writer.send(results)
 
 
 def _deal(fn, jobs, what: str) -> list:
-    """``[fn(job) for job in jobs]``, dealt over ``_lane_count(len(jobs))``
-    lanes in equal contiguous slices, lane 0 taking the first.
+    """``[fn(slice) for slice in slices]``: ``jobs`` cut into
+    ``_lane_count(len(jobs))`` equal contiguous slices, one per lane, lane
+    0 taking the first, and ``fn`` called once on each.
 
-    Lane 0 is this process. Each other lane is a forked process that
-    inherits ``fn`` and everything it reads, and sends back over a one-way
-    pipe its results or the first exception it met. A lane stops at its
-    first failure, and the failure of the lowest job is raised: lane 0's at
-    once, any other lane's once the lanes before it have returned. A lane
-    whose process exits without sending raises a QrseError that names it
-    and its slice of ``what``. With one lane no process is started. Every
-    lane is joined before this returns or raises.
+    ``fn`` returns one result per job of its slice and raises the failure
+    of the lowest job that fails. Lane 0 is this process. Each other lane is
+    a forked process that inherits ``fn`` and everything it reads, and
+    sends back over a one-way pipe its results or its exception. The
+    failure of the lowest lane is raised: lane 0's at once, any other
+    lane's once the lanes before it have returned, so it is the failure of
+    the lowest job. A lane whose process exits without sending raises a
+    QrseError that names it and its slice of ``what``. With one lane no
+    process is started. Every lane is joined before this returns or raises.
     """
     count = len(jobs)
     lanes = _lane_count(count)
     if lanes <= 1:
-        return [fn(job) for job in jobs]
+        return [fn(jobs)]
     import multiprocessing
 
     bounds = [count * lane // lanes for lane in range(lanes + 1)]
@@ -739,7 +781,7 @@ def _deal(fn, jobs, what: str) -> list:
             process.start()
             writer.close()  # else the reader never sees EOF from a dead lane
             children.append((process, reader))
-        results = [fn(job) for job in jobs[:bounds[1]]]
+        results = [fn(jobs[:bounds[1]])]
         for lane, (process, reader) in enumerate(children, start=1):
             try:
                 outcome = reader.recv()
@@ -751,7 +793,7 @@ def _deal(fn, jobs, what: str) -> list:
                 ) from None
             if isinstance(outcome, Exception):
                 raise outcome
-            results.extend(outcome)
+            results.append(outcome)
     except BaseException:
         for process, _ in children:
             process.terminate()
@@ -790,11 +832,12 @@ def run_chains(
     equal contiguous slices: lane 0 in this process, each other lane in a
     forked process. For the independence kernel the slices cut the chains
     x (1 + tune + draws) target evaluations (each chain's start, then its
-    proposals), and each chain's accept/reject sweep then runs here,
-    through ``run_chain``, in chain order. For the random walk they cut the
-    list of chains, and each chain runs whole in its lane. Each target
-    value depends only on its point, so the result is bit-identical at any
-    lane count. With one lane no process is started.
+    proposals); each lane evaluates its slice in one ``_log_targets`` call,
+    and each chain's accept/reject sweep then runs here, through
+    ``run_chain``, in chain order. For the random walk they cut the list of
+    chains, and each chain runs whole in its lane. Each target value
+    depends only on its point, so the result is bit-identical at any lane
+    count. With one lane no process is started.
 
     Raises
     ------
@@ -858,11 +901,14 @@ def run_chains(
 
     if independent:
         flat = points.reshape(-1, 4)
-        targets = np.array(_deal(target, flat, "target evaluations"), dtype=float)
+        targets = np.concatenate(_deal(
+            lambda rows: _log_targets(rows, values, priors, grid), flat, "target evaluations"
+        ))
         log_weights = (targets - _t_log_density(flat, mode, factor)).reshape(config.chains, -1)
         results = [chain(i, proposals=(points[i], log_weights[i])) for i in range(config.chains)]
     else:
-        results = _deal(chain, range(config.chains), "chains")
+        lanes = _deal(lambda indices: [chain(i) for i in indices], range(config.chains), "chains")
+        results = [result for lane in lanes for result in lane]
     return PosteriorDraws(
         draws=np.stack([result.draws for result in results]),
         acceptance_rates=tuple(result.acceptance_rate for result in results),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,11 @@ SATURATION_SCALES = 19.5
 LOCAL_CELLS_PER_SCALE = 4.0
 MAX_LOCAL_POINTS = 2**20
 
-# Relative tolerance for the uniform-spacing check on grids.
+# Tolerance of the uniform-spacing check on grids: this much of the spacing,
+# plus _SPACING_ULPS units in the last place of the largest point, since
+# points such as mu + k * dx are rounded where they lie.
 _SPACING_RTOL = 1e-9
+_SPACING_ULPS = 4.0
 
 # Kernel evaluation proceeds in chunks of this many points, so that its
 # temporaries stay in cache and are reused from the allocator's free lists
@@ -108,7 +112,8 @@ class EvalGrid:
     """Uniform evaluation grid for quadrature over the outcome axis.
 
     ``points`` must be strictly increasing and uniformly spaced (within
-    1e-9 relative tolerance); ``spacing`` is the common step.
+    1e-9 of the spacing plus the rounding of the points themselves, four
+    units in the last place of the largest); ``spacing`` is the common step.
     """
 
     points: np.ndarray
@@ -125,7 +130,10 @@ class EvalGrid:
             raise ValueError("grid points must be strictly increasing")
         if self.spacing <= 0.0:
             raise ValueError("grid spacing must be positive")
-        if np.any(np.abs(steps - self.spacing) > _SPACING_RTOL * self.spacing):
+        tolerance = _SPACING_RTOL * self.spacing + _SPACING_ULPS * float(
+            np.spacing(np.max(np.abs(points)))
+        )
+        if np.any(np.abs(steps - self.spacing) > tolerance):
             raise ValueError("grid points must be uniformly spaced")
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -274,6 +282,29 @@ def _log_kernel_block(x: np.ndarray, params: QrseParams, out: np.ndarray) -> Non
     out -= feedback
 
 
+class _Columns(NamedTuple):
+    """T, S, mu and alpha of a block of rows, each shaped (rows, 1), so that
+    the block functions evaluate row r's parameters on row r of ``out``."""
+
+    T: np.ndarray
+    S: np.ndarray
+    mu: np.ndarray
+    alpha: np.ndarray
+
+
+def _kernel_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Write the log kernel at each row of ``rows`` (T, S, mu, alpha) into the
+    same row of ``out``, in chunks of _BLOCK columns. ``x`` is one 1-d set of
+    points for every row, or one row of points per row."""
+    if len(rows) == 1:
+        # numpy runs scalar operands 5-10% faster than (1, 1) columns.
+        x, out, columns = x.reshape(-1), out[0], _Columns._make(rows[0].tolist())
+    else:
+        columns = _Columns._make(rows.T[:, :, None])
+    for start in range(0, out.shape[-1], _BLOCK):
+        _log_kernel_block(x[..., start:start + _BLOCK], columns, out[..., start:start + _BLOCK])
+
+
 def _blockwise(fill, x, params: QrseParams):
     """Apply ``fill(x_block, params, out_block)`` over x in _BLOCK chunks.
 
@@ -309,22 +340,55 @@ def local_grid_size(T: float, S: float) -> int:
     GridTooLarge
         If the count would exceed MAX_LOCAL_POINTS.
     """
-    half = SATURATION_SCALES * LOCAL_CELLS_PER_SCALE * T / min(T, S)
-    if not half <= (MAX_LOCAL_POINTS - 1) // 2:  # also catches an infinite ratio
+    return 2 * int(_local_halves(np.array([T], dtype=float), np.array([S], dtype=float))[0]) + 1
+
+
+def _local_halves(T: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Half the point count, less one, of each row's local grid, as floats.
+
+    Raises GridTooLarge for the first row whose grid would exceed
+    MAX_LOCAL_POINTS.
+    """
+    half = SATURATION_SCALES * LOCAL_CELLS_PER_SCALE * T / np.minimum(T, S)
+    if not half.max(initial=0.0) <= (MAX_LOCAL_POINTS - 1) // 2:  # also catches NaN and inf
+        row = int(np.argmin(half <= (MAX_LOCAL_POINTS - 1) // 2))
         raise GridTooLarge(
-            f"log Z at T={float(T)!r}, S={float(S)!r} needs a {2 * half + 1:.0f}-point "
-            f"grid (limit {MAX_LOCAL_POINTS}); narrow the range of T and S"
+            f"log Z at T={float(T[row])!r}, S={float(S[row])!r} needs a "
+            f"{2 * half[row] + 1:.0f}-point grid (limit {MAX_LOCAL_POINTS}); "
+            f"narrow the range of T and S"
         )
-    return 2 * math.ceil(half) + 1
+    return np.ceil(half)
+
+
+def _local_spacing(halves: np.ndarray, T: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Spacing of each row's 2 half + 1 point grid over mu +- 19.5 T.
+
+    Raises GridTooLarge for the first row whose spacing divided by S
+    underflows to 0.
+    """
+    spacing = SATURATION_SCALES * T / halves
+    if not (spacing / S).min(initial=math.inf) > 0.0:
+        row = int(np.argmin(spacing / S > 0.0))
+        raise GridTooLarge(
+            f"log Z at T={float(T[row])!r}, S={float(S[row])!r} needs a grid "
+            f"spacing that underflows to 0"
+        )
+    return spacing
+
+
+def _local_points(half: int, spacing: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """One row of 2 half + 1 grid points per (spacing, mu), centred on mu."""
+    points = np.multiply.outer(spacing, np.arange(-half, half + 1))
+    points += mu[:, None]
+    return points
 
 
 def _local_axis(params: QrseParams) -> tuple[np.ndarray, float]:
     """Uniform grid over mu +- 19.5 T. GridTooLarge if too large or too fine."""
-    half = local_grid_size(params.T, params.S) // 2
-    spacing = SATURATION_SCALES * params.T / half
-    if not spacing / params.S > 0.0:
-        raise GridTooLarge(f"log Z at {params} needs a grid spacing that underflows to 0")
-    return np.arange(-half, half + 1) * spacing + params.mu, spacing
+    T, S, mu = (np.array([value], dtype=float) for value in (params.T, params.S, params.mu))
+    halves = _local_halves(T, S)
+    spacing = _local_spacing(halves, T, S)
+    return _local_points(int(halves[0]), spacing, mu)[0], float(spacing[0])
 
 
 def _log_partition(kernel: np.ndarray, spacing: float) -> tuple[float, np.ndarray]:
@@ -363,20 +427,58 @@ def local_log_z(params: QrseParams) -> float:
     is geometric with ratio r = exp(-dx/S): each end weight times dx r /
     (1 - r) = dx / expm1(dx/S), which tends to S, not infinity. Such sums
     converge geometrically in 1/dx (Trefethen & Weideman 2014, SIAM Review
-    56(3)). The kernel runs through ``_blockwise``, so a profile of
-    ``log_kernel`` under ``log_likelihood`` shows the data side alone.
+    56(3)). This is the one-row case of ``_local_log_z_rows``, which does
+    not go through ``log_kernel``, so a profile of ``log_kernel`` under
+    ``log_likelihood`` shows the data side alone.
 
     Raises
     ------
     GridTooLarge
         As ``_local_axis``.
     """
-    points, spacing = _local_axis(params)
-    kernel = _blockwise(_log_kernel_block, points, params)
-    peak = float(np.max(kernel))
-    weights = np.exp(kernel - peak)
-    tails = (weights[0] + weights[-1]) * (spacing / math.expm1(spacing / params.S))
-    return peak + math.log(float(np.sum(weights)) * spacing + tails)
+    return float(_local_log_z_rows(params.as_array()[None, :])[0])
+
+
+def _local_log_z_rows(rows: np.ndarray) -> np.ndarray:
+    """``local_log_z`` at each row (T, S, mu, alpha) of ``rows``.
+
+    Rows are grouped by grid size, and each group is evaluated in blocks of
+    at most _BLOCK points (one row at a time when a grid is larger). Every
+    step is elementwise or a row's own maximum or sum, and the last two, a
+    log and an expm1, are the ``math`` functions, so each value is the same
+    bits as a one-row call.
+
+    Raises
+    ------
+    GridTooLarge
+        As ``_local_axis``, for the first such row.
+    """
+    log_z = np.empty(len(rows))
+    halves = _local_halves(rows[:, 0], rows[:, 1])
+    spacings = _local_spacing(halves, rows[:, 0], rows[:, 1])
+    sizes = sorted(set(halves.tolist()))
+    for half in sizes:
+        members = slice(None) if len(sizes) == 1 else (halves == half).nonzero()[0]
+        group, spacing, half = rows[members], spacings[members], int(half)
+        step = max(1, _BLOCK // (2 * half + 1))
+        peaks, sums, ends = [], [], []
+        for start in range(0, len(group), step):
+            block = slice(start, start + step)
+            points = _local_points(half, spacing[block], group[block, 2])
+            kernel = np.empty_like(points)
+            _kernel_rows(points, group[block], kernel)
+            peak = kernel.max(axis=1)
+            weights = np.exp(np.subtract(kernel, peak[:, None], out=kernel), out=kernel)
+            peaks += peak.tolist()
+            sums += weights.sum(axis=1).tolist()
+            ends += (weights[:, 0] + weights[:, -1]).tolist()
+        log_z[members] = [
+            peak + math.log(total * dx + end * (dx / math.expm1(dx / S)))
+            for peak, total, end, dx, S in zip(
+                peaks, sums, ends, spacing.tolist(), group[:, 1].tolist()
+            )
+        ]
+    return log_z
 
 
 def build_density(params: QrseParams, grid: EvalGrid | None = None) -> DensityTable:
@@ -418,6 +520,34 @@ def log_likelihood(
         raise ValueError("log_likelihood requires finite observations")
     log_z = local_log_z(params) if grid is None else build_density(params, grid).log_z
     return float(np.sum(log_kernel(values, params))) - values.size * log_z
+
+
+def _log_likelihood_rows(
+    values: np.ndarray, rows: np.ndarray, grid: EvalGrid | None = None
+) -> np.ndarray:
+    """``log_likelihood(values, QrseParams.from_array(row), grid)`` at each
+    row of ``rows``, bit for bit, for finite, nonempty ``values``.
+
+    The data kernel runs on (rows, N) blocks of at most _BLOCK elements
+    (one row in _BLOCK chunks when N is larger) and is summed per row; a
+    row sum of a C-contiguous block is the same pairwise sum as a 1-d one.
+    log Z comes from ``_local_log_z_rows``, or with an explicit grid from
+    one ``build_density`` per row.
+    """
+    n = values.size
+    step = max(1, _BLOCK // n)
+    sums = np.empty(len(rows))
+    kernel = np.empty((min(step, len(rows)), n))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        out = kernel[:len(block)]
+        _kernel_rows(values, block, out)
+        sums[start:start + step] = np.sum(out, axis=1)
+    if grid is None:
+        log_z = _local_log_z_rows(rows)
+    else:
+        log_z = np.array([build_density(QrseParams.from_array(row), grid).log_z for row in rows])
+    return sums - n * log_z
 
 
 def bin_probabilities(edges, params: QrseParams, grid: EvalGrid | None = None) -> np.ndarray:

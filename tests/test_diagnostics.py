@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qrse import (
     split_rhat,
     summarize,
 )
+from qrse.diagnostics import _normal_quantile
 from tests.conftest import REF, iid_normal_chains
 
 # Two chains at distinct constants plus vanishing noise: after rank
@@ -86,6 +88,23 @@ class TestSplitRhat:
         if decimals is not None:
             chains = np.round(3.0 * chains, decimals)
         assert split_rhat(chains) == pytest.approx(ndtri_split_rhat(chains), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.linspace(0.075, 0.925, 1001),            # |p - 1/2| <= 0.425
+            np.geomspace(1e-10, 0.075, 1001),           # lower tail, r <= 5
+            1.0 - np.geomspace(1e-10, 0.0749, 1001),    # upper tail, r <= 5
+            np.geomspace(5e-324, 1e-11, 1001),          # lower tail, r > 5
+            np.array([1.0 - 2.0**-53, 1.0 - 1e-15]),    # upper tail, r > 5
+        ],
+        ids=["central", "lower", "upper", "far-lower", "far-upper"],
+    )
+    def test_quantile_matches_the_standard_library(self, p):
+        inv_cdf = NormalDist().inv_cdf
+        expected = np.array([inv_cdf(value) for value in p.tolist()])
+        got = _normal_quantile(p)
+        assert np.all(np.abs(got - expected) <= 4.0 * np.spacing(np.abs(expected)))
 
     def test_nan_draw_gives_nan(self):
         chains = iid_normal_chains(2, 100)

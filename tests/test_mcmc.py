@@ -233,6 +233,14 @@ class TestLocalGridCheck:
         assert [p for p, _ in checked] == [QrseParams(T=8.0, S=0.1, mu=8.66, alpha=17.8)]
         assert checked[0][1].points.size == 12481
 
+    def test_locations_far_from_zero(self):
+        # The grid at (T, S) = (1, 1e-3) around mu = 1e4 rounds at ulp(1e4),
+        # which once failed the uniform-spacing check with a ValueError.
+        mcmc._check_local_grids(PriorSpec(
+            t_center=0.5, s_center=0.5, mu_center=1e4, alpha_center=1e4,
+            bound_low=1e-3, bound_high=1.0,
+        ))
+
     def test_oversized_grid_fails_before_any_chain(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a chain ran")
@@ -526,10 +534,12 @@ class TestIndependenceKernel:
                       proposals=(np.ones((11, 4)), weights))
 
     def test_gaussian_posterior_moments(self, small_data, monkeypatch):
-        # With log_posterior replaced by a correlated Gaussian, run_chains
-        # (mode, Laplace fit, t proposals, weights, sweep) must recover its
-        # mean and covariance. Weighting by the target alone, without the
-        # proposal density, shrinks every variance to about 0.44 of truth.
+        # With the log posterior replaced by a correlated Gaussian, both in
+        # log_posterior (mode search, Laplace fit) and in _log_targets (the
+        # proposals' rows), run_chains (mode, Laplace fit, t proposals,
+        # weights, sweep) must recover its mean and covariance. Weighting by
+        # the target alone, without the proposal density, shrinks every
+        # variance to about 0.44 of truth.
         center = REF.as_array()
         covariance = 0.01 * self.FACTOR @ self.FACTOR.T
         precision = np.linalg.inv(covariance)
@@ -538,7 +548,15 @@ class TestIndependenceKernel:
             shift = params.as_array() - center
             return -0.5 * float(shift @ precision @ shift)
 
+        def log_targets(points, *args):
+            # As the real one: -inf outside the support.
+            shift = points - center
+            scales = points[:, :2]
+            inside = np.all((PRIORS.bound_low <= scales) & (scales <= PRIORS.bound_high), axis=1)
+            return np.where(inside, -0.5 * np.sum((shift @ precision) * shift, axis=1), -math.inf)
+
         monkeypatch.setattr(mcmc, "log_posterior", log_posterior)
+        monkeypatch.setattr(mcmc, "_log_targets", log_targets)
         config = ChainConfig(chains=4, draws=10_000, tune=500, seed=5)
         posterior = run_chains(small_data, PRIORS, config)
         assert posterior.kernel == "independence-t5"
@@ -656,23 +674,23 @@ class TestLanes:
         )
 
     def test_independence_sweeps_run_here(self, small_data, lanes, monkeypatch):
-        # Lane 0 evaluates its slice through log_posterior, and every chain's
+        # Lane 0 evaluates its slice through _log_targets, and every chain's
         # sweep is one run_chain call in this process, so both can be traced.
         parent = os.getpid()
         seen = {"sweeps": 0, "targets": 0}
-        real_chain, real_target = mcmc.run_chain, mcmc.log_posterior
+        real_chain, real_targets = mcmc.run_chain, mcmc._log_targets
 
         def run_chain(*args, **kwargs):
             assert os.getpid() == parent and "proposals" in kwargs
             seen["sweeps"] += 1
             return real_chain(*args, **kwargs)
 
-        def log_posterior(*args, **kwargs):
-            seen["targets"] += os.getpid() == parent
-            return real_target(*args, **kwargs)
+        def log_targets(points, *args):
+            seen["targets"] += len(points) if os.getpid() == parent else 0
+            return real_targets(points, *args)
 
         monkeypatch.setattr(mcmc, "run_chain", run_chain)
-        monkeypatch.setattr(mcmc, "log_posterior", log_posterior)
+        monkeypatch.setattr(mcmc, "_log_targets", log_targets)
         config = ChainConfig(chains=3, draws=100, tune=50)
         lanes(1)
         run_chains(small_data, PRIORS, config)
@@ -681,8 +699,7 @@ class TestLanes:
         seen.update(sweeps=0, targets=0)
         run_chains(small_data, PRIORS, config)
         assert serial["sweeps"] == seen["sweeps"] == 3
-        # Lane 1 took the last 227 of the 453 evaluations (fewer reach
-        # log_posterior: points outside the support are rejected before it).
+        # Lane 1 took the last 227 of the 453 evaluations.
         assert serial["targets"] - 227 <= seen["targets"] < serial["targets"]
 
     def test_random_walk_outputs_do_not_depend_on_lanes(self, small_data, lanes, fork_starts):
@@ -738,14 +755,14 @@ class TestLanes:
         # Each chain has 1 + 50 + 100 target evaluations: 453 in all, 226
         # in lane 0 and 227 in lane 1.
         parent = os.getpid()
-        real = mcmc.log_posterior
+        real = mcmc._log_targets
 
-        def log_posterior(*args, **kwargs):
+        def log_targets(*args):
             if os.getpid() != parent:
                 os._exit(1)
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(mcmc, "log_posterior", log_posterior)
+        monkeypatch.setattr(mcmc, "_log_targets", log_targets)
         lanes(2)
         with deadline(60), pytest.raises(QrseError) as caught:
             run_chains(small_data, PRIORS, ChainConfig(chains=3, draws=100, tune=50))
@@ -758,16 +775,21 @@ class TestLanes:
     @pytest.mark.parametrize("config", [LANE_CONFIG, ChainConfig(chains=3, draws=100, tune=50)],
                              ids=["random-walk", "independence"])
     def test_error_in_other_lane_is_raised(self, small_data, lanes, monkeypatch, config):
-        # Lane 1 holds chains 1 and 2, or the last 227 target evaluations.
+        # Lane 1 holds chains 1 and 2, whose random walks call
+        # log_posterior, or the last 227 target evaluations, one
+        # _log_targets call.
         parent = os.getpid()
-        real = mcmc.log_posterior
 
-        def log_posterior(*args, **kwargs):
-            if os.getpid() != parent:
-                raise ValueError("bad point in lane 1")
-            return real(*args, **kwargs)
+        def in_lane_1(real):
+            def fail(*args, **kwargs):
+                if os.getpid() != parent:
+                    raise ValueError("bad point in lane 1")
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(mcmc, "log_posterior", log_posterior)
+            return fail
+
+        monkeypatch.setattr(mcmc, "log_posterior", in_lane_1(mcmc.log_posterior))
+        monkeypatch.setattr(mcmc, "_log_targets", in_lane_1(mcmc._log_targets))
         lanes(2)
         with deadline(60), pytest.raises(ValueError) as caught:
             run_chains(small_data, PRIORS, config)
@@ -785,14 +807,14 @@ class TestLanes:
         all_starts = tuple(
             QrseParams(T=2.01 + 0.1 * i, S=4.9, mu=8.66, alpha=17.8) for i in range(3)
         )
-        real = mcmc.log_posterior
-        starts = [all_starts[i] for i in failing]
+        real = mcmc._log_targets
+        starts = np.array([all_starts[i].as_array() for i in failing])
 
-        def log_posterior(params, *args, **kwargs):
-            bonus = 1e6 if params in starts else 0.0
-            return real(params, *args, **kwargs) + bonus
+        def log_targets(points, *args):
+            bonus = 1e6 * np.any(np.all(points[:, None] == starts, axis=2), axis=1)
+            return real(points, *args) + bonus
 
-        monkeypatch.setattr(mcmc, "log_posterior", log_posterior)
+        monkeypatch.setattr(mcmc, "_log_targets", log_targets)
         lanes(lane_count)
         config = ChainConfig(chains=3, draws=50, tune=0, seed=0, initial=all_starts)
         with deadline(60), pytest.raises(StuckChain) as caught:
@@ -987,6 +1009,68 @@ class TestLocationBox:
             run_chains(data, priors, config)
         except StuckChain:
             pass  # nearly every proposal is rejected; exit 4, not an input error
+
+
+# T <= S (157-point grids) and T > S with larger grids of several sizes,
+# one of them wider than the kernel's block, interleaved; then rows outside
+# the support and outside the location box.
+WIDE_PRIORS = dataclasses.replace(PRIORS, bound_low=0.05)
+TARGET_ROWS = np.array([
+    [2.1, 4.9, 8.66, 17.8],
+    [8.0, 0.05, 9.0, 17.0],   # 24,961-point grid
+    [3.0, 1.0, 7.0, 18.5],
+    [1.9, 5.2, 8.2, 17.1],
+    [8.0, 0.1, 10.0, 15.0],   # 12,481 points
+    [3.0, 1.0, 9.5, 16.0],
+    [0.5, 0.3, 8.0, 18.0],
+    [2.2, 4.7, 9.1, 18.3],
+    [0.04, 4.9, 8.66, 17.8],  # T below the support
+    [2.1, 8.5, 8.66, 17.8],   # S above it
+    [2.1, 4.9, 60.0, 17.8],   # mu outside the location box
+    [2.1, 4.9, 8.66, -30.0],  # alpha outside it
+])
+
+
+class TestLogTargets:
+    """The row evaluator gives the serial target's bits."""
+
+    @staticmethod
+    def assert_same_bits(data, priors, grid=None, rows=TARGET_ROWS):
+        target = mcmc._make_target(data, priors, grid)
+        expected = np.array([target(row) for row in rows])
+        got = mcmc._log_targets(rows, data, priors, grid)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    # 400 points put 40 rows in a block; 20,000 exceed one block, so each
+    # row is evaluated alone in chunks.
+    @pytest.mark.parametrize("n", [400, 20_000])
+    def test_matches_serial_target(self, n):
+        data = sample(REF, SampleConfig(n=n, seed=3))
+        self.assert_same_bits(data, WIDE_PRIORS)
+        self.assert_same_bits(data, WIDE_PRIORS, rows=np.tile(TARGET_ROWS[[0, 2, 3]], (50, 1)))
+
+    def test_matches_serial_target_on_an_explicit_grid(self, small_data):
+        rows = TARGET_ROWS[[0, 2, 3, 5, 6, 8, 10]]
+        self.assert_same_bits(small_data, PRIORS, build_sampling_grid(small_data, PRIORS), rows)
+
+    def test_prior_only_and_nothing_inside(self, small_data):
+        self.assert_same_bits(np.array([]), WIDE_PRIORS)
+        outside = TARGET_ROWS[8:]
+        self.assert_same_bits(small_data, WIDE_PRIORS, rows=outside)
+        assert np.all(mcmc._log_targets(outside, small_data, WIDE_PRIORS, None) == -math.inf)
+        assert mcmc._log_targets(np.empty((0, 4)), small_data, PRIORS, None).shape == (0,)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="lanes are forked processes",
+    )
+    def test_deal_calls_once_per_lane_on_contiguous_slices(self, lanes):
+        lanes(3)
+        assert mcmc._deal(lambda jobs: [tuple(jobs)], range(7), "jobs") == [
+            [(0, 1)], [(2, 3)], [(4, 5, 6)]
+        ]
+        assert multiprocessing.active_children() == []
 
 
 NELDER_MEAD_OPTIONS = {"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000}

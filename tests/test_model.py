@@ -24,7 +24,7 @@ from qrse import (
     log_likelihood,
     payoff_difference,
 )
-from qrse.model import local_grid_size, local_log_z
+from qrse.model import _log_likelihood_rows, _local_log_z_rows, local_grid_size, local_log_z
 from tests.conftest import REF
 
 # Binary entropy at p = 3/4, from -(p ln p + (1-p) ln(1-p)):
@@ -80,6 +80,21 @@ class TestEvalGrid:
     def test_rejects_nonuniform(self):
         with pytest.raises(ValueError):
             EvalGrid(points=np.array([0.0, 1.0, 3.0]), spacing=1.0)
+
+    def test_far_from_zero_allows_for_rounding(self):
+        # mu + k * dx rounds at ulp(1e4) ~ 1.8e-12, far above 1e-9 of a
+        # 2.5e-4 spacing; the grid is still uniform to working precision.
+        params = QrseParams(T=1.0, S=1e-3, mu=1e4, alpha=1e4)
+        grid = EvalGrid.local(params)
+        assert grid.points.size == local_grid_size(1.0, 1e-3)
+        EvalGrid(points=np.linspace(1e4, 1e4 + 1.0, 4001), spacing=2.5e-4)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_rejects_small_departures_far_from_zero(self, offset):
+        points = offset + np.arange(100) * 2.5e-4
+        points[50] += 1e-9
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            EvalGrid(points=points, spacing=2.5e-4)
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
@@ -315,6 +330,31 @@ class TestLocalLogZ:
         assert isinstance(caught.value, QrseError)
         with pytest.raises(GridTooLarge):
             log_likelihood(np.array([0.5]), params)
+
+    def test_rows_match_one_row_calls(self):
+        # Rows of three grid sizes, one wider than the kernel's block (T=8,
+        # S=0.05: 24,961 points), interleaved, give each row's own bits.
+        points = LOCAL_POINTS + (QrseParams(T=8.0, S=0.05, mu=1.0, alpha=2.0),)
+        rows = np.array([points[i].as_array() for i in (0, 3, 1, 2, 0, 2, 3, 1)])
+        expected = np.array([local_log_z(QrseParams.from_array(row)) for row in rows])
+        assert _local_log_z_rows(rows).tobytes() == expected.tobytes()
+
+    def test_one_row_case(self):
+        for params in LOCAL_POINTS:
+            assert local_log_z(params) == _local_log_z_rows(params.as_array()[None, :])[0]
+
+    def test_rows_raise_for_the_first_oversized_grid(self):
+        rows = np.array([REF.as_array(), [8.0, 1e-6, 0.0, 1.0], [8.0, 1e-7, 0.0, 1.0]])
+        with pytest.raises(GridTooLarge, match="S=1e-06"):
+            _local_log_z_rows(rows)
+
+    # 500 points fill 32 rows per block; 20,000 more than one block.
+    @pytest.mark.parametrize("n", [500, 20_000])
+    def test_likelihood_rows_match_one_row_calls(self, n):
+        data = np.random.default_rng(4).normal(12.0, 6.0, n)
+        rows = np.array([p.as_array() for p in LOCAL_POINTS * 13])
+        expected = np.array([log_likelihood(data, QrseParams.from_array(row)) for row in rows])
+        assert _log_likelihood_rows(data, rows).tobytes() == expected.tobytes()
 
     def test_likelihood_default_uses_local_grid(self):
         data = np.array([-4.0, 3.5, 12.0, 30.0])
