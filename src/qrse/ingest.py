@@ -57,9 +57,10 @@ class DistrictRecord:
 class CleanedSample:
     """Retained returns values plus exclusion counts and summary statistics.
 
-    ``fiscal`` holds the ``fiscal_summary`` table when ``clean`` built the
-    sample. It is not part of the JSON form, so a sample read back from a
-    file has ``fiscal=None``.
+    ``values`` must be a nonempty 1-d array of finite numbers; ``clean``
+    raises AllExcluded rather than build an empty one. ``fiscal`` holds the
+    ``fiscal_summary`` table when ``clean`` built the sample. It is not part
+    of the JSON form, so a sample read back from a file has ``fiscal=None``.
     """
 
     values: np.ndarray
@@ -77,6 +78,8 @@ class CleanedSample:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("cleaned values must be a nonempty 1-d list")
         if not np.all(np.isfinite(values)):
             raise ValueError("cleaned values must all be finite")
         values.setflags(write=False)

@@ -20,10 +20,11 @@ the Laplace approximation there, then runs one of two kernels:
 
 Everything is deterministic given (data, priors, config): chains use a
 counter-based generator keyed by seed + chain_index, and initial points are
-jittered around the posterior mode. Each target evaluation takes log Z from
-``local_log_z``, on a grid built around that proposal's mu, unless the
+jittered around the posterior mode. The sampler has one target,
+``_log_targets``, which evaluates the log posterior at a block of rows; each
+row takes log Z from ``local_log_z``'s grid around its own mu, unless the
 caller passes one fixed grid. The data is checked for NaN and infinity once,
-when the target is built, not on every step.
+when the target is built, not on every evaluation.
 
 ``run_chains`` spreads its work over parallel lanes, one per CPU the
 process may use (``os.sched_getaffinity``): lane 0 is the calling process
@@ -32,15 +33,14 @@ splits a list of jobs into equal contiguous slices, one per lane, and
 makes one call per lane on its slice. An independence chain's proposals do
 not depend on its state, so every chain draws its proposals first; the
 jobs are then the target evaluations of all chains, and each lane's call
-is ``_log_targets``, which evaluates its rows in blocks with the same bits
-as the one-point target. Each chain's accept/reject sweep runs afterwards
-in the calling process. For the random walk the jobs are whole chains, so
-with 3 chains on 2 lanes lane 0 runs chain 0 and lane 1 chains 1 and 2.
-The mode search, the Laplace fit and the random walk evaluate one point
-at a time, through ``log_posterior``. Either way every start, proposal and
-Generator is made in the calling process before any lane runs, and each
-target value is a pure function of its point, so the output is
-bit-identical at any lane count, including one.
+is ``_log_targets`` on its slice. Each chain's accept/reject sweep runs
+afterwards in the calling process. For the random walk the jobs are whole
+chains, so with 3 chains on 2 lanes lane 0 runs chain 0 and lane 1 chains 1
+and 2. The mode search and the random walk evaluate one row at a time, and
+the Laplace fit its whole 33-point stencil in one call. Either way every
+start, proposal and Generator is made in the calling process before any
+lane runs, and each target value is a pure function of its row, so the
+output is bit-identical at any lane count, including one.
 
 The sampled posterior is truncated to mu and alpha within CORNER_SDS prior
 sds of their centers, and the sampler rejects proposals outside that box.
@@ -320,11 +320,15 @@ def build_sampling_grid(
     return grid
 
 
-def _check_local_grids(priors: PriorSpec) -> None:
-    """Build the largest local log Z grid the support allows.
+def _check_local_grids(values: np.ndarray, priors: PriorSpec) -> None:
+    """Build the largest local log Z grid the support allows and evaluate
+    the public ``log_posterior`` of ``values`` on it.
 
-    Its size grows with T / min(T, S), so it peaks at (T, S) = (bound_high,
-    bound_low); mu and alpha cannot change it and sit at the prior centres.
+    The grid's size grows with T / min(T, S), so it peaks at (T, S) =
+    (bound_high, bound_low); mu and alpha cannot change it and sit at the
+    prior centres. ``EvalGrid.local`` raises before anything is evaluated.
+    This call is the perfbench caller: the run's one pass through the spans
+    ``perfbench/run.py`` reads, until ROADMAP direction 4 lands.
 
     Raises
     ------
@@ -333,7 +337,7 @@ def _check_local_grids(priors: PriorSpec) -> None:
     """
     corner = QrseParams(T=priors.bound_high, S=priors.bound_low,
                         mu=priors.mu_center, alpha=priors.alpha_center)
-    build_density(corner, EvalGrid.local(corner))
+    log_posterior(corner, values, priors, EvalGrid.local(corner))
 
 
 def log_posterior(
@@ -341,14 +345,14 @@ def log_posterior(
     data,
     priors: PriorSpec,
     grid: EvalGrid | None = None,
-    *,
-    _finite: bool = False,
 ) -> float:
     """Log prior plus log-likelihood; prior only when data is empty.
 
-    With ``grid=None`` (what the sampler uses), log Z comes from
-    ``local_log_z`` at ``params``; an explicit grid is used as given.
-    ``_finite`` is passed on to ``log_likelihood``.
+    With ``grid=None``, log Z comes from ``local_log_z`` at ``params``; an
+    explicit grid is used as given. The sampler's target is
+    ``_log_targets``, which gives these bits at every point of the support
+    and the location box; the sampler calls this once, in its start-up
+    check (``_check_local_grids``).
 
     Raises
     ------
@@ -362,11 +366,13 @@ def log_posterior(
     values = np.asarray(data, dtype=float)
     if values.size == 0:
         return prior
-    return prior + log_likelihood(values, params, grid, _finite=_finite)
+    return prior + log_likelihood(values, params, grid)
 
 
 def _make_target(data, priors: PriorSpec, grid: EvalGrid | None):
-    """The sampler's log target, on data checked here once, not per step.
+    """The sampler's log target: ``_log_targets`` on ``data``, which is
+    checked here once, not on every evaluation. It maps an (m, 4) array of
+    rows (T, S, mu, alpha) to their m log posteriors.
 
     Raises
     ------
@@ -376,36 +382,25 @@ def _make_target(data, priors: PriorSpec, grid: EvalGrid | None):
     values = np.asarray(data, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("the sampler requires finite observations")
-    (mu_low, mu_high), (alpha_low, alpha_high) = _location_box(priors)
-
-    def target(theta: np.ndarray) -> float:
-        if not priors.in_support(theta[0], theta[1]):
-            return -math.inf
-        if not (mu_low <= theta[2] <= mu_high and alpha_low <= theta[3] <= alpha_high):
-            return -math.inf
-        params = QrseParams(T=theta[0], S=theta[1], mu=theta[2], alpha=theta[3])
-        return log_posterior(params, values, priors, grid, _finite=True)
-
-    return target
+    return lambda points: _log_targets(points, values, priors, grid)
 
 
 def _log_targets(points: np.ndarray, values: np.ndarray, priors: PriorSpec,
                  grid: EvalGrid | None) -> np.ndarray:
-    """``[target(p) for p in points]`` for ``_make_target``'s target, bit for
-    bit, in a few calls over blocks of rows: -inf outside the support and
-    the location box, log prior plus ``_log_likelihood_rows`` inside.
-    ``values`` must be finite.
+    """The log posterior at each row (T, S, mu, alpha) of ``points``, in a few
+    calls over blocks of rows: -inf outside the support and the location
+    box, and inside them log prior plus ``_log_likelihood_rows``, the bits
+    of ``log_posterior`` at that point. A row's value does not depend on
+    the rows around it. ``values`` must be finite.
     """
-    T, S, mu, alpha = points.T
     (mu_low, mu_high), (alpha_low, alpha_high) = _location_box(priors)
-    inside = (
-        (priors.bound_low <= T) & (T <= priors.bound_high)
-        & (priors.bound_low <= S) & (S <= priors.bound_high)
-        & (mu_low <= mu) & (mu <= mu_high)
-        & (alpha_low <= alpha) & (alpha <= alpha_high)
-    )
+    low = (priors.bound_low, priors.bound_low, mu_low, alpha_low)
+    high = (priors.bound_high, priors.bound_high, mu_high, alpha_high)
+    inside = ((low <= points) & (points <= high)).all(axis=1)
     rows = points[inside]
-    log_p = priors._log_density(*rows.T)
+    # One row (the mode search, the random walk) takes the prior in Python
+    # floats: the same bits, several times faster than on 1-element arrays.
+    log_p = priors._log_density(*(rows[0].tolist() if len(rows) == 1 else rows.T))
     if values.size:
         log_p = log_p + _log_likelihood_rows(values, rows, grid)
     out = np.full(len(points), -math.inf)
@@ -425,7 +420,7 @@ def _posterior_mode(target, priors: PriorSpec) -> np.ndarray:
     start = priors.centers()
     start[:2] = np.clip(start[:2], priors.bound_low + inset, priors.bound_high - inset)
     x, _ = _nelder_mead(
-        lambda theta: -target(theta), start, xatol=1e-6, fatol=1e-8, maxiter=2000
+        lambda theta: -target(theta[None])[0], start, xatol=1e-6, fatol=1e-8, maxiter=2000
     )
     return x
 
@@ -529,35 +524,30 @@ def _laplace_proposal(
     Falls back to per-coordinate curvature with no correlation when the
     Hessian is unusable (boundary mode, saddle), and to a tenth of the
     prior sd per dimension where even that fails.
+
+    ``target`` maps rows to log targets, and the central-difference stencil
+    (the mode, mode +- step j, and mode +- step j +- step k for j < k: 33
+    points in 4 dimensions) is one call.
     """
     d = mode.size
     factor = 2.4 / math.sqrt(d)
     steps = np.maximum(1e-4 * np.abs(mode), 1e-5)
-    center_value = target(mode)
+    shifts = np.diag(steps)
+    plus, minus = mode + shifts, mode - shifts
+    j, k = np.triu_indices(d, 1)
+    stencil = np.concatenate([
+        mode[None], plus, minus,
+        plus[j] + shifts[k], plus[j] - shifts[k], minus[j] + shifts[k], minus[j] - shifts[k],
+    ])
+    # Python floats: at a boundary mode some points lie outside the support,
+    # and -inf - -inf gives, without a warning, the NaN the fallback looks for.
+    value = target(stencil).tolist()
     hessian = np.empty((d, d))
-    for j in range(d):
-        unit = np.zeros(d)
-        unit[j] = steps[j]
-        plus = target(mode + unit)
-        minus = target(mode - unit)
-        hessian[j, j] = (plus - 2.0 * center_value + minus) / steps[j] ** 2
-    for j in range(d):
-        for k in range(j + 1, d):
-            shift_j = np.zeros(d)
-            shift_j[j] = steps[j]
-            shift_k = np.zeros(d)
-            shift_k[k] = steps[k]
-            # At a boundary mode some points lie outside the support, and
-            # -inf - -inf gives the NaN that the fallback below looks for.
-            with np.errstate(invalid="ignore"):
-                mixed = (
-                    target(mode + shift_j + shift_k)
-                    - target(mode + shift_j - shift_k)
-                    - target(mode - shift_j + shift_k)
-                    + target(mode - shift_j - shift_k)
-                ) / (4.0 * steps[j] * steps[k])
-            hessian[j, k] = mixed
-            hessian[k, j] = mixed
+    for i in range(d):
+        hessian[i, i] = (value[1 + i] - 2.0 * value[0] + value[1 + d + i]) / steps[i] ** 2
+    for pair, (a, b) in enumerate(zip(j.tolist(), k.tolist())):
+        pp, pm, mp, mm = value[1 + 2 * d + pair::len(j)]
+        hessian[a, b] = hessian[b, a] = (pp - pm - mp + mm) / (4.0 * steps[a] * steps[b])
     if np.all(np.isfinite(hessian)):
         try:
             # Cholesky doubles as the negative-definiteness check
@@ -655,7 +645,7 @@ def run_chain(
 def _random_walk(target, initial, step_scales, draws, tune, rng, proposal_cholesky):
     """The random-walk chain: (recorded states, post-tune accepts, final scales)."""
     state = initial.as_array()
-    log_p = target(state)
+    log_p = target(state[None])[0]
     if not math.isfinite(log_p):
         raise ValueError("initial point has non-finite log posterior")
     scales = np.asarray(step_scales, dtype=float).copy()
@@ -668,7 +658,7 @@ def _random_walk(target, initial, step_scales, draws, tune, rng, proposal_choles
         if proposal_cholesky is not None:
             jump = proposal_cholesky @ jump
         proposal = state + jump * scales
-        log_p_proposal = target(proposal)
+        log_p_proposal = target(proposal[None])[0]
         if math.log(rng.random()) < log_p_proposal - log_p:
             state = proposal
             log_p = log_p_proposal
@@ -855,7 +845,7 @@ def run_chains(
     values = np.asarray(data, dtype=float)
     target = _make_target(values, priors, grid)
     if grid is None and values.size:
-        _check_local_grids(priors)
+        _check_local_grids(values, priors)
 
     mode = None
     if config.initial is None or config.step_scales is None:
@@ -901,9 +891,7 @@ def run_chains(
 
     if independent:
         flat = points.reshape(-1, 4)
-        targets = np.concatenate(_deal(
-            lambda rows: _log_targets(rows, values, priors, grid), flat, "target evaluations"
-        ))
+        targets = np.concatenate(_deal(target, flat, "target evaluations"))
         log_weights = (targets - _t_log_density(flat, mode, factor)).reshape(config.chains, -1)
         results = [chain(i, proposals=(points[i], log_weights[i])) for i in range(config.chains)]
     else:

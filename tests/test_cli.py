@@ -316,6 +316,23 @@ class TestSampleAndReport:
         assert run("sample", "--outdir", str(tmp_path)) == 2
         assert capsys.readouterr().err == f"error: {tmp_path / 'map.json'}: {message}\n"
 
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2-d"])
+    def test_cleaned_values_must_be_a_nonempty_list(
+        self, pipeline_dir, tmp_path, monkeypatch, capsys, values
+    ):
+        # An empty list once sampled the prior alone and exited 0.
+        calls = []
+        monkeypatch.setattr(cli.mcmc, "run_chains", lambda *a, **k: calls.append(a))
+        shutil.copy(pipeline_dir / "map.json", tmp_path)
+        cleaned = json.loads((pipeline_dir / "cleaned.json").read_text())
+        cleaned["values"] = values
+        (tmp_path / "cleaned.json").write_text(json.dumps(cleaned))
+        assert run("sample", "--outdir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'cleaned.json'}: cleaned values must be a nonempty 1-d list\n"
+        )
+        assert calls == []
+
     def test_stuck_chain_exit_code(self, pipeline_dir, monkeypatch):
         def explode(*args, **kwargs):
             raise StuckChain("engineered")

@@ -233,6 +233,15 @@ class TestClean:
         assert restored.x_sd == cleaned.x_sd
         assert restored.fiscal is None  # the summary table is not serialized
 
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0], [3.0, 4.0]], 5.0],
+                             ids=["empty", "2-d", "scalar"])
+    def test_from_json_requires_a_nonempty_list(self, district_csv, values):
+        records, _ = read_records(district_csv, (2000, 2016))
+        payload = clean(records).to_json()
+        payload["values"] = values
+        with pytest.raises(ValueError, match="nonempty 1-d list"):
+            CleanedSample.from_json(payload)
+
 
 class TestFiscalSummary:
     def test_keys_and_consistency(self, district_csv):

@@ -160,7 +160,7 @@ class TestLogPosterior:
             params = QrseParams.from_array(theta)
             expected = scipy_prior_logpdf(params, PRIORS) + log_likelihood(data, params)
             value = log_posterior(params, data, PRIORS)
-            assert value == target(np.array(theta))
+            assert value == target(np.array([theta]))[0]
             assert value == pytest.approx(expected, abs=1e-10)
 
 
@@ -225,27 +225,56 @@ class TestLocalLogZAccuracy:
 
 
 class TestLocalGridCheck:
-    def test_startup_check_at_extreme_scale_ratios(self, monkeypatch):
+    def test_startup_check_at_extreme_scale_ratios(self, small_data, monkeypatch):
         # T high and S low give the most points; location cannot change it.
         checked = []
-        monkeypatch.setattr(mcmc, "build_density", lambda p, grid: checked.append((p, grid)))
-        mcmc._check_local_grids(PRIORS)
-        assert [p for p, _ in checked] == [QrseParams(T=8.0, S=0.1, mu=8.66, alpha=17.8)]
-        assert checked[0][1].points.size == 12481
+        monkeypatch.setattr(mcmc, "log_posterior", lambda *args: checked.append(args))
+        mcmc._check_local_grids(small_data, PRIORS)
+        assert len(checked) == 1
+        corner, data, priors, grid = checked[0]
+        assert corner == QrseParams(T=8.0, S=0.1, mu=8.66, alpha=17.8)
+        assert data is small_data and priors is PRIORS
+        assert grid.points.size == 12481
 
     def test_locations_far_from_zero(self):
         # The grid at (T, S) = (1, 1e-3) around mu = 1e4 rounds at ulp(1e4),
         # which once failed the uniform-spacing check with a ValueError.
-        mcmc._check_local_grids(PriorSpec(
+        mcmc._check_local_grids(np.array([1e4 - 0.5, 1e4, 1e4 + 0.5]), PriorSpec(
             t_center=0.5, s_center=0.5, mu_center=1e4, alpha_center=1e4,
             bound_low=1e-3, bound_high=1.0,
         ))
 
+    @pytest.mark.parametrize("step_scales", [None, (0.1, 0.1, 0.3, 0.5)],
+                             ids=["independence", "random-walk"])
+    def test_only_public_evaluation_is_the_startup_check(
+        self, small_data, lanes, monkeypatch, step_scales
+    ):
+        # The mode search, the Laplace fit and both kernels evaluate
+        # through _log_targets; the start-up check is the one caller of the
+        # public log_posterior, and it checks the data itself.
+        calls = []
+        real = mcmc.log_posterior
+
+        def log_posterior(params, data, priors, grid):
+            calls.append((params, grid.points.size))
+            return real(params, data, priors, grid)
+
+        monkeypatch.setattr(mcmc, "log_posterior", log_posterior)
+        lanes(1)
+        config = ChainConfig(chains=2, draws=50, tune=10, step_scales=step_scales)
+        run_chains(small_data, PRIORS, config)
+        assert calls == [(QrseParams(T=8.0, S=0.1, mu=8.66, alpha=17.8), 12481)]
+        calls.clear()
+        run_chains(np.array([]), PRIORS, config)
+        assert calls == []
+
     def test_oversized_grid_fails_before_any_chain(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a chain ran")
+            raise AssertionError("a chain ran or the target was evaluated")
 
         monkeypatch.setattr(mcmc, "run_chain", forbidden)
+        monkeypatch.setattr(mcmc, "log_posterior", forbidden)
+        monkeypatch.setattr(mcmc, "_log_targets", forbidden)
         priors = PriorSpec(t_center=2.1, s_center=4.9, mu_center=8.66, alpha_center=17.8,
                            bound_low=1e-6)
         data = sample(REF, SampleConfig(n=50, seed=1))
@@ -534,19 +563,15 @@ class TestIndependenceKernel:
                       proposals=(np.ones((11, 4)), weights))
 
     def test_gaussian_posterior_moments(self, small_data, monkeypatch):
-        # With the log posterior replaced by a correlated Gaussian, both in
-        # log_posterior (mode search, Laplace fit) and in _log_targets (the
-        # proposals' rows), run_chains (mode, Laplace fit, t proposals,
-        # weights, sweep) must recover its mean and covariance. Weighting by
-        # the target alone, without the proposal density, shrinks every
-        # variance to about 0.44 of truth.
+        # With the log posterior replaced by a correlated Gaussian in
+        # _log_targets, the one target of the mode search, the Laplace fit
+        # and the proposals' rows, run_chains (mode, Laplace fit, t
+        # proposals, weights, sweep) must recover its mean and covariance.
+        # Weighting by the target alone, without the proposal density,
+        # shrinks every variance to about 0.44 of truth.
         center = REF.as_array()
         covariance = 0.01 * self.FACTOR @ self.FACTOR.T
         precision = np.linalg.inv(covariance)
-
-        def log_posterior(params, *args, **kwargs):
-            shift = params.as_array() - center
-            return -0.5 * float(shift @ precision @ shift)
 
         def log_targets(points, *args):
             # As the real one: -inf outside the support.
@@ -555,7 +580,6 @@ class TestIndependenceKernel:
             inside = np.all((PRIORS.bound_low <= scales) & (scales <= PRIORS.bound_high), axis=1)
             return np.where(inside, -0.5 * np.sum((shift @ precision) * shift, axis=1), -math.inf)
 
-        monkeypatch.setattr(mcmc, "log_posterior", log_posterior)
         monkeypatch.setattr(mcmc, "_log_targets", log_targets)
         config = ChainConfig(chains=4, draws=10_000, tune=500, seed=5)
         posterior = run_chains(small_data, PRIORS, config)
@@ -775,8 +799,8 @@ class TestLanes:
     @pytest.mark.parametrize("config", [LANE_CONFIG, ChainConfig(chains=3, draws=100, tune=50)],
                              ids=["random-walk", "independence"])
     def test_error_in_other_lane_is_raised(self, small_data, lanes, monkeypatch, config):
-        # Lane 1 holds chains 1 and 2, whose random walks call
-        # log_posterior, or the last 227 target evaluations, one
+        # Lane 1 holds chains 1 and 2, whose random walks call _log_targets
+        # once per step, or the last 227 target evaluations, one
         # _log_targets call.
         parent = os.getpid()
 
@@ -788,7 +812,6 @@ class TestLanes:
 
             return fail
 
-        monkeypatch.setattr(mcmc, "log_posterior", in_lane_1(mcmc.log_posterior))
         monkeypatch.setattr(mcmc, "_log_targets", in_lane_1(mcmc._log_targets))
         lanes(2)
         with deadline(60), pytest.raises(ValueError) as caught:
@@ -830,6 +853,7 @@ class TestDataChecks:
             raise AssertionError("target evaluated")
 
         monkeypatch.setattr(mcmc, "log_posterior", forbidden)
+        monkeypatch.setattr(mcmc, "_log_targets", forbidden)
         data = small_data.copy()
         data[7] = bad
         with pytest.raises(ValueError, match="sampler requires finite observations"):
@@ -993,9 +1017,9 @@ class TestLocationBox:
             for sign in (-1.0, 1.0):
                 theta = PRIORS.centers()
                 theta[index] += sign * 0.99 * reach[index]
-                assert math.isfinite(target(theta))
+                assert math.isfinite(target(theta[None])[0])
                 theta[index] += sign * 0.02 * reach[index]
-                assert target(theta) == -math.inf
+                assert target(theta[None])[0] == -math.inf
 
     def test_far_proposals_never_outgrow_the_grid(self):
         # Location steps of 100 prior sds used to land beyond the verified
@@ -1031,13 +1055,30 @@ TARGET_ROWS = np.array([
 ])
 
 
+def reference_targets(rows, data, priors, grid=None) -> np.ndarray:
+    """The public log_posterior at each row inside the support and the
+    location box, and -inf outside them."""
+    (mu_low, mu_high), (alpha_low, alpha_high) = mcmc._location_box(priors)
+    out = []
+    for T, S, mu, alpha in rows.tolist():
+        if not (mu_low <= mu <= mu_high and alpha_low <= alpha <= alpha_high):
+            out.append(-math.inf)
+        elif not priors.in_support(T, S):
+            with pytest.raises(OutOfSupport):
+                log_posterior(QrseParams(T, S, mu, alpha), data, priors, grid)
+            out.append(-math.inf)
+        else:
+            out.append(log_posterior(QrseParams(T, S, mu, alpha), data, priors, grid))
+    return np.array(out)
+
+
 class TestLogTargets:
-    """The row evaluator gives the serial target's bits."""
+    """The row evaluator, the sampler's one target, gives the bits of the
+    serial target: the public log_posterior, one point at a time."""
 
     @staticmethod
     def assert_same_bits(data, priors, grid=None, rows=TARGET_ROWS):
-        target = mcmc._make_target(data, priors, grid)
-        expected = np.array([target(row) for row in rows])
+        expected = reference_targets(rows, data, priors, grid)
         got = mcmc._log_targets(rows, data, priors, grid)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
@@ -1049,6 +1090,34 @@ class TestLogTargets:
         data = sample(REF, SampleConfig(n=n, seed=3))
         self.assert_same_bits(data, WIDE_PRIORS)
         self.assert_same_bits(data, WIDE_PRIORS, rows=np.tile(TARGET_ROWS[[0, 2, 3]], (50, 1)))
+
+    # The mode search and the random walk evaluate one row per call.
+    @pytest.mark.parametrize("n", [2_000, 20_000, 100_000])
+    def test_one_row_matches_log_posterior_at_random_points(self, n):
+        data = sample(REF, SampleConfig(n=n, seed=8))
+        rng = np.random.default_rng(n)
+        low = np.array([0.0, 0.0, -35.0, -25.0])
+        high = np.array([8.5, 8.5, 55.0, 60.0])
+        rows = rng.uniform(low, high, (300, 4))  # some outside the support or the box
+        expected = reference_targets(rows, data, PRIORS)
+        assert 0 < np.sum(expected == -math.inf) < 100
+        target = mcmc._make_target(data, PRIORS, None)
+        got = np.concatenate([target(row[None]) for row in rows])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_rows_do_not_depend_on_their_neighbours(self, small_data):
+        rows = np.concatenate([
+            np.tile(TARGET_ROWS, (3, 1)),
+            np.random.default_rng(9).uniform([0.2, 0.2, 0.0, 10.0], [6.0, 6.0, 15.0, 25.0],
+                                             (40, 4)),
+        ])
+        whole = mcmc._log_targets(rows, small_data, WIDE_PRIORS, None)
+        order = np.random.default_rng(10).permutation(len(rows))
+        permuted = mcmc._log_targets(rows[order], small_data, WIDE_PRIORS, None)
+        assert permuted.tobytes() == whole[order].tobytes()
+        for part in (slice(0, 1), slice(1, 2), slice(3, 17), slice(30, None), slice(5, 6)):
+            got = mcmc._log_targets(rows[part], small_data, WIDE_PRIORS, None)
+            assert got.tobytes() == whole[part].tobytes(), part
 
     def test_matches_serial_target_on_an_explicit_grid(self, small_data):
         rows = TARGET_ROWS[[0, 2, 3, 5, 6, 8, 10]]
@@ -1125,7 +1194,7 @@ class TestNelderMead:
         inset = 1e-3 * (priors.bound_high - priors.bound_low)
         start = priors.centers()
         start[:2] = np.clip(start[:2], priors.bound_low + inset, priors.bound_high - inset)
-        x = assert_same_as_scipy(lambda theta: -target(theta), start)
+        x = assert_same_as_scipy(lambda theta: -target(theta[None])[0], start)
         np.testing.assert_array_equal(mcmc._posterior_mode(target, priors), x)
 
     def test_passes_a_copy(self):
@@ -1159,6 +1228,31 @@ class TestModeAndScales:
         np.testing.assert_allclose(scales, 1.2 * PRIORS.sds(), rtol=0.05)
         np.testing.assert_allclose(cholesky, np.eye(4), atol=1e-3)
 
+    def test_stencil_is_one_call_on_the_difference_points(self):
+        # The mode, mode +- step j and mode +- step j +- step k (j < k), each
+        # built as the difference quotients' terms read: the 33 points, in
+        # one call.
+        mode = np.array([2.1, 4.9, -8.66, 0.0])
+        calls = []
+
+        def target(points):
+            calls.append(points.copy())
+            return -0.5 * np.sum((points - mode) ** 2, axis=1)
+
+        scales, cholesky = mcmc._laplace_proposal(target, mode, PRIORS)
+        np.testing.assert_allclose(scales, 1.2 * np.ones(4), rtol=1e-3)
+        np.testing.assert_allclose(cholesky, np.eye(4), atol=1e-3)
+        assert len(calls) == 1 and calls[0].shape == (33, 4)
+        steps = np.maximum(1e-4 * np.abs(mode), 1e-5)
+        shift = [np.where(np.arange(4) == j, steps[j], 0.0) for j in range(4)]
+        expected = [mode] + [mode + s for s in shift] + [mode - s for s in shift]
+        for j, k in itertools.combinations(range(4), 2):
+            expected += [mode + shift[j] + shift[k], mode + shift[j] - shift[k],
+                         mode - shift[j] + shift[k], mode - shift[j] - shift[k]]
+        assert sorted(row.tobytes() for row in calls[0]) == sorted(
+            row.tobytes() for row in expected
+        )
+
     def test_boundary_mode_falls_back_without_warning(self):
         # With T at its lower bound, half the finite-difference points lie
         # outside the support, and the mixed terms meet -inf - -inf.
@@ -1179,9 +1273,9 @@ class TestModeAndScales:
         precision = np.linalg.inv(correlation)
         center = PRIORS.centers()
 
-        def target(theta):
-            shift = theta - center
-            return -0.5 * shift @ precision @ shift
+        def target(points):
+            shift = points - center
+            return -0.5 * np.sum((shift @ precision) * shift, axis=1)
 
         scales, cholesky = mcmc._laplace_proposal(target, center.copy(), PRIORS)
         np.testing.assert_allclose(scales, 1.2 * np.ones(4), rtol=1e-3)
@@ -1195,9 +1289,9 @@ class TestModeAndScales:
         # scales and the bad one falls back to a tenth of the prior sd.
         center = PRIORS.centers()
 
-        def target(theta):
-            shift = theta - center
-            return -0.5 * (shift[0] ** 2 + shift[1] ** 2 + shift[2] ** 2) + 0.5 * shift[3] ** 2
+        def target(points):
+            shift = points - center
+            return -0.5 * np.sum(shift[:, :3] ** 2, axis=1) + 0.5 * shift[:, 3] ** 2
 
         scales, cholesky = mcmc._laplace_proposal(target, center.copy(), PRIORS)
         assert cholesky is None

@@ -24,7 +24,7 @@ from qrse import (
     log_likelihood,
     payoff_difference,
 )
-from qrse.model import _log_likelihood_rows, _local_log_z_rows, local_grid_size, local_log_z
+from qrse.model import _log_likelihood_rows, _local_log_z_rows, local_log_z
 from tests.conftest import REF
 
 # Binary entropy at p = 3/4, from -(p ln p + (1-p) ln(1-p)):
@@ -84,9 +84,10 @@ class TestEvalGrid:
     def test_far_from_zero_allows_for_rounding(self):
         # mu + k * dx rounds at ulp(1e4) ~ 1.8e-12, far above 1e-9 of a
         # 2.5e-4 spacing; the grid is still uniform to working precision.
+        # 2 * 78,000 + 1 points: 19.5 T either side at S / 4 apart.
         params = QrseParams(T=1.0, S=1e-3, mu=1e4, alpha=1e4)
         grid = EvalGrid.local(params)
-        assert grid.points.size == local_grid_size(1.0, 1e-3)
+        assert grid.points.size == 156_001
         EvalGrid(points=np.linspace(1e4, 1e4 + 1.0, 4001), spacing=2.5e-4)
 
     @pytest.mark.parametrize("offset", [0.0, 1e4])
@@ -273,10 +274,11 @@ LOCAL_POINTS = (
 
 class TestLocalLogZ:
     def test_grid_shape(self):
-        for params in LOCAL_POINTS:
+        # 2 * ceil(19.5 * 4 * T / min(T, S)) + 1 points.
+        for params, size in zip(LOCAL_POINTS, (157, 157, 12481)):
             grid = EvalGrid.local(params)
             reach = 19.5 * params.T
-            assert grid.points.size == local_grid_size(params.T, params.S)
+            assert grid.points.size == size
             assert grid.points[0] == pytest.approx(params.mu - reach, abs=1e-12)
             assert grid.points[-1] == pytest.approx(params.mu + reach, abs=1e-12)
             assert grid.spacing <= min(params.T, params.S) / 4.0
@@ -315,8 +317,11 @@ class TestLocalLogZ:
 
     def test_default_bounds_worst_corner_size(self):
         # The grid reaches 19.5 T either side at min(T, S) / 4 apart.
-        assert local_grid_size(0.1, 8.0) == local_grid_size(2.1, 4.9) == 157
-        assert local_grid_size(8.0, 0.1) == 12481
+        def size(T, S):
+            return EvalGrid.local(QrseParams(T=T, S=S, mu=0.0, alpha=0.0)).points.size
+
+        assert size(0.1, 8.0) == size(2.1, 4.9) == 157
+        assert size(8.0, 0.1) == 12481
 
     @pytest.mark.parametrize(
         "T, S, message",
