@@ -380,10 +380,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             spend = max(x, 0.0)
             tax = max(-x, 0.0)
             handle.write(f"synth-{index:06d},{year},{spend!r},{tax!r},1,1\n")
-    print(
-        f"wrote {draws.size} rows to {path} "
-        f"(mean {draws.mean():.3f}, sd {draws.std(ddof=1):.3f})"
-    )
+    mean, sd = ingest.mean_and_sd(draws)
+    print(f"wrote {draws.size} rows to {path} (mean {mean:.3f}, sd {sd:.3f})")
     return 0
 
 

@@ -333,6 +333,18 @@ def _split(records, extreme_low: float, extreme_high: float):
     return x[in_range], kappa[in_range], tau[in_range], n_missing, n_extreme
 
 
+def mean_and_sd(values: np.ndarray) -> tuple[float, float]:
+    """Mean and sample sd (0 for one value) of a finite, nonempty array.
+
+    Both are taken on a copy scaled down by a power of two (exact), so huge
+    values cannot overflow the sum of squares; |values| < 1 stay as is.
+    """
+    exponent = max(math.frexp(float(np.max(np.abs(values))))[1], 0)
+    unit = np.ldexp(values, -exponent)
+    sd = math.ldexp(float(np.std(unit, ddof=1)), exponent) if values.size > 1 else 0.0
+    return math.ldexp(float(np.mean(unit)), exponent), sd
+
+
 def clean(
     records,
     extreme_low: float = DEFAULT_EXTREME_LOW,
@@ -358,13 +370,8 @@ def clean(
         )
     fiscal = {}
     for name, arr in (("x", xs), ("kappa", kappas), ("tau", taus)):
-        # Mean and sd of a copy scaled down by a power of two (exact), so huge
-        # kappa and tau that cancel in x cannot overflow; |values| < 1 stay as is.
-        exponent = max(math.frexp(float(np.max(np.abs(arr))))[1], 0)
-        unit = np.ldexp(arr, -exponent)
-        sd = math.ldexp(float(np.std(unit, ddof=1)), exponent) if arr.size > 1 else 0.0
-        mean = math.ldexp(float(np.mean(unit)), exponent)
-        fiscal[name] = (mean, sd, float(np.min(arr)), float(np.max(arr)))
+        # Huge kappa and tau can cancel in x; mean_and_sd does not overflow.
+        fiscal[name] = (*mean_and_sd(arr), float(np.min(arr)), float(np.max(arr)))
     x_mean, x_sd, x_min, x_max = fiscal["x"]
     return CleanedSample(
         values=xs,

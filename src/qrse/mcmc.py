@@ -5,18 +5,20 @@ with truncated-normal priors on the two scales (T, S) and normal priors on
 the two locations (mu, alpha). ``run_chains`` finds the posterior mode and
 the Laplace approximation there, then runs one of two kernels:
 
-- the independence kernel ("independence-t5"), whenever there is data, the
-  config carries no explicit step scales and the Laplace covariance is
-  usable: every proposal is drawn from one multivariate t with 5 degrees of
-  freedom, centred at the mode, with scale matrix 1.2^2 times the Laplace
-  covariance. Its heavier tails keep the ratio of target to proposal
-  bounded, which makes the kernel uniformly ergodic (Tierney 1994, Ann.
-  Statist. 22(4); Mengersen & Tweedie 1996, Ann. Statist. 24(1)). The tune
-  steps are burn-in;
-- the random walk ("random-walk") otherwise: Gaussian steps with a
-  per-coordinate scale vector and, when the Laplace fit gives one, its
-  correlation. Scales adapt in windows of 100 steps during the tune phase
-  and are frozen afterwards, so the recorded draws come from a fixed kernel.
+- the independence kernel ("independence-t5"), whenever the config carries
+  no explicit step scales and the Laplace covariance is usable, with data
+  or on the prior alone: every proposal is drawn from one multivariate t
+  with 5 degrees of freedom, centred at the mode, with scale matrix 1.2^2
+  times the Laplace covariance. Its heavier tails keep the ratio of target
+  to proposal bounded, which makes the kernel uniformly ergodic (Tierney
+  1994, Ann. Statist. 22(4); Mengersen & Tweedie 1996, Ann. Statist.
+  24(1)). The tune steps are burn-in;
+- the random walk ("random-walk") otherwise, for explicit step scales or
+  a Laplace fit that fell back (a boundary mode, a saddle): Gaussian steps
+  with a per-coordinate scale vector. ``run_chain`` also takes a fixed
+  correlation for its steps, which ``run_chains`` never passes. Scales
+  adapt in windows of 100 steps during the tune phase and are frozen
+  afterwards, so the recorded draws come from a fixed kernel.
 
 Everything is deterministic given (data, priors, config): chains use a
 counter-based generator keyed by seed + chain_index, and initial points are
@@ -108,7 +110,8 @@ class PriorSpec:
 
     The truncated-normal log-density includes the normalization over the
     truncation interval, so prior densities integrate to one on the support.
-    Both normalizers are computed once, at construction.
+    Both normalizers are computed once, at construction. Every field must be
+    finite, the sds positive and 0 < bound_low < bound_high.
     """
 
     t_center: float
@@ -131,7 +134,13 @@ class PriorSpec:
         # T and S are scales: a bound at or below zero would let the chain
         # propose a nonpositive one.
         if not (0.0 < self.bound_low < self.bound_high):
-            raise ValueError("truncation bounds must satisfy 0 < low < high")
+            raise ValueError(
+                f"truncation bounds must satisfy 0 < low < high, got "
+                f"bound_low={self.bound_low!r}, bound_high={self.bound_high!r}"
+            )
+        for name, value in self.to_json().items():
+            if not math.isfinite(value):
+                raise ValueError(f"prior {name} must be finite, got {value!r}")
         object.__setattr__(
             self, "_t_log_mass", self._truncation_log_mass(self.t_center, self.t_sd)
         )
@@ -513,17 +522,17 @@ def _laplace_proposal(
 
     Builds the finite-difference Hessian of the log target at the mode and
     inverts its negation. The square roots of the diagonal give marginal
-    sds (per-coordinate curvature alone would give conditional sds, which
-    undersize the steps along correlated directions); these are scaled by
-    the 2.4/sqrt(d) random-walk rule. The off-diagonal structure is
-    returned as the lower Cholesky factor of the correlation matrix so the
-    walk can jump along the posterior's principal axes; mu and alpha in
-    particular are strongly coupled, and axis-aligned jumps mix too slowly
-    to satisfy the usual R-hat bar within a few thousand draws.
+    sds, scaled by 2.4/sqrt(d) (1.2 in four dimensions); the off-diagonal
+    structure is returned as the lower Cholesky factor of the correlation
+    matrix. ``run_chains`` multiplies the two into the factor of the
+    independence kernel's scale matrix, 1.2^2 times the Laplace covariance;
+    mu and alpha in particular are strongly coupled, and a proposal blind to
+    that would rarely land where the posterior is.
 
     Falls back to per-coordinate curvature with no correlation when the
     Hessian is unusable (boundary mode, saddle), and to a tenth of the
-    prior sd per dimension where even that fails.
+    prior sd per dimension where even that fails. The None correlation
+    tells ``run_chains`` to run the random walk on these scales.
 
     ``target`` maps rows to log targets, and the central-difference stencil
     (the mode, mode +- step j, and mode +- step j +- step k for j < k: 33
@@ -807,14 +816,15 @@ def run_chains(
     proposal; explicit scales imply a random walk with independent
     proposal coordinates.
 
-    The kernel is the independence sampler when there is data, the config
-    carries no step scales and the Laplace Hessian is negative definite.
-    Its proposals are a multivariate t with PROPOSAL_DOF degrees of
-    freedom, centred at the mode, with scale matrix 1.2^2 times the Laplace
-    covariance; the tune steps are burn-in. Otherwise (no data, explicit
+    The kernel is the independence sampler when the config carries no step
+    scales and the Laplace Hessian is negative definite, whether or not
+    there is data. Its proposals are a multivariate t with PROPOSAL_DOF
+    degrees of freedom, centred at the mode, with scale matrix 1.2^2 times
+    the Laplace covariance; the tune steps are burn-in. Otherwise (explicit
     scales, or a Laplace fit that fell back to per-coordinate curvature, as
-    at a boundary mode or a saddle) it is the random walk of ``run_chain``.
-    ``PosteriorDraws.kernel`` records which ran.
+    at a boundary mode or a saddle) it is the random walk of ``run_chain``,
+    with independent proposal coordinates. ``PosteriorDraws.kernel``
+    records which ran.
 
     The data is checked for NaN and infinity before the mode search, not
     on every step. Every start, proposal and Generator is made here, in
@@ -855,7 +865,7 @@ def run_chains(
     else:
         scales = np.asarray(config.step_scales, dtype=float)
         proposal_cholesky = None
-    independent = values.size > 0 and proposal_cholesky is not None
+    independent = proposal_cholesky is not None
     if independent:
         factor = scales[:, None] * proposal_cholesky  # 1.2^2 x covariance
         steps = config.tune + config.draws
@@ -884,7 +894,7 @@ def run_chains(
         try:
             return run_chain(
                 values, priors, starts[index], scales, config.draws, config.tune,
-                rngs[index], grid, proposal_cholesky, **kwargs,
+                rngs[index], grid, **kwargs,
             )
         except StuckChain as err:
             raise StuckChain(f"chain {index}: {err}") from None

@@ -35,7 +35,8 @@ LN2 = math.log(2.0)
 # Auto grids span this many units of max(T, S) beyond the location parameters.
 # The build-time check bounds only the outermost cell's mass (EDGE_MASS_LIMIT),
 # not the tail beyond it, about S / dx times that: at (2.1, 4.9, 8.66, 17.8) the
-# cell holds 2.4e-7 but an auto grid loses 6.1e-5 of log Z. See ROADMAP 1(a).
+# cell holds 2.4e-7 but an auto grid loses 6.1e-5 of log Z. See ROADMAP
+# direction 5.
 AUTO_SPAN_SCALES = 8.0
 DEFAULT_GRID_POINTS = 4001
 EDGE_MASS_LIMIT = 1e-4
@@ -166,9 +167,13 @@ class EvalGrid:
 
     @classmethod
     def local(cls, params: QrseParams) -> "EvalGrid":
-        """The grid ``local_log_z`` sums over at these parameters."""
-        points, spacing = _local_axis(params)
-        return cls(points=points, spacing=spacing)
+        """The grid ``local_log_z`` sums over at these parameters: uniform
+        over mu +- 19.5 T. GridTooLarge, as ``_local_grids``, if it would be
+        too large or too fine."""
+        T, S, mu = (np.array([value], dtype=float) for value in (params.T, params.S, params.mu))
+        halves, spacing = _local_grids(T, S)
+        points = _local_points(int(halves[0]), spacing, mu)[0]
+        return cls(points=points, spacing=float(spacing[0]))
 
     def cell_edges(self) -> np.ndarray:
         """Edges of the quadrature cells: each grid point owns [x - dx/2, x + dx/2)."""
@@ -295,10 +300,11 @@ class _Columns(NamedTuple):
 
 
 def _kernel_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray, u: np.ndarray,
-                 t: np.ndarray) -> None:
-    """Write the log kernel at each row of ``rows`` (T, S, mu, alpha) into the
-    same row of ``out``, in chunks of _BLOCK columns. ``x`` is one 1-d set of
-    points for every row, or one row of points per row.
+                 t: np.ndarray, block=_log_kernel_block) -> None:
+    """Write ``block`` (the log kernel unless told otherwise) at each row of
+    ``rows`` (T, S, mu, alpha) into the same row of ``out``, in chunks of
+    _BLOCK columns. ``x`` is one set of points for every row, or one row of
+    points per row.
 
     ``u`` and ``t`` are scratch with ``out``'s rows and min(columns, _BLOCK)
     columns. Callers allocate them and ``out`` once for all their blocks:
@@ -315,21 +321,18 @@ def _kernel_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray, u: np.ndarray
     for start in range(0, out.shape[-1], _BLOCK):
         chunk = slice(start, start + _BLOCK)
         width = out[..., chunk].shape[-1]
-        _log_kernel_block(x[..., chunk], columns, out[..., chunk], u[..., :width], t[..., :width])
+        block(x[..., chunk], columns, out[..., chunk], u[..., :width], t[..., :width])
 
 
-def _blockwise(fill, x, params: QrseParams):
-    """Apply ``fill(x_block, params, out_block)`` over x in _BLOCK chunks.
+def _blockwise(block, x, params: QrseParams):
+    """``block`` at every point of x: the one-row case of ``_kernel_rows``.
 
     Returns an array of x's shape, or a numpy scalar for scalar input.
     """
     values = np.asarray(x, dtype=float)
-    flat = values.reshape(-1)
-    out = np.empty_like(flat)
-    u, t = np.empty((2, min(flat.size, _BLOCK)))
-    for start in range(0, flat.size, _BLOCK):
-        block = out[start:start + _BLOCK]
-        fill(flat[start:start + _BLOCK], params, block, u[:block.size], t[:block.size])
+    out = np.empty((1, values.size))
+    u, t = np.empty((2, 1, min(values.size, _BLOCK)))
+    _kernel_rows(values, params.as_array()[None], out, u, t, block)
     return out.reshape(values.shape)[()]
 
 
@@ -347,11 +350,13 @@ def log_kernel(x, params: QrseParams):
     return _blockwise(_log_kernel_block, x, params)
 
 
-def _local_halves(T: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Half the point count, less one, of each row's local grid, as floats.
+def _local_grids(T: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's local grid over mu +- 19.5 T: its half point count, less
+    one, as floats, and its spacing.
 
     Raises GridTooLarge for the first row whose grid would exceed
-    MAX_LOCAL_POINTS.
+    MAX_LOCAL_POINTS, and then for the first row whose spacing divided by S
+    underflows to 0.
     """
     half = SATURATION_SCALES * LOCAL_CELLS_PER_SCALE * T / np.minimum(T, S)
     if not half.max(initial=0.0) <= (MAX_LOCAL_POINTS - 1) // 2:  # also catches NaN and inf
@@ -361,15 +366,7 @@ def _local_halves(T: np.ndarray, S: np.ndarray) -> np.ndarray:
             f"{2 * half[row] + 1:.0f}-point grid (limit {MAX_LOCAL_POINTS}); "
             f"narrow the range of T and S"
         )
-    return np.ceil(half)
-
-
-def _local_spacing(halves: np.ndarray, T: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Spacing of each row's 2 half + 1 point grid over mu +- 19.5 T.
-
-    Raises GridTooLarge for the first row whose spacing divided by S
-    underflows to 0.
-    """
+    halves = np.ceil(half)
     spacing = SATURATION_SCALES * T / halves
     if not (spacing / S).min(initial=math.inf) > 0.0:
         row = int(np.argmin(spacing / S > 0.0))
@@ -377,7 +374,7 @@ def _local_spacing(halves: np.ndarray, T: np.ndarray, S: np.ndarray) -> np.ndarr
             f"log Z at T={float(T[row])!r}, S={float(S[row])!r} needs a grid "
             f"spacing that underflows to 0"
         )
-    return spacing
+    return halves, spacing
 
 
 def _local_points(half: int, spacing: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -385,14 +382,6 @@ def _local_points(half: int, spacing: np.ndarray, mu: np.ndarray) -> np.ndarray:
     points = np.multiply.outer(spacing, np.arange(-half, half + 1))
     points += mu[:, None]
     return points
-
-
-def _local_axis(params: QrseParams) -> tuple[np.ndarray, float]:
-    """Uniform grid over mu +- 19.5 T. GridTooLarge if too large or too fine."""
-    T, S, mu = (np.array([value], dtype=float) for value in (params.T, params.S, params.mu))
-    halves = _local_halves(T, S)
-    spacing = _local_spacing(halves, T, S)
-    return _local_points(int(halves[0]), spacing, mu)[0], float(spacing[0])
 
 
 def _log_partition(kernel: np.ndarray, spacing: float) -> tuple[float, np.ndarray]:
@@ -438,7 +427,7 @@ def local_log_z(params: QrseParams) -> float:
     Raises
     ------
     GridTooLarge
-        As ``_local_axis``.
+        As ``_local_grids``.
     """
     return float(_local_log_z_rows(params.as_array()[None, :])[0])
 
@@ -455,14 +444,12 @@ def _local_log_z_rows(rows: np.ndarray) -> np.ndarray:
     Raises
     ------
     GridTooLarge
-        As ``_local_axis``, for the first such row.
+        As ``_local_grids``, for the first such row.
     """
     log_z = np.empty(len(rows))
-    halves = _local_halves(rows[:, 0], rows[:, 1])
-    spacings = _local_spacing(halves, rows[:, 0], rows[:, 1])
-    sizes = sorted(set(halves.tolist()))
-    for half in sizes:
-        members = slice(None) if len(sizes) == 1 else (halves == half).nonzero()[0]
+    halves, spacings = _local_grids(rows[:, 0], rows[:, 1])
+    for half in sorted(set(halves.tolist())):
+        members = (halves == half).nonzero()[0]
         group, spacing, half = rows[members], spacings[members], int(half)
         step = max(1, _BLOCK // (2 * half + 1))
         kernels = np.empty((min(step, len(group)), 2 * half + 1))

@@ -142,6 +142,14 @@ class TestSimulate:
         cleaned = json.loads((pipeline_dir / "cleaned.json").read_text())
         np.testing.assert_array_equal(np.array(cleaned["values"]), draws)
 
+    @pytest.mark.parametrize("flag, value", [("--t", "1e200"), ("--t", "1e300"),
+                                             ("--mu", "1e300")])
+    def test_huge_draws_summarised_without_overflow(self, tmp_path, capsys, flag, value):
+        # The printed sd once squared the draws and overflowed to inf.
+        assert run("simulate", "--outdir", str(tmp_path), "-n", "50", flag, value) == 0
+        sd = re.search(r"sd (\S+)\)", capsys.readouterr().out).group(1)
+        assert np.isfinite(float(sd))
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -294,6 +302,20 @@ class TestSampleAndReport:
                  "--prior-t-center", "0.01", "--prior-t-sd", "3")
         assert rc == 2
         assert "0 < low < high" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("flag, name", [("--prior-mu-sd", "mu_sd"),
+                                            ("--prior-t-center", "t_center"),
+                                            ("--prior-bound-high", "bound_high")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_prior_exits_2_naming_it(
+        self, pipeline_dir, monkeypatch, capsys, flag, name, value
+    ):
+        calls = []
+        monkeypatch.setattr(cli.mcmc, "run_chains", lambda *a, **k: calls.append(a))
+        assert run("sample", "--outdir", str(pipeline_dir), flag, value) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{name}\b", err) and "Traceback" not in err
         assert calls == []
 
     def test_oversized_local_grid_exits_2(self, pipeline_dir, capsys):

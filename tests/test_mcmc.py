@@ -84,6 +84,15 @@ class TestPriorSpec:
             PriorSpec(t_center=2.0, s_center=2.0, mu_center=0.0, alpha_center=0.0,
                       bound_low=8.0, bound_high=0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", list(PRIORS.to_json()))
+    def test_every_field_must_be_finite(self, name, value):
+        # A NaN or infinite setting once reached the mode search, which
+        # failed there with a numpy warning or named T instead of the field.
+        fields = {**PRIORS.to_json(), name: value}
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            PriorSpec(**fields)
+
     @pytest.mark.parametrize("bound_low", [0.0, -0.0, -1.0, -5.0, math.nan])
     def test_bound_low_must_be_positive(self, bound_low):
         # T and S are scales: a nonpositive bound would let the chain propose
@@ -361,6 +370,32 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(np.array([]), PRIORS, start, (0.5,) * 4, 10, 0, 0)
 
+    def test_correlated_walk_recovers_the_correlation(self, monkeypatch):
+        # run_chains never passes a correlation to the walk, so only a
+        # direct call reaches it. With the log posterior replaced by a
+        # Gaussian whose mu and alpha correlate at 0.8, the walk must
+        # recover it, and its own jumps must follow that correlation
+        # (independent coordinates give accepted jumps about 0.4).
+        center = REF.as_array()
+        sds = np.array([0.1, 0.1, 1.0, 1.0])
+        correlation = np.eye(4)
+        correlation[2, 3] = correlation[3, 2] = 0.8
+        precision = np.linalg.inv(correlation * np.outer(sds, sds))
+
+        def log_targets(points, *args):
+            shift = points - center
+            return -0.5 * np.sum((shift @ precision) * shift, axis=1)
+
+        monkeypatch.setattr(mcmc, "_log_targets", log_targets)
+        result = run_chain(np.array([]), PRIORS, REF, tuple(1.2 * sds), draws=20_000,
+                           tune=1000, seed=0, proposal_cholesky=np.linalg.cholesky(correlation))
+        draws = result.draws
+        assert np.corrcoef(draws[:, 2], draws[:, 3])[0, 1] == pytest.approx(0.8, abs=0.03)
+        np.testing.assert_allclose(draws.std(axis=0), sds, rtol=0.1)
+        jumps = np.diff(draws, axis=0)
+        jumps = jumps[np.any(jumps != 0.0, axis=1)]
+        assert np.corrcoef(jumps[:, 2], jumps[:, 3])[0, 1] > 0.7
+
 
 @pytest.fixture(scope="module")
 def small_data():
@@ -483,9 +518,19 @@ class TestKernelChoice:
             "independence-t5"
         )
 
-    def test_empty_data_gives_random_walk(self, tmp_path, monkeypatch):
+    def test_empty_data_gives_independence(self, tmp_path, monkeypatch):
         config = ChainConfig(chains=2, draws=50, tune=10)
         assert self.kernel_seen(np.array([]), PRIORS, config, tmp_path, monkeypatch) == (
+            "independence-t5"
+        )
+
+    def test_empty_data_with_mode_on_the_bound_gives_random_walk(self, tmp_path, monkeypatch):
+        # The prior alone, with T's centre below the support: the mode sits
+        # on T's lower bound, where the Laplace fit falls back.
+        priors = PriorSpec(t_center=-3.0, s_center=4.9, mu_center=8.66, alpha_center=17.8,
+                           t_sd=0.5)
+        config = ChainConfig(chains=2, draws=50, tune=10)
+        assert self.kernel_seen(np.array([]), priors, config, tmp_path, monkeypatch) == (
             "random-walk"
         )
 
@@ -671,20 +716,22 @@ def stick():
 )
 class TestLanes:
     @staticmethod
-    def assert_lane_invariant(data, config, lanes, fork_starts, lane_counts, kernel):
+    def assert_lane_invariant(data, config, lanes, fork_starts, lane_counts, kernel,
+                              grid=None):
         lanes(1)
-        serial = run_chains(data, PRIORS, config)
+        serial = run_chains(data, PRIORS, config, grid)
         assert fork_starts == []
         assert serial.kernel == kernel
         for count in lane_counts:
             lanes(count)
-            laned = run_chains(data, PRIORS, config)
+            laned = run_chains(data, PRIORS, config, grid)
             assert len(fork_starts) == count - 1
             fork_starts.clear()
             np.testing.assert_array_equal(laned.draws, serial.draws)
             np.testing.assert_array_equal(laned.acceptance_rates, serial.acceptance_rates)
             np.testing.assert_array_equal(laned.step_scales, serial.step_scales)
             assert laned.kernel == kernel
+        return serial
 
     # The independence kernel deals target evaluations, so four lanes for
     # three chains all get work.
@@ -725,6 +772,23 @@ class TestLanes:
         assert serial["sweeps"] == seen["sweeps"] == 3
         # Lane 1 took the last 227 of the 453 evaluations.
         assert serial["targets"] - 227 <= seen["targets"] < serial["targets"]
+
+    def test_explicit_grid(self, small_data, lanes, fork_starts, monkeypatch):
+        # With one fixed log Z grid there is no local grid to check, and the
+        # independence kernel's draws stay in the location box at any lane
+        # count.
+        def forbidden(*args):
+            raise AssertionError("the local grids were checked")
+
+        monkeypatch.setattr(mcmc, "_check_local_grids", forbidden)
+        grid = build_sampling_grid(small_data, PRIORS)
+        config = ChainConfig(chains=3, draws=100, tune=50, seed=0)
+        draws = self.assert_lane_invariant(
+            small_data, config, lanes, fork_starts, (2,), mcmc.INDEPENDENCE, grid
+        ).draws
+        (mu_low, mu_high), (alpha_low, alpha_high) = mcmc._location_box(PRIORS)
+        assert np.all((mu_low <= draws[..., 2]) & (draws[..., 2] <= mu_high))
+        assert np.all((alpha_low <= draws[..., 3]) & (draws[..., 3] <= alpha_high))
 
     def test_random_walk_outputs_do_not_depend_on_lanes(self, small_data, lanes, fork_starts):
         config = ChainConfig(chains=3, draws=100, tune=150, seed=0,
@@ -1003,6 +1067,18 @@ class TestTrace:
 
         path = self.write_trace(small_posterior, tmp_path, edit)
         with pytest.raises(ParseError, match=message) as caught:
+            load_trace(path)
+        assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize("name, value", [("mu_sd", math.nan), ("bound_high", math.inf)])
+    def test_rejects_non_finite_priors(self, small_posterior, tmp_path, name, value):
+        def edit(lines):
+            metadata = json.loads(lines[0][2:])
+            metadata["priors"][name] = value
+            return ["# " + json.dumps(metadata)] + lines[1:]
+
+        path = self.write_trace(small_posterior, tmp_path, edit)
+        with pytest.raises(ParseError, match=rf"\b{name}\b") as caught:
             load_trace(path)
         assert str(path) in str(caught.value)
 
