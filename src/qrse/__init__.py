@@ -7,10 +7,9 @@ the Laplace fit, or a random walk where that fit is unusable), and reports
 convergence and fit diagnostics. See the ``qrse`` console script for the
 file-based pipeline.
 
-SciPy is imported only inside the MAP fit, never at module level: every CLI
-stage is a fresh process, and SciPy's statistics subpackage alone would cost
-each of them about a second. ``tests/test_imports.py`` holds every stage but
-``fit`` to no SciPy at all.
+The package does not use SciPy: every CLI stage is a fresh process, and
+``import scipy.optimize`` alone would cost each of them about 0.4 s.
+``tests/test_imports.py`` holds every stage to no SciPy at all.
 """
 
 from .diagnostics import (

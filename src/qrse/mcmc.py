@@ -243,8 +243,10 @@ class ChainConfig:
         if self.initial is not None and len(self.initial) != self.chains:
             raise ValueError("need one initial point per chain")
         if self.step_scales is not None:
-            if len(self.step_scales) != 4 or any(s < 0.0 for s in self.step_scales):
-                raise ValueError("step_scales must be four nonnegative numbers")
+            if len(self.step_scales) != 4 or not all(0.0 <= s < math.inf for s in self.step_scales):
+                raise ValueError(
+                    f"step_scales must be four finite nonnegative numbers, got {self.step_scales!r}"
+                )
 
 
 @dataclass(frozen=True, eq=False)

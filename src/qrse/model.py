@@ -282,6 +282,8 @@ def _entropy_block(x: np.ndarray, params: QrseParams, out: np.ndarray,
 
 def _log_kernel_block(x: np.ndarray, params: QrseParams, out: np.ndarray,
                       u: np.ndarray, t: np.ndarray) -> None:
+    """Write the log kernel into ``out``; leave tanh((x - mu)/T) in ``t``
+    and that times (x - alpha)/S in ``u``."""
     _entropy_block(x, params, out, u, t)
     np.subtract(x, params.alpha, out=u)
     u /= params.S
@@ -570,7 +572,13 @@ def bin_probabilities(edges, params: QrseParams, grid: EvalGrid | None = None) -
             f"grid point; refine the grid or coarsen the bins"
         )
     cell_edges, cumulative = table.cell_cdf()
-    clipped = np.clip(edges, cell_edges[0], cell_edges[-1])
+    return _fold_bins(cumulative, cell_edges, np.clip(edges, cell_edges[0], cell_edges[-1]))
+
+
+def _fold_bins(cumulative: np.ndarray, cell_edges: np.ndarray, clipped: np.ndarray) -> np.ndarray:
+    """Bin probabilities from the cell CDF ``cumulative`` at ``cell_edges``:
+    its differences between the bin edges ``clipped`` to the cells, with the
+    mass beyond the first and last edge folded into the end bins."""
     cdf_at_edges = np.interp(clipped, cell_edges, cumulative)
     probabilities = np.diff(cdf_at_edges)
     # Tail folding: observed histograms truncate support, the model does not.

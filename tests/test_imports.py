@@ -1,12 +1,12 @@
-"""Import budget: only ``fit`` loads SciPy, for ``scipy.optimize``.
+"""Import budget: no CLI stage loads SciPy.
 
 The CLI runs every stage as its own process, so ``import qrse`` is paid on
-each one. SciPy is imported inside the one function that uses it (the
-L-BFGS-B fit); an eager module-level ``from scipy... import`` anywhere in
-the package, or a new SciPy call in another stage, shows up here.
-So does ``multiprocessing``, which only ``run_chains`` needs. Each case runs
-in a fresh interpreter, because the test process itself has long since
-imported SciPy.
+each one, and ``import scipy.optimize`` alone would cost about 0.4 s of it.
+The package uses no SciPy at all (the tests keep it as an oracle); a SciPy
+import anywhere in the package shows up here. So does ``multiprocessing``,
+which only ``run_chains`` needs. Each case runs in a fresh interpreter,
+because the test process itself has long since imported SciPy, and a probe
+that imports ``scipy.optimize`` itself shows that the check sees it.
 """
 
 import json
@@ -19,9 +19,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs one CLI stage (or nothing, with no arguments) and prints the exit
-# code, the SciPy modules loaded by then and whether multiprocessing was
-# loaded, as the last stdout line.
+# Runs one CLI stage (or nothing, with no arguments), after an optional
+# preamble of code, and prints the exit code, the SciPy modules loaded by then and whether
+# multiprocessing was loaded, as the last stdout line.
 _PROBE = """
 import json, sys
 from qrse import cli
@@ -33,11 +33,11 @@ print(json.dumps({
 """
 
 
-def _probe(*argv: str) -> dict:
+def _probe(*argv: str, preamble: str = "") -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv],
+        [sys.executable, "-c", preamble + _PROBE, *argv],
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert proc.returncode == 0, proc.stderr
@@ -105,6 +105,10 @@ def test_model_stages_load_no_scipy(stage_modules, stage):
     assert stage_modules[stage] == []
 
 
-def test_fit_loads_scipy_optimize(stage_modules):
+def test_fit_loads_no_scipy(stage_modules):
+    assert stage_modules["fit"] == []
+
+
+def test_probe_sees_scipy_it_loads():
     # The probe does see SciPy, so the empty lists above are not vacuous.
-    assert "scipy.optimize" in stage_modules["fit"]
+    assert "scipy.optimize" in _probe(preamble="import scipy.optimize")["scipy"]

@@ -315,6 +315,11 @@ class TestChainConfig:
         with pytest.raises(ValueError):
             ChainConfig(chains=3, initial=(REF, REF))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_step_scales_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="step_scales"):
+            ChainConfig(chains=2, draws=50, tune=0, step_scales=(0.1, 0.1, bad, 0.5))
+
 
 class TestRunChain:
     def test_deterministic_and_shaped(self):
