@@ -285,11 +285,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, columns) -> None:
+    """One row per element of the equal-length float ``columns``, each value
+    written as its repr, which round-trips float64 exactly."""
+    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
+    text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+        handle.write(header + "\n" + text)
 
 
 def _export_fit_curve(path: Path, hist: ingest.HistogramSpec, table: model.DensityTable,
@@ -301,7 +303,7 @@ def _export_fit_curve(path: Path, hist: ingest.HistogramSpec, table: model.Densi
     _write_csv(
         path,
         "x,observed_density,fitted_pdf",
-        zip(centers, observed_density, fitted),
+        (centers, observed_density, fitted),
     )
 
 
@@ -313,20 +315,22 @@ def _export_quantal_response(path: Path, table: model.DensityTable,
     _write_csv(
         path,
         "x,entry_probability,exit_probability,pdf,entry_joint_density,exit_joint_density",
-        zip(x, entry, exit_, table.pdf, table.pdf * entry, table.pdf * exit_),
+        (x, entry, exit_, table.pdf, table.pdf * entry, table.pdf * exit_),
     )
 
 
 def _export_parameter_variation(path: Path) -> None:
     base = VARIATION_BASELINE
     grid = model.EvalGrid.from_bounds(-90.0, 90.0, 1201)
+    points = grid.points.tolist()
+    parts = ["parameter,value,x,pdf\n"]
+    for name, values in VARIATION_VALUES.items():
+        for value in values:
+            table = model.build_density(dataclasses.replace(base, **{name: value}), grid)
+            prefix = f"{name},{value!r},"
+            parts += [f"{prefix}{x!r},{p!r}\n" for x, p in zip(points, table.pdf.tolist())]
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("parameter,value,x,pdf\n")
-        for name, values in VARIATION_VALUES.items():
-            for value in values:
-                table = model.build_density(dataclasses.replace(base, **{name: value}), grid)
-                for x, p in zip(grid.points.tolist(), table.pdf.tolist()):
-                    handle.write(f"{name},{value!r},{x!r},{p!r}\n")
+        handle.write("".join(parts))
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -374,12 +378,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # per-capita taxes, with unit enrollment and population.
     path = outdir / "synthetic.csv"
     year = 2008
+    # max keeps the bytes of a -0.0 draw: spend "-0.0", tax "0.0".
+    text = "".join(
+        f"synth-{index:06d},{year},{max(x, 0.0)!r},{max(-x, 0.0)!r},1,1\n"
+        for index, x in enumerate(draws.tolist())
+    )
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(ingest.CSV_HEADER) + "\n")
-        for index, x in enumerate(draws.tolist()):
-            spend = max(x, 0.0)
-            tax = max(-x, 0.0)
-            handle.write(f"synth-{index:06d},{year},{spend!r},{tax!r},1,1\n")
+        handle.write(",".join(ingest.CSV_HEADER) + "\n" + text)
     mean, sd = ingest.mean_and_sd(draws)
     print(f"wrote {draws.size} rows to {path} (mean {mean:.3f}, sd {sd:.3f})")
     return 0

@@ -26,7 +26,11 @@ jittered around the posterior mode. The sampler has one target,
 ``_log_targets``, which evaluates the log posterior at a block of rows; each
 row takes log Z from ``local_log_z``'s grid around its own mu, unless the
 caller passes one fixed grid. The data is checked for NaN and infinity once,
-when the target is built, not on every evaluation.
+when the target is built, not on every evaluation. Without a fixed grid it
+is also sorted then, once, and each row's data term is
+``model._data_log_kernel``'s sum over it, split at the row's own mu: one
+exp, one log1p and one division per point, against the pointwise
+``log_kernel``'s tanh, log1p and two divisions.
 
 ``run_chains`` spreads its work over parallel lanes, one per CPU the
 process may use (``os.sched_getaffinity``): lane 0 is the calling process
@@ -65,6 +69,8 @@ from .model import (
     EvalGrid,
     QrseParams,
     _log_likelihood_rows,
+    _sort_data,
+    _SortedData,
     build_density,
     log_likelihood,
 )
@@ -333,7 +339,8 @@ def build_sampling_grid(
 
 def _check_local_grids(values: np.ndarray, priors: PriorSpec) -> None:
     """Build the largest local log Z grid the support allows and evaluate
-    the public ``log_posterior`` of ``values`` on it.
+    the public ``log_posterior`` of ``values`` on it, which sums the
+    pointwise ``log_kernel`` over the data.
 
     The grid's size grows with T / min(T, S), so it peaks at (T, S) =
     (bound_high, bound_low); mu and alpha cannot change it and sit at the
@@ -382,8 +389,10 @@ def log_posterior(
 
 def _make_target(data, priors: PriorSpec, grid: EvalGrid | None):
     """The sampler's log target: ``_log_targets`` on ``data``, which is
-    checked here once, not on every evaluation. It maps an (m, 4) array of
-    rows (T, S, mu, alpha) to their m log posteriors.
+    checked here once, not on every evaluation, and without an explicit
+    grid also sorted here once, with its prefix sums (``model._sort_data``).
+    It maps an (m, 4) array of rows (T, S, mu, alpha) to their m log
+    posteriors.
 
     Raises
     ------
@@ -393,16 +402,22 @@ def _make_target(data, priors: PriorSpec, grid: EvalGrid | None):
     values = np.asarray(data, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("the sampler requires finite observations")
+    if not values.size:
+        values = None
+    elif grid is None:
+        values = _sort_data(values)
     return lambda points: _log_targets(points, values, priors, grid)
 
 
-def _log_targets(points: np.ndarray, values: np.ndarray, priors: PriorSpec,
-                 grid: EvalGrid | None) -> np.ndarray:
+def _log_targets(points: np.ndarray, values: _SortedData | np.ndarray | None,
+                 priors: PriorSpec, grid: EvalGrid | None) -> np.ndarray:
     """The log posterior at each row (T, S, mu, alpha) of ``points``, in a few
     calls over blocks of rows: -inf outside the support and the location
     box, and inside them log prior plus ``_log_likelihood_rows``, the bits
     of ``log_posterior`` at that point. A row's value does not depend on
-    the rows around it. ``values`` must be finite.
+    the rows around it. ``values`` is what ``_make_target`` builds from
+    finite data: None without observations, else the form
+    ``_log_likelihood_rows`` reads for ``grid``.
     """
     (mu_low, mu_high), (alpha_low, alpha_high) = _location_box(priors)
     low = (priors.bound_low, priors.bound_low, mu_low, alpha_low)
@@ -412,7 +427,7 @@ def _log_targets(points: np.ndarray, values: np.ndarray, priors: PriorSpec,
     # One row (the mode search, the random walk) takes the prior in Python
     # floats: the same bits, several times faster than on 1-element arrays.
     log_p = priors._log_density(*(rows[0].tolist() if len(rows) == 1 else rows.T))
-    if values.size:
+    if values is not None:
         log_p = log_p + _log_likelihood_rows(values, rows, grid)
     out = np.full(len(points), -math.inf)
     out[inside] = log_p

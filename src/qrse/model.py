@@ -14,7 +14,10 @@ function is computed by quadrature on a uniform grid. Tabulated densities
 (pdf values, bin probabilities, inverse-CDF draws) are exact relative to
 their grid's discretization. A log-likelihood without an explicit grid
 takes log Z from ``local_log_z``, which adds both exponential tails in
-closed form and is accurate to about 1e-11 relative.
+closed form and is accurate to about 1e-11 relative, and sums the kernel
+over the data from sorted data (``_data_log_kernel``): one exp, one log1p
+and one division per point. With an explicit grid it sums ``log_kernel``
+point by point, which is the reference the tests hold that sum to.
 
 All four parameters are in thousands of dollars. Operations broadcast over
 numpy arrays and accept scalars.
@@ -60,6 +63,8 @@ _SPACING_ULPS = 4.0
 # temporaries stay in cache and are reused from the allocator's free lists
 # instead of being faulted in afresh for every call on a long data vector.
 _BLOCK = 16384
+
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -267,12 +272,15 @@ def _entropy_block(x: np.ndarray, params: QrseParams, out: np.ndarray,
     log1p(|t|)): two transcendentals, no cancellation in the tails. It is
     exactly ln 2 at x = mu and exactly 0 once |t| rounds to 1, since
     log1p(1) == ln 2; the bracket lies in [-ln 2, 0], so H stays in
-    [0, ln 2] without clipping.
+    [0, ln 2] without clipping. Where u overflows (``_kernel_rows`` silences
+    that), |u| is capped at the largest float, so the saturated point's
+    |u| (1 - |t|) is 0, not inf * 0; the cap changes no finite |u|.
     """
     np.subtract(x, params.mu, out=u)
     u /= params.T
     np.tanh(u, out=t)
     np.abs(u, out=u)
+    np.minimum(u, _FLOAT_MAX, out=u)
     np.abs(t, out=out)
     np.subtract(1.0, out, out=out)
     out *= u
@@ -313,6 +321,9 @@ def _kernel_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray, u: np.ndarray
     buffers freed and allocated per block can be faulted in afresh each time,
     up to 150,000 page faults in an N=2000 ``sample`` against 13,500 with
     them kept (2-core Xeon VM, glibc).
+
+    Overflow is silenced: a (x - mu)/T past the largest float saturates the
+    entropy to 0, and a (x - alpha)/S past it is the kernel's own -inf.
     """
     if len(rows) == 1:
         # numpy runs scalar operands 5-10% faster than (1, 1) columns.
@@ -320,10 +331,11 @@ def _kernel_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray, u: np.ndarray
         columns = _Columns._make(rows[0].tolist())
     else:
         columns = _Columns._make(rows.T[:, :, None])
-    for start in range(0, out.shape[-1], _BLOCK):
-        chunk = slice(start, start + _BLOCK)
-        width = out[..., chunk].shape[-1]
-        block(x[..., chunk], columns, out[..., chunk], u[..., :width], t[..., :width])
+    with np.errstate(over="ignore"):
+        for start in range(0, out.shape[-1], _BLOCK):
+            chunk = slice(start, start + _BLOCK)
+            width = out[..., chunk].shape[-1]
+            block(x[..., chunk], columns, out[..., chunk], u[..., :width], t[..., :width])
 
 
 def _blockwise(block, x, params: QrseParams):
@@ -423,8 +435,7 @@ def local_log_z(params: QrseParams) -> float:
     (1 - r) = dx / expm1(dx/S), which tends to S, not infinity. Such sums
     converge geometrically in 1/dx (Trefethen & Weideman 2014, SIAM Review
     56(3)). This is the one-row case of ``_local_log_z_rows``, which does
-    not go through ``log_kernel``, so a profile of ``log_kernel`` under
-    ``log_likelihood`` shows the data side alone.
+    not go through ``log_kernel``.
 
     Raises
     ------
@@ -494,38 +505,158 @@ def build_density(params: QrseParams, grid: EvalGrid | None = None) -> DensityTa
     return DensityTable(grid=grid, log_kernel_values=kernel, log_z=log_z, pdf=pdf)
 
 
+class _SortedData(NamedTuple):
+    """Observations as ``_data_log_kernel`` reads them, built once by
+    ``_sort_data``: ``x`` ascending, with -0.0 read as 0.0, so that the sign
+    of x - mu always says which side of ``searchsorted(x, mu)`` a point lies
+    on; ``prefix[i]`` is the sum of x[:i] - ``center``, and ``center`` is
+    the median, so that the sums carry no large common offset."""
+
+    x: np.ndarray
+    center: float
+    prefix: np.ndarray
+
+
+def _sort_data(values: np.ndarray) -> _SortedData:
+    """``_SortedData`` of nonempty ``values``."""
+    x = np.sort(values)
+    x += 0.0  # -0.0 + 0.0 is 0.0
+    center = float(x[x.size // 2])
+    prefix = np.zeros(x.size + 1)
+    np.cumsum(x - center, out=prefix[1:])
+    return _SortedData(x, center, prefix)
+
+
+def _data_log_kernel(data: _SortedData, rows: np.ndarray) -> np.ndarray:
+    """The log kernel summed over the data, at each row (T, S, mu, alpha)
+    of ``rows``.
+
+    Only mu and T act on each point alone. With d = x - mu, e = exp(-2|d|/T)
+    and q = e / (1 + e), the smaller choice probability at x, the entropy
+    is 2|d|/T q + log1p(e) and tanh(d/T) = sign(d) (1 - 2q). Summed:
+
+        sum H = (2/T) sum |d| q + sum log1p(e)
+        sum tanh(d/T) (x - alpha) = sum |d| - 2 sum |d| q
+                                    + (mu - alpha) (n+ - n- - 2 sum sign(d) q)
+
+    where the n- points below mu are the first ``searchsorted(x, mu)``, and
+    sum |d| comes from the prefix sums either side of that split. So each
+    point costs one exp, one log1p, one division and six other passes
+    (eight in row blocks; ``_choice_sums``). The entropy part is summed as
+    |d| q, never as a difference of large sums. A saturated point (e = 0)
+    adds exactly 0 entropy, and its feedback term only through sum |d| and
+    n+ - n-.
+
+    Every step is elementwise, a row's own sum, or a row's own split, so a
+    row's value depends only on that row and the data, not on the rows
+    around it.
+    """
+    x, center, prefix = data
+    n = x.size
+    T, S, mu, alpha = rows.T
+    below = np.searchsorted(x, mu)
+    scale = 2.0 / T
+    weighted, log_terms, signed = _choice_sums(x, scale, mu, below)
+    distance = (prefix[-1] - prefix[below]) - prefix[below] + (2 * below - n) * (mu - center)
+    feedback = distance - 2.0 * weighted + (mu - alpha) * ((n - 2 * below) - 2.0 * signed)
+    return (scale * weighted + log_terms) - feedback / S
+
+
+def _choice_sums(x: np.ndarray, scale: np.ndarray, mu: np.ndarray,
+                 below: np.ndarray) -> np.ndarray:
+    """Per row r: the sums over x of |d| q, log1p(e) and sign(d) q, with
+    d = x - mu[r], e = exp(-scale[r] |d|) and q = e / (1 + e), where the
+    first below[r] points have d < 0.
+
+    While a block of _BLOCK elements holds three rows or more (N <= 5,461),
+    each block is one (rows, N) array and the signs come from d
+    (``copysign``). Otherwise each row runs alone and its two sides are
+    separate slices, which saves the abs and copysign passes. That cut-off
+    is the measured crossover: per row, the blocks ran 7-17% faster at
+    N = 3,000-5,400 (three to five rows a block) and 0-15% slower at
+    N = 5,500-8,192 (two rows a block; 2-core Xeon VM, 64 rows). Both
+    give the same values elementwise, and
+    einsum, not a BLAS dot, forms sum |d| q: in a fresh process a BLAS call
+    can take milliseconds to start its thread pool. -scale |d| may
+    overflow to -inf, where e is 0.
+    """
+    n = x.size
+    sums = np.empty((3, len(mu)))
+    step = _BLOCK // n
+    with np.errstate(over="ignore"):
+        if step > 2:
+            buffers = np.empty((3, min(step, len(mu)), n))
+            for start in range(0, len(mu), step):
+                block = slice(start, start + step)
+                d, w, b = buffers[:, :len(mu[block])]
+                np.subtract(x, mu[block, None], out=d)
+                np.abs(d, out=w)
+                w *= -scale[block, None]
+                np.exp(w, out=w)
+                sums[1, block] = np.log1p(w, out=b).sum(axis=1)
+                np.add(w, 1.0, out=b)
+                w /= b
+                np.copysign(w, d, out=w)
+                sums[0, block] = np.einsum("ij,ij->i", d, w)
+                sums[2, block] = w.sum(axis=1)
+        else:
+            d, w, b = np.empty((3, n))
+            for row, (c, m, k) in enumerate(zip(scale.tolist(), mu.tolist(), below.tolist())):
+                np.subtract(x, m, out=d)
+                np.multiply(d[:k], c, out=w[:k])
+                np.multiply(d[k:], -c, out=w[k:])
+                np.exp(w, out=w)
+                log_sum = np.log1p(w, out=b).sum()
+                np.subtract(-1.0, w[:k], out=b[:k])  # -(1 + e): q < 0 below mu
+                np.add(w[k:], 1.0, out=b[k:])
+                w /= b
+                sums[:, row] = np.einsum("i,i->", d, w), log_sum, w.sum()
+    return sums
+
+
 def log_likelihood(data, params: QrseParams, grid: EvalGrid | None = None) -> float:
     """Log-likelihood of observed outcomes under the model.
 
-    Per-observation terms are evaluated exactly at each data point; only the
-    partition function uses a grid. With ``grid=None`` that is
-    ``local_log_z``'s grid, built for ``params``. An explicit grid is used as
-    given, through ``build_density``. The data is checked on every call;
-    the sampler's row evaluator, ``_log_likelihood_rows``, gives the same
-    bits on data checked once.
+    Per-observation terms are exact at each data point; only the partition
+    function uses a grid. With ``grid=None`` this is the one-row case of
+    ``_log_likelihood_rows``: log Z on ``local_log_z``'s grid, built for
+    ``params``, and the kernel sum ``_data_log_kernel`` over a sorted copy
+    of the data. The sampler's row evaluator gives the same bits on data
+    checked and sorted once. An explicit grid is used as given, through
+    ``build_density``, and the kernel sum is ``log_kernel`` at each point,
+    summed: the pointwise reference. The data is checked on every call.
     """
     values = np.asarray(data, dtype=float)
     if values.size == 0:
         raise ValueError("log_likelihood requires at least one observation")
     if not np.all(np.isfinite(values)):
         raise ValueError("log_likelihood requires finite observations")
-    log_z = local_log_z(params) if grid is None else build_density(params, grid).log_z
+    if grid is None:
+        return float(_log_likelihood_rows(_sort_data(values), params.as_array()[None])[0])
+    log_z = build_density(params, grid).log_z
     return float(np.sum(log_kernel(values, params))) - values.size * log_z
 
 
 def _log_likelihood_rows(
-    values: np.ndarray, rows: np.ndarray, grid: EvalGrid | None = None
+    data: _SortedData | np.ndarray, rows: np.ndarray, grid: EvalGrid | None = None
 ) -> np.ndarray:
     """``log_likelihood(values, QrseParams.from_array(row), grid)`` at each
-    row of ``rows``, bit for bit, for finite, nonempty ``values``.
+    row of ``rows``, bit for bit, for finite, nonempty ``values``, which
+    the caller passes as ``data`` in the form its grid mode reads.
 
-    The data kernel runs on (rows, N) blocks of at most _BLOCK elements
-    (one row in _BLOCK chunks when N is larger) and is summed per row; a
-    row sum of a C-contiguous block is the same pairwise sum as a 1-d one.
-    log Z comes from ``_local_log_z_rows``, or with an explicit grid from
-    one ``build_density`` per row.
+    With ``grid=None``, ``data`` is ``_sort_data(values)`` (the sampler
+    sorts once per run), the kernel sums are ``_data_log_kernel``'s and
+    log Z comes from ``_local_log_z_rows``. With an explicit grid, ``data``
+    is the array ``values``, and the data kernel runs on (rows, N) blocks
+    of at most _BLOCK elements (one row in _BLOCK chunks when N is larger)
+    and is summed per row; a row sum of a C-contiguous block is the same
+    pairwise sum as a 1-d one. log Z then comes from one ``build_density``
+    per row.
     """
-    n = values.size
+    if grid is None:
+        log_z = _local_log_z_rows(rows)  # first: it raises for an oversized grid
+        return _data_log_kernel(data, rows) - data.x.size * log_z
+    n = data.size
     step = max(1, _BLOCK // n)
     sums = np.empty(len(rows))
     kernel = np.empty((min(step, len(rows)), n))
@@ -533,12 +664,9 @@ def _log_likelihood_rows(
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
         out = kernel[:len(block)]
-        _kernel_rows(values, block, out, *scratch[:, :len(block)])
+        _kernel_rows(data, block, out, *scratch[:, :len(block)])
         sums[start:start + step] = np.sum(out, axis=1)
-    if grid is None:
-        log_z = _local_log_z_rows(rows)
-    else:
-        log_z = np.array([build_density(QrseParams.from_array(row), grid).log_z for row in rows])
+    log_z = np.array([build_density(QrseParams.from_array(row), grid).log_z for row in rows])
     return sums - n * log_z
 
 

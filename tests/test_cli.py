@@ -157,6 +157,27 @@ class TestSimulate:
                        "--seed", "9") == 0
         assert (a / "synthetic.csv").read_bytes() == (b / "synthetic.csv").read_bytes()
 
+    def test_rows_keep_the_sign_of_zero(self, tmp_path, monkeypatch):
+        # A -0.0 draw is written as spend "-0.0" and tax "0.0", a 0.0 draw
+        # as "0.0" and "-0.0": the bytes of max(x, 0.0) and max(-x, 0.0).
+        draws = np.array([-0.0, 0.0, 1.5, -2.25, 1e-300])
+        monkeypatch.setattr(cli.synthetic, "sample", lambda params, config: draws)
+        assert run("simulate", "--outdir", str(tmp_path), "-n", "5") == 0
+        assert (tmp_path / "synthetic.csv").read_text().splitlines()[1:] == [
+            "synth-000000,2008,-0.0,0.0,1,1",
+            "synth-000001,2008,0.0,-0.0,1,1",
+            "synth-000002,2008,1.5,0.0,1,1",
+            "synth-000003,2008,0.0,2.25,1,1",
+            "synth-000004,2008,1e-300,0.0,1,1",
+        ]
+
+
+def test_csv_rows_are_float_reprs(tmp_path):
+    # One row per element; each value its repr, which round-trips exactly.
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, "a,b", (np.array([0.1, -0.0]), [1, 2.5e-320]))
+    assert path.read_text() == "a,b\n0.1,1.0\n-0.0,2.5e-320\n"
+
 
 class TestFit:
     def test_map_artifact(self, pipeline_dir, capsys):

@@ -1,10 +1,15 @@
-"""Property tests of the QRSE kernel and log partition function.
+"""Property tests of the QRSE kernel, its sum over data and the log
+partition function.
 
-The oracle is the softplus/sigmoid form of the kernel, with a clip to
-[0, ln 2], against which the two-transcendental tanh form must agree.
+The kernel's oracle is the softplus/sigmoid form, with a clip to [0, ln 2],
+against which the two-transcendental tanh form must agree. The sum over
+data has its own oracle: the kernel's definition evaluated in 40-digit
+arithmetic at each point and summed exactly.
 """
 
+import decimal
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from qrse import (
     build_density,
     conditional_entropy,
     log_kernel,
+    log_likelihood,
 )
 from qrse import model
 from tests.conftest import REF
@@ -116,3 +122,118 @@ def test_grid_cut_on_one_side_is_too_narrow(side):
         grid = EvalGrid.from_bounds(low, REF.alpha)
     with pytest.raises(GridTooNarrow):
         build_density(REF, grid)
+
+
+ORACLE = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def exact_log_kernel(x: float, p: QrseParams) -> float:
+    """The kernel from its definition, in 40-digit decimal arithmetic,
+    rounded once: the binary entropy of the entry probability
+    1/(1 + exp(-2u)) and the exit probability 1/(1 + exp(2u)), each formed
+    directly, minus tanh(u) (x - alpha)/S, with u = (x - mu)/T and
+    tanh(u) = (1 - exp(-2u)) / (1 + exp(-2u)). The exponent range is the
+    widest decimal allows, so exp(2u) neither overflows nor underflows at
+    |u| = 1e6."""
+    with decimal.localcontext(ORACLE):
+        x, T, S, mu, alpha = map(decimal.Decimal, (x, p.T, p.S, p.mu, p.alpha))
+        u = (x - mu) / T
+        down, up = (-2 * u).exp(), (2 * u).exp()
+        enter, leave = 1 / (1 + down), 1 / (1 + up)
+        entropy = -(enter * enter.ln() + leave * leave.ln())
+        tanh = (1 - down) / (1 + down)
+        return float(entropy - tanh * (x - alpha) / S)
+
+
+@st.composite
+def data_sum_cases(draw):
+    """Parameters and data for the sum over data: T from 300 times below S
+    to 300 times above it; mu among the data, or below or above all of it
+    (split index 0 or n); optional ties at x == mu, duplicated values and
+    a pair of points 1e6 T either side of mu."""
+    S = draw(st.floats(0.05, 10.0))
+    T = S * 10.0 ** draw(st.floats(-2.5, 2.5))
+    mu = draw(st.floats(-50.0, 50.0))
+    alpha = mu + draw(offsets)
+    spread = draw(st.sampled_from([T, S]))
+    centre = mu + draw(st.floats(-3.0, 3.0)) * spread
+    x = [centre + spread * z for z in draw(st.lists(st.floats(-20.0, 20.0), min_size=1,
+                                                      max_size=30))]
+    side = draw(st.sampled_from(["among", "below", "above"]))
+    if side == "below":
+        mu = min(x) - T * draw(st.floats(0.0, 5.0))
+    elif side == "above":
+        mu = max(x) + T * draw(st.floats(1e-3, 5.0))
+    if draw(st.booleans()):
+        x.append(mu)
+    x += draw(st.lists(st.sampled_from(x), max_size=4))
+    if draw(st.booleans()):
+        x += [mu - 1e6 * T, mu + 1e6 * T]
+    return QrseParams(T=T, S=S, mu=mu, alpha=alpha), np.array(x)
+
+
+def data_sum(x, p: QrseParams) -> float:
+    return float(model._data_log_kernel(model._sort_data(x), p.as_array()[None])[0])
+
+
+def test_overflowing_points_are_saturated():
+    # (x - mu) / T overflows: the entropy is exactly 0 and the kernel
+    # -|x - alpha| / S, with no warning (the suite turns warnings into
+    # errors) and no NaN, pointwise and in the sum over data.
+    p = QrseParams(T=0.1, S=1.0, mu=0.0, alpha=0.0)
+    x = np.array([1e308, -1e308])
+    np.testing.assert_array_equal(log_kernel(x, p), [-1e308, -1e308])
+    np.testing.assert_array_equal(conditional_entropy(x, p), [0.0, 0.0])
+    for one in x[:, None]:
+        assert data_sum(one, p) == -1e308
+        assert log_likelihood(one, p) == -1e308 - model.local_log_z(p)
+
+
+@PROPERTY_SETTINGS
+@given(case=data_sum_cases())
+def test_data_sum_matches_oracle(case):
+    # Both layouts of _choice_sums: row blocks, and one row with its sides
+    # as separate slices (which runs once a block holds fewer than three).
+    p, x = case
+    terms = [exact_log_kernel(v, p) for v in x.tolist()]
+    bound = 1e-12 * math.fsum(map(abs, terms))
+    assert abs(data_sum(x, p) - math.fsum(terms)) <= bound
+    with mock.patch.object(model, "_BLOCK", x.size):
+        assert abs(data_sum(x, p) - math.fsum(terms)) <= bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("where", ["at", "below", "above"])
+def test_data_sum_splits_at_mu(n, where):
+    # N = 1 and a few ties, with mu at the data (every point a tie), or
+    # below or above all of it: split index 0 or n.
+    p = QrseParams(T=0.7, S=2.5, mu=3.0, alpha=5.0)
+    x = np.full(n, {"at": 3.0, "below": 4.0, "above": 2.0}[where])
+    terms = [exact_log_kernel(v, p) for v in x.tolist()]
+    assert abs(data_sum(x, p) - math.fsum(terms)) <= 1e-15 * math.fsum(map(abs, terms))
+
+
+def test_negative_zero_sits_with_zero():
+    # -0.0 - 0.0 is -0.0, whose sign bit would put a tie at mu = 0 below the
+    # split that searchsorted puts it above; sorting reads -0.0 as 0.0.
+    p = QrseParams(T=0.7, S=2.5, mu=0.0, alpha=5.0)
+    x = np.array([-0.0, 1.5, 0.0, -0.0, -2.0])
+    terms = [exact_log_kernel(v, p) for v in x.tolist()]
+    assert abs(data_sum(x, p) - math.fsum(terms)) <= 1e-15 * math.fsum(map(abs, terms))
+    assert data_sum(x, p) == data_sum(x + 0.0, p)
+
+
+@PROPERTY_SETTINGS
+@given(T=scales, S=scales, mu=st.floats(-50.0, 50.0), offset=offsets,
+       r=st.lists(st.floats(1e3, 1e9) | st.floats(-1e9, -1e3), min_size=1, max_size=20))
+def test_saturated_points_add_their_line_only(T, S, mu, offset, r):
+    # Past saturation e = exp(-2|d|/T) is 0: the entropy sums are exactly 0
+    # and each point adds what log_kernel gives it, -sign(d) (x - alpha)/S.
+    p = QrseParams(T=T, S=S, mu=mu, alpha=mu + offset)
+    x = mu + T * np.array(r)
+    data = model._sort_data(x)
+    below = np.searchsorted(data.x, [mu])
+    weighted, log_terms, _ = model._choice_sums(data.x, np.array([2.0 / T]), np.array([mu]), below)
+    assert weighted[0] == log_terms[0] == 0.0
+    kernel = log_kernel(x, p).tolist()
+    assert abs(data_sum(x, p) - math.fsum(kernel)) <= 1e-12 * math.fsum(map(abs, kernel))

@@ -749,6 +749,13 @@ class TestLanes:
             small_data, config, lanes, fork_starts, lane_counts, mcmc.INDEPENDENCE
         )
 
+    def test_rows_one_at_a_time_do_not_depend_on_lanes(self, lanes, fork_starts):
+        # 20,000 points exceed the kernel's block, so every target row runs
+        # alone, its sides split at its own mu, in whichever lane has it.
+        data = sample(REF, SampleConfig(n=20_000, seed=5))
+        config = ChainConfig(chains=3, draws=40, tune=20, seed=0)
+        self.assert_lane_invariant(data, config, lanes, fork_starts, (2,), mcmc.INDEPENDENCE)
+
     def test_independence_sweeps_run_here(self, small_data, lanes, monkeypatch):
         # Lane 0 evaluates its slice through _log_targets, and every chain's
         # sweep is one run_chain call in this process, so both can be traced.
@@ -1160,7 +1167,7 @@ class TestLogTargets:
     @staticmethod
     def assert_same_bits(data, priors, grid=None, rows=TARGET_ROWS):
         expected = reference_targets(rows, data, priors, grid)
-        got = mcmc._log_targets(rows, data, priors, grid)
+        got = mcmc._make_target(data, priors, grid)(rows)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
@@ -1186,19 +1193,35 @@ class TestLogTargets:
         got = np.concatenate([target(row[None]) for row in rows])
         assert got.tobytes() == expected.tobytes()
 
-    def test_rows_do_not_depend_on_their_neighbours(self, small_data):
+    @staticmethod
+    def assert_rows_independent(data):
+        # Each row splits the data at its own mu: among the data, at a data
+        # point, at the largest one inside the location box (mu <= 48.66)
+        # and below the smallest.
+        low, high = float(np.min(data)), float(np.max(data[data <= 48.66]))
         rows = np.concatenate([
             np.tile(TARGET_ROWS, (3, 1)),
             np.random.default_rng(9).uniform([0.2, 0.2, 0.0, 10.0], [6.0, 6.0, 15.0, 25.0],
                                              (40, 4)),
+            [[2.1, 4.9, data[7], 17.8], [2.0, 5.0, high, 17.0], [2.2, 4.8, low - 0.5, 18.0]],
         ])
-        whole = mcmc._log_targets(rows, small_data, WIDE_PRIORS, None)
+        target = mcmc._make_target(data, WIDE_PRIORS, None)
+        whole = target(rows)
         order = np.random.default_rng(10).permutation(len(rows))
-        permuted = mcmc._log_targets(rows[order], small_data, WIDE_PRIORS, None)
+        permuted = target(rows[order])
         assert permuted.tobytes() == whole[order].tobytes()
-        for part in (slice(0, 1), slice(1, 2), slice(3, 17), slice(30, None), slice(5, 6)):
-            got = mcmc._log_targets(rows[part], small_data, WIDE_PRIORS, None)
+        for part in (slice(0, 1), slice(1, 2), slice(3, 17), slice(30, None), slice(5, 6),
+                     slice(-3, None)):
+            got = target(rows[part])
             assert got.tobytes() == whole[part].tobytes(), part
+
+    def test_rows_do_not_depend_on_their_neighbours(self, small_data):
+        # 400 points put 40 rows in a block.
+        self.assert_rows_independent(small_data)
+
+    def test_rows_do_not_depend_on_their_neighbours_one_at_a_time(self):
+        # 20,000 points exceed a block, so each row runs alone.
+        self.assert_rows_independent(sample(REF, SampleConfig(n=20_000, seed=6)))
 
     def test_matches_serial_target_on_an_explicit_grid(self, small_data):
         rows = TARGET_ROWS[[0, 2, 3, 5, 6, 8, 10]]
@@ -1208,8 +1231,8 @@ class TestLogTargets:
         self.assert_same_bits(np.array([]), WIDE_PRIORS)
         outside = TARGET_ROWS[8:]
         self.assert_same_bits(small_data, WIDE_PRIORS, rows=outside)
-        assert np.all(mcmc._log_targets(outside, small_data, WIDE_PRIORS, None) == -math.inf)
-        assert mcmc._log_targets(np.empty((0, 4)), small_data, PRIORS, None).shape == (0,)
+        assert np.all(mcmc._make_target(small_data, WIDE_PRIORS, None)(outside) == -math.inf)
+        assert mcmc._make_target(small_data, PRIORS, None)(np.empty((0, 4))).shape == (0,)
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),

@@ -24,7 +24,13 @@ from qrse import (
     log_likelihood,
     payoff_difference,
 )
-from qrse.model import _log_likelihood_rows, _local_log_z_rows, local_log_z
+from qrse.model import (
+    _data_log_kernel,
+    _log_likelihood_rows,
+    _local_log_z_rows,
+    _sort_data,
+    local_log_z,
+)
 from tests.conftest import REF
 
 # Binary entropy at p = 3/4, from -(p ln p + (1-p) ln(1-p)):
@@ -359,12 +365,15 @@ class TestLocalLogZ:
         data = np.random.default_rng(4).normal(12.0, 6.0, n)
         rows = np.array([p.as_array() for p in LOCAL_POINTS * 13])
         expected = np.array([log_likelihood(data, QrseParams.from_array(row)) for row in rows])
-        assert _log_likelihood_rows(data, rows).tobytes() == expected.tobytes()
+        assert _log_likelihood_rows(_sort_data(data), rows).tobytes() == expected.tobytes()
 
     def test_likelihood_default_uses_local_grid(self):
-        data = np.array([-4.0, 3.5, 12.0, 30.0])
-        expected = float(np.sum(log_kernel(data, REF))) - data.size * local_log_z(REF)
+        # The data term is the sorted-data sum, on a sorted copy.
+        data = np.array([30.0, -4.0, 12.0, 3.5])
+        kernel_sum = _data_log_kernel(_sort_data(data), REF.as_array()[None])[0]
+        expected = float(kernel_sum) - data.size * local_log_z(REF)
         assert log_likelihood(data, REF) == expected
+        np.testing.assert_array_equal(data, [30.0, -4.0, 12.0, 3.5])
 
 
 class TestBinProbabilities:
