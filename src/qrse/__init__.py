@@ -22,6 +22,7 @@ from .diagnostics import (
 )
 from .errors import (
     AllExcluded,
+    BadStart,
     DegenerateRange,
     EmptyBinGrid,
     GridTooLarge,
@@ -79,6 +80,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllExcluded",
+    "BadStart",
     "ChainConfig",
     "CleanedSample",
     "DegenerateRange",

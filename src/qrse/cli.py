@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, ingest, mapfit, mcmc, model, synthetic
-from .errors import NoDescent, ParseError, QrseError, StuckChain
+from .errors import BadStart, NoDescent, ParseError, QrseError, StuckChain
 
 CLEANED_FILE = "cleaned.json"
 HISTOGRAM_FILE = "histogram.json"
@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     handler = COMMANDS[args.command][0]
     try:
         return handler(args)
-    except StuckChain as err:
+    except (StuckChain, BadStart) as err:
         print(f"error: sampler failed: {err}", file=sys.stderr)
         return 4
     except NoDescent as err:

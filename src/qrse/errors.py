@@ -57,6 +57,12 @@ class StuckChain(QrseError):
     """Post-tune acceptance rate fell below the minimum useful level."""
 
 
+class BadStart(QrseError, ValueError):
+    """A chain's initial point has a non-finite log posterior. The message
+    names the chain and each parameter outside the prior support or the
+    location box."""
+
+
 class InsufficientDraws(QrseError):
     """Too few chains or draws to compute a convergence statistic."""
 

@@ -29,8 +29,9 @@ caller passes one fixed grid. The data is checked for NaN and infinity once,
 when the target is built, not on every evaluation. Without a fixed grid it
 is also sorted then, once, and each row's data term is
 ``model._data_log_kernel``'s sum over it, split at the row's own mu: one
-exp, one log1p and one division per point, against the pointwise
-``log_kernel``'s tanh, log1p and two divisions.
+exp and one division per point, and one log per 32 points for the sum of
+log1p terms, against the pointwise ``log_kernel``'s tanh, log1p and two
+divisions.
 
 ``run_chains`` spreads its work over parallel lanes, one per CPU the
 process may use (``os.sched_getaffinity``): lane 0 is the calling process
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfSupport, ParseError, QrseError, StuckChain
+from .errors import BadStart, OutOfSupport, ParseError, QrseError, StuckChain
 from .model import (
     DEFAULT_GRID_POINTS,
     EvalGrid,
@@ -643,6 +644,9 @@ def run_chain(
 
     Raises
     ------
+    BadStart
+        If the start (``initial``, or row 0 of the proposals) has a
+        non-finite log posterior.
     GridTooLarge
         If a proposal's local log Z grid would be too large (no explicit
         grid; ``run_chains`` rules this out before any chain runs).
@@ -651,12 +655,22 @@ def run_chain(
     """
     rng = seed if isinstance(seed, np.random.Generator) else rng_from_seed(seed)
     if proposals is not None:
-        out, post_tune_accepts = _independence_sweep(*proposals, draws, tune, rng)
+        points, log_weights = proposals
+        if not (len(points) == len(log_weights) == 1 + tune + draws):
+            raise ValueError("proposals need 1 + tune + draws points and log weights")
+        start, log_p = points[0], log_weights[0]
+    else:
+        target = _make_target(data, priors, grid)
+        start = initial.as_array()
+        log_p = target(start[None])[0]
+    if not math.isfinite(log_p):
+        raise BadStart(_bad_start_message(start, priors))
+    if proposals is not None:
+        out, post_tune_accepts = _independence_sweep(points, log_weights, draws, tune, rng)
         scales = step_scales
     else:
         out, post_tune_accepts, scales = _random_walk(
-            _make_target(data, priors, grid), initial, step_scales, draws, tune, rng,
-            proposal_cholesky,
+            target, start, log_p, step_scales, draws, tune, rng, proposal_cholesky,
         )
     acceptance = post_tune_accepts / draws
     if acceptance < STUCK_ACCEPTANCE:
@@ -668,12 +682,25 @@ def run_chain(
     )
 
 
-def _random_walk(target, initial, step_scales, draws, tune, rng, proposal_cholesky):
-    """The random-walk chain: (recorded states, post-tune accepts, final scales)."""
-    state = initial.as_array()
-    log_p = target(state[None])[0]
-    if not math.isfinite(log_p):
-        raise ValueError("initial point has non-finite log posterior")
+def _bad_start_message(start: np.ndarray, priors: PriorSpec) -> str:
+    """What is wrong with a start whose log posterior is not finite: each
+    parameter outside the prior support or the location box."""
+    support = (priors.bound_low, priors.bound_high, "the support")
+    box = [(*edges, "the location box") for edges in _location_box(priors)]
+    outside = [
+        f"{name}={value!r} outside {where} [{low!r}, {high!r}]"
+        for name, value, (low, high, where)
+        in zip(("T", "S", "mu", "alpha"), start.tolist(), (support, support, *box))
+        if not low <= value <= high
+    ]
+    return "initial point has non-finite log posterior" + (
+        ": " + ", ".join(outside) if outside else ""
+    )
+
+
+def _random_walk(target, state, log_p, step_scales, draws, tune, rng, proposal_cholesky):
+    """The random-walk chain from ``state``, whose log target is ``log_p``:
+    (recorded states, post-tune accepts, final scales)."""
     scales = np.asarray(step_scales, dtype=float).copy()
 
     out = np.empty((draws, 4))
@@ -707,10 +734,6 @@ def _random_walk(target, initial, step_scales, draws, tune, rng, proposal_choles
 def _independence_sweep(points, log_weights, draws, tune, rng):
     """The independence chain over precomputed weights: (recorded states,
     post-tune accepts)."""
-    if not (len(points) == len(log_weights) == 1 + tune + draws):
-        raise ValueError("proposals need 1 + tune + draws points and log weights")
-    if not math.isfinite(log_weights[0]):
-        raise ValueError("initial point has non-finite log posterior")
     # 1 - U lies in (0, 1], so its log is finite.
     log_uniforms = np.log1p(-rng.random(tune + draws)).tolist()
     weights = log_weights.tolist()
@@ -828,7 +851,8 @@ def run_chains(
 
     Chain i is keyed by seed + i (the seed split rule). Unless the config
     carries explicit initial points, chains start at the posterior mode
-    jittered by up to 10 percent of each prior sd. Unless it carries
+    jittered by up to 10 percent of each prior sd and clipped into the
+    support and the location box. Unless it carries
     explicit step scales, the Laplace approximation at the mode sets the
     proposal; explicit scales imply a random walk with independent
     proposal coordinates.
@@ -862,6 +886,9 @@ def run_chains(
         If the data holds a NaN or an infinity.
     GridTooLarge
         From the startup check of the local log Z grid (no explicit grid).
+    BadStart
+        If an explicit initial point has a non-finite log posterior;
+        re-raised with the chain index attached.
     StuckChain
         Re-raised with the chain index attached.
     QrseError
@@ -889,6 +916,7 @@ def run_chains(
         points = np.empty((config.chains, 1 + steps, 4))
 
     inset = 1e-6 * (priors.bound_high - priors.bound_low)
+    box = np.array(_location_box(priors))
     starts, rngs = [], []
     for index in range(config.chains):
         rng = rng_from_seed(config.seed + index)
@@ -900,6 +928,7 @@ def run_chains(
             point[:2] = np.clip(
                 point[:2], priors.bound_low + inset, priors.bound_high - inset
             )
+            point[2:] = np.clip(point[2:], box[:, 0], box[:, 1])
             start = QrseParams.from_array(point)
         if independent:
             points[index, 0] = start.as_array()
@@ -913,8 +942,8 @@ def run_chains(
                 values, priors, starts[index], scales, config.draws, config.tune,
                 rngs[index], grid, **kwargs,
             )
-        except StuckChain as err:
-            raise StuckChain(f"chain {index}: {err}") from None
+        except (StuckChain, BadStart) as err:
+            raise type(err)(f"chain {index}: {err}") from None
 
     if independent:
         flat = points.reshape(-1, 4)

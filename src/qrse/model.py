@@ -15,9 +15,11 @@ function is computed by quadrature on a uniform grid. Tabulated densities
 their grid's discretization. A log-likelihood without an explicit grid
 takes log Z from ``local_log_z``, which adds both exponential tails in
 closed form and is accurate to about 1e-11 relative, and sums the kernel
-over the data from sorted data (``_data_log_kernel``): one exp, one log1p
-and one division per point. With an explicit grid it sums ``log_kernel``
-point by point, which is the reference the tests hold that sum to.
+over the data from sorted data (``_data_log_kernel``): one exp and one
+division per point, and one log per 32 points for the sum of log1p terms,
+taken as logs of products of 1 + e below 2^33. With an explicit grid it
+sums ``log_kernel`` point by point, which is the reference the tests hold
+that sum to.
 
 All four parameters are in thousands of dollars. Operations broadcast over
 numpy arrays and accept scalars.
@@ -63,6 +65,12 @@ _SPACING_ULPS = 4.0
 # temporaries stay in cache and are reused from the allocator's free lists
 # instead of being faulted in afresh for every call on a long data vector.
 _BLOCK = 16384
+
+# Sums of log1p(e) over the data are logs of products of at most _FACTORS + 1
+# factors 1 + e in [1, 2] (``_log1p_sums``); a row whose sum falls below
+# _LOG1P_FLOOR per point takes np.log1p instead.
+_FACTORS = 32
+_LOG1P_FLOOR = 2.0**-9
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -541,11 +549,12 @@ def _data_log_kernel(data: _SortedData, rows: np.ndarray) -> np.ndarray:
 
     where the n- points below mu are the first ``searchsorted(x, mu)``, and
     sum |d| comes from the prefix sums either side of that split. So each
-    point costs one exp, one log1p, one division and six other passes
-    (eight in row blocks; ``_choice_sums``). The entropy part is summed as
-    |d| q, never as a difference of large sums. A saturated point (e = 0)
-    adds exactly 0 entropy, and its feedback term only through sum |d| and
-    n+ - n-.
+    point costs one exp, one division and seven other passes, one of them
+    over the points below mu only (eight in row blocks; ``_choice_sums``),
+    and sum log1p(e) costs one log per 32 points (``_log1p_sums``). The
+    entropy part is summed as |d| q, never as a difference of large sums.
+    A saturated point (e = 0) adds exactly 0 entropy, and its feedback term
+    only through sum |d| and n+ - n-.
 
     Every step is elementwise, a row's own sum, or a row's own split, so a
     row's value depends only on that row and the data, not on the rows
@@ -571,11 +580,12 @@ def _choice_sums(x: np.ndarray, scale: np.ndarray, mu: np.ndarray,
     While a block of _BLOCK elements holds three rows or more (N <= 5,461),
     each block is one (rows, N) array and the signs come from d
     (``copysign``). Otherwise each row runs alone and its two sides are
-    separate slices, which saves the abs and copysign passes. That cut-off
-    is the measured crossover: per row, the blocks ran 7-17% faster at
-    N = 3,000-5,400 (three to five rows a block) and 0-15% slower at
-    N = 5,500-8,192 (two rows a block; 2-core Xeon VM, 64 rows). Both
-    give the same values elementwise, and
+    separate slices, which saves the abs and copysign passes: 1 + e is
+    formed once, its lower slice negated after ``_log1p_sums`` has read it.
+    That cut-off is the measured crossover: per row, the blocks ran 7-17%
+    faster at N = 3,000-5,400 (three to five rows a block) and 0-15% slower
+    at N = 5,500-8,192 (two rows a block; 2-core Xeon VM, 64 rows). Both
+    give the same values elementwise and the same log1p sums, and
     einsum, not a BLAS dot, forms sum |d| q: in a fresh process a BLAS call
     can take milliseconds to start its thread pool. -scale |d| may
     overflow to -inf, where e is 0.
@@ -583,9 +593,11 @@ def _choice_sums(x: np.ndarray, scale: np.ndarray, mu: np.ndarray,
     n = x.size
     sums = np.empty((3, len(mu)))
     step = _BLOCK // n
+    columns = -(-n // _FACTORS)
     with np.errstate(over="ignore"):
         if step > 2:
             buffers = np.empty((3, min(step, len(mu)), n))
+            products = np.empty((len(buffers[0]), columns))
             for start in range(0, len(mu), step):
                 block = slice(start, start + step)
                 d, w, b = buffers[:, :len(mu[block])]
@@ -593,24 +605,57 @@ def _choice_sums(x: np.ndarray, scale: np.ndarray, mu: np.ndarray,
                 np.abs(d, out=w)
                 w *= -scale[block, None]
                 np.exp(w, out=w)
-                sums[1, block] = np.log1p(w, out=b).sum(axis=1)
                 np.add(w, 1.0, out=b)
+                sums[1, block] = _log1p_sums(w, b, products[:len(d)])
                 w /= b
                 np.copysign(w, d, out=w)
                 sums[0, block] = np.einsum("ij,ij->i", d, w)
                 sums[2, block] = w.sum(axis=1)
         else:
             d, w, b = np.empty((3, n))
+            products = np.empty((1, columns))
             for row, (c, m, k) in enumerate(zip(scale.tolist(), mu.tolist(), below.tolist())):
                 np.subtract(x, m, out=d)
                 np.multiply(d[:k], c, out=w[:k])
                 np.multiply(d[k:], -c, out=w[k:])
                 np.exp(w, out=w)
-                log_sum = np.log1p(w, out=b).sum()
-                np.subtract(-1.0, w[:k], out=b[:k])  # -(1 + e): q < 0 below mu
-                np.add(w[k:], 1.0, out=b[k:])
+                np.add(w, 1.0, out=b)
+                log_sum = _log1p_sums(w[None], b[None], products)[0]
+                np.negative(b[:k], out=b[:k])  # -(1 + e): q < 0 below mu
                 w /= b
                 sums[:, row] = np.einsum("i,i->", d, w), log_sum, w.sum()
+    return sums
+
+
+def _log1p_sums(e: np.ndarray, b: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Per row of ``e`` (rows, N), e in [0, 1]: the sum of log1p(e), from
+    b = 1 + e. ``products`` is (rows, ceil(N / _FACTORS)) scratch.
+
+    Each row of b is viewed as (N // c, c) with c = ceil(N / _FACTORS)
+    columns and multiplied down its columns, which numpy does a whole row
+    of columns at a time; the fewer than c points left over multiply into
+    the first columns. So each product has at most _FACTORS + 1 factors in
+    [1, 2] and stays below 2^33, and the sum is the sum of the products'
+    logs: one log per 32 points in place of a log1p per point.
+
+    Rounding 1 + e and rounding the product it joins cost at most 2^-53
+    each per point, absolutely, and the logs and their sum are good to a
+    few units in the last place of the result. Where e is tiny that absolute error
+    is not small against log1p(e), about e: a row whose product sum is
+    below N _LOG1P_FLOOR is summed with np.log1p instead, so the relative
+    error stays below 2^-43 plus a few units in the last place. Both
+    branches read only the row, and a row's value does not depend on the
+    rows around it. An all-saturated row (e = 0) sums to exactly 0.
+    """
+    n = e.shape[1]
+    columns = products.shape[1]
+    full = n - n % columns
+    np.multiply.reduce(b[:, :full].reshape(len(b), -1, columns), axis=1, out=products)
+    np.multiply(products[:, :n - full], b[:, full:], out=products[:, :n - full])
+    sums = np.log(products, out=products).sum(axis=1)
+    small = sums < n * _LOG1P_FLOOR
+    if small.any():
+        sums[small] = np.log1p(e[small]).sum(axis=1)
     return sums
 
 

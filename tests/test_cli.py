@@ -384,6 +384,25 @@ class TestSampleAndReport:
                    "--tune", "0") == 4
 
 
+class TestBoxWall:
+    def test_mode_on_the_location_box_wall_samples(self, tmp_path):
+        # The mode search from these prior centres ends on the location
+        # box's wall (alpha = 17.8 + 4 sds). Jittered starts past the wall
+        # used to exit 2 with "initial point has non-finite log posterior";
+        # they are now clipped into the box, and the random walk runs.
+        d = str(tmp_path / "d")
+        assert run("simulate", "--outdir", d, "--t", "0.59", "--s", "6.412", "--mu", "-1.765",
+                   "--alpha", "17.457", "-n", "1000", "--seed", "60") == 0
+        assert run("ingest", "--outdir", d, "--input", f"{d}/synthetic.csv") == 0
+        assert run("fit", "--outdir", d) == 0
+        assert run("sample", "--outdir", d, "--chains", "3", "--draws", "1000", "--tune", "300",
+                   "--prior-t-center", "2.1", "--prior-s-center", "4.9",
+                   "--prior-mu-center", "8.66", "--prior-alpha-center", "17.8") == 0
+        with open(f"{d}/trace.csv") as trace:
+            assert '"kernel": "random-walk"' in trace.readline()
+        assert run("report", "--outdir", d) == 0
+
+
 class TestConfigFile:
     def test_file_supplies_settings(self, district_csv, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -7,6 +7,7 @@ data has its own oracle: the kernel's definition evaluated in 40-digit
 arithmetic at each point and summed exactly.
 """
 
+import contextlib
 import decimal
 import math
 from unittest import mock
@@ -172,6 +173,13 @@ def data_sum_cases(draw):
     return QrseParams(T=T, S=S, mu=mu, alpha=alpha), np.array(x)
 
 
+def both_layouts(x):
+    """Row blocks (the default _BLOCK, for N <= 5,461), then one row with
+    its sides as separate slices (_BLOCK patched to N)."""
+    yield contextlib.nullcontext()
+    yield mock.patch.object(model, "_BLOCK", x.size)
+
+
 def data_sum(x, p: QrseParams) -> float:
     return float(model._data_log_kernel(model._sort_data(x), p.as_array()[None])[0])
 
@@ -197,9 +205,9 @@ def test_data_sum_matches_oracle(case):
     p, x = case
     terms = [exact_log_kernel(v, p) for v in x.tolist()]
     bound = 1e-12 * math.fsum(map(abs, terms))
-    assert abs(data_sum(x, p) - math.fsum(terms)) <= bound
-    with mock.patch.object(model, "_BLOCK", x.size):
-        assert abs(data_sum(x, p) - math.fsum(terms)) <= bound
+    for layout in both_layouts(x):
+        with layout:
+            assert abs(data_sum(x, p) - math.fsum(terms)) <= bound
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -237,3 +245,61 @@ def test_saturated_points_add_their_line_only(T, S, mu, offset, r):
     assert weighted[0] == log_terms[0] == 0.0
     kernel = log_kernel(x, p).tolist()
     assert abs(data_sum(x, p) - math.fsum(kernel)) <= 1e-12 * math.fsum(map(abs, kernel))
+
+
+@pytest.mark.parametrize("n", [1, 20, 45, 3001])
+def test_data_sum_matches_oracle_across_product_columns(n):
+    # The log1p sum is a sum of logs of column products: N = 1, N below
+    # _FACTORS, N not a multiple of it, and N = 3,001, whose 94 columns
+    # are 31 full rows plus 87 points folded into the first columns. Points
+    # lie within 4 T of mu, with ties at mu, so that factors reach 2.
+    p = QrseParams(T=1.3, S=2.9, mu=4.0, alpha=6.5)
+    rng = np.random.default_rng(n)
+    x = p.mu + p.T * rng.uniform(-4.0, 4.0, n)
+    x[::7] = p.mu
+    terms = [exact_log_kernel(v, p) for v in x.tolist()]
+    bound = 1e-12 * math.fsum(map(abs, terms))
+    for layout in both_layouts(x):
+        with layout:
+            assert abs(data_sum(x, p) - math.fsum(terms)) <= bound
+
+
+def log1p_sum(x, p: QrseParams) -> float:
+    """``_choice_sums``' sum of log1p(e) over x, e = exp(-2|x - mu|/T)."""
+    data = model._sort_data(x)
+    below = np.searchsorted(data.x, [p.mu])
+    sums = model._choice_sums(data.x, np.array([2.0 / p.T]), np.array([p.mu]), below)
+    return float(sums[1, 0])
+
+
+@pytest.mark.parametrize("near", [0.0, 0.1])
+@pytest.mark.parametrize("n", [7, 3001])
+def test_log1p_sum_in_the_far_tail(n, near):
+    # Every point 10-30 T from mu, so each e lies in 1e-26-2e-9, where
+    # 1 + e keeps few of e's bits or none; then a tenth of them within 3 T
+    # of mu and the rest that far out. The sum holds 1e-12 of math.log1p's
+    # summed exactly, in both layouts.
+    p = QrseParams(T=0.8, S=2.0, mu=-3.0, alpha=1.0)
+    rng = np.random.default_rng(n)
+    z = rng.choice([-1.0, 1.0], n) * rng.uniform(10.0, 30.0, n)
+    z[: int(near * n)] = rng.uniform(-3.0, 3.0, int(near * n))
+    x = p.mu + p.T * z
+    e = [math.exp(-(2.0 / p.T) * abs(v - p.mu)) for v in x.tolist()]
+    exact = math.fsum(map(math.log1p, e))
+    for layout in both_layouts(x):
+        with layout:
+            assert abs(log1p_sum(x, p) - exact) <= 1e-12 * exact
+
+
+def test_log1p_sum_rows_stand_alone():
+    # One block holding rows that take the column products and rows whose
+    # points are nearly all far in the tail, which take np.log1p: each row
+    # gives the bits of its one-row call.
+    x = np.sort(np.random.default_rng(3).normal(0.0, 5.0, 500))
+    scale = 2.0 / np.array([2.0, 0.5, 1.0, 1.0])
+    mu = np.array([0.0, 40.0, 1.0, -40.0])
+    below = np.searchsorted(x, mu)
+    block = model._choice_sums(x, scale, mu, below)
+    for r in range(len(mu)):
+        alone = model._choice_sums(x, scale[r:r + 1], mu[r:r + 1], below[r:r + 1])
+        np.testing.assert_array_equal(block[:, r], alone[:, 0])

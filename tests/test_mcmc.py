@@ -12,6 +12,7 @@ import pytest
 from scipy import optimize, special, stats
 
 from qrse import (
+    BadStart,
     ChainConfig,
     EvalGrid,
     GridTooLarge,
@@ -1121,6 +1122,25 @@ class TestLocationBox:
             run_chains(data, priors, config)
         except StuckChain:
             pass  # nearly every proposal is rejected; exit 4, not an input error
+
+    @pytest.mark.parametrize("scales", [None, (0.1, 0.1, 0.3, 0.5)])
+    def test_explicit_start_outside_the_box_names_alpha(self, scales):
+        # Both kernels: the independence kernel's start row and the walk's
+        # first target call.
+        starts = (REF, dataclasses.replace(REF, alpha=60.0))
+        config = ChainConfig(chains=2, draws=20, tune=0, initial=starts, step_scales=scales)
+        with pytest.raises(BadStart, match=r"^chain 1: .*alpha=60\.0 outside the location box") as err:
+            run_chains(np.array([]), PRIORS, config)
+        assert "mu=" not in str(err.value) and "T=" not in str(err.value)
+
+    def test_jittered_starts_are_clipped_into_the_box(self, monkeypatch):
+        # A mode on the box's wall: starts jittered past it used to fail.
+        wall = PRIORS.centers()
+        wall[3] = mcmc._location_box(PRIORS)[1][1]
+        monkeypatch.setattr(mcmc, "_posterior_mode", lambda target, priors: wall.copy())
+        config = ChainConfig(chains=4, draws=50, tune=0, step_scales=(0.1, 0.1, 0.3, 0.5))
+        posterior = run_chains(np.array([]), PRIORS, config)
+        assert posterior.draws[:, :, 3].max() <= wall[3]
 
 
 # T <= S (157-point grids) and T > S with larger grids of several sizes,
