@@ -35,6 +35,7 @@ from .model import (
     EvalGrid,
     QrseParams,
     _fold_bins,
+    _kernel_derivatives,
     _kernel_rows,
     _log_partition,
     bin_probabilities,
@@ -179,14 +180,14 @@ class _BinnedKL:
     ``derivatives`` needs. The bins are checked against the grid by the
     caller, once.
 
-    With u = (x - mu)/T, t = tanh u, r = (x - alpha)/S and q = (1 - t^2)(u +
-    r), the log kernel k has dk/dtheta = (u q, t r, q/T, t/S). The cell
-    masses m are a softmax of k, and the bin probabilities P = B m, where B
-    (cell CDF, interpolation at the edges, differences, tail folds) is
-    linear. With phi the KL as a function of P, v = B^T phi'(P) and E the
-    mean under m, the gradient is E[(v - E v) dk], and the Hessian is
-    J^T diag(phi'') J with J = B (m (dk - E dk)), plus E[(v - E v) (dk_a -
-    E dk_a) (dk_b - E dk_b)] and E[(v - E v) d^2k / dtheta_a dtheta_b].
+    The log kernel k has the derivatives dk and d^2k of
+    ``model._kernel_derivatives``. The cell masses m are a softmax of k,
+    and the bin probabilities P = B m, where B (cell CDF, interpolation at
+    the edges, differences, tail folds) is linear. With phi the KL as a
+    function of P, v = B^T phi'(P) and E the mean under m, the gradient is
+    E[(v - E v) dk], and the Hessian is J^T diag(phi'') J with J = B (m (dk
+    - E dk)), plus E[(v - E v) (dk_a - E dk_a) (dk_b - E dk_b)] and E[(v -
+    E v) d^2k / dtheta_a dtheta_b].
     """
 
     def __init__(self, edges: np.ndarray, observed: np.ndarray, grid: EvalGrid, reverse: bool):
@@ -232,21 +233,6 @@ class _BinnedKL:
     def derivatives(self, state) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian of the KL in theta at a state from ``value``."""
         row, t, tr, m, p = state
-        T, S, mu, alpha = row.tolist()
-        x = self.grid.points
-        u = x - mu
-        u /= T
-        r = x - alpha
-        r /= S
-        s = np.subtract(1.0, t * t)
-        ur = u + r
-        q = s * ur
-        dk = np.empty((4, x.size))
-        np.multiply(u, q, out=dk[0])
-        dk[1] = tr
-        np.divide(q, T, out=dk[2])
-        np.divide(t, S, out=dk[3])
-
         if self.reverse:
             live = p > FREQUENCY_FLOOR
             slope = -np.divide(self.observed, p, out=np.zeros_like(p), where=live)
@@ -258,6 +244,7 @@ class _BinnedKL:
         w = self._pull_back(slope)
         w -= w @ m
         w *= m
+        dk, second = _kernel_derivatives(self.grid.points, row, t, tr, w)
         gradient = dk @ w
         mean = dk @ m
 
@@ -271,23 +258,8 @@ class _BinnedKL:
         cross = np.multiply.outer(mean, gradient)
         hessian -= cross
         hessian -= cross.T
-        # E[(v - E v) d^2k]: with q_u = dq/du and a = q + u q_u, d^2k is
-        #   -u a     -u s r   -a/T       -u s/S
-        #            -t r     -s r/T     -t/S
-        #                     -q_u/T^2   -s/(T S)
-        #                                 0
-        qu = t * ur
-        qu *= -2.0
-        qu += 1.0
-        qu *= s
-        a = u * qu
-        a += q
-        ws = w * s
-        wsu = ws * u
-        tt, ts, tm, ta = w @ (u * a), wsu @ r, (w @ a) / T, wsu.sum() / S
-        ss, sm, sa = w @ tr, (ws @ r) / T, (w @ t) / S
-        mm, ma = (w @ qu) / (T * T), ws.sum() / (T * S)
-        hessian -= np.array([[tt, ts, tm, ta], [ts, ss, sm, sa], [tm, sm, mm, ma], [ta, sa, ma, 0.0]])
+        # E[(v - E v) d^2k].
+        hessian += second
         return gradient, hessian
 
     def _pull_back(self, slope: np.ndarray) -> np.ndarray:
@@ -314,10 +286,15 @@ class _Search(NamedTuple):
     initial: float
     iterations: int
     converged: bool
+    hessian: np.ndarray | None = None
 
 
-def _newton(objective: _BinnedKL, start: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> _Search:
+def _newton(objective, start: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> _Search:
     """Projected Newton search with Levenberg damping on the box [lows, highs].
+
+    ``objective.value(theta)`` gives the value to minimize and a state, and
+    ``objective.derivatives(state)`` the gradient and the Hessian there,
+    which the search returns at its end point.
 
     Coordinates are measured in units of the box's widths. A coordinate on a
     bound whose gradient points out of the box is held there (Bertsekas
@@ -325,13 +302,14 @@ def _newton(objective: _BinnedKL, start: np.ndarray, lows: np.ndarray, highs: np
     each curvature replaced by its absolute value plus a damping, so that
     every step descends; the damping is the least that keeps the step within
     a trust radius (Moré & Sorensen 1983, SIAM J. Sci. Stat. Comput. 4(3)).
-    The step is projected onto the box and taken if it lowers the KL. The
-    radius starts at 0.3, falls to a quarter of the step when the KL falls
-    by less than a quarter of the fall the quadratic model predicts, and
-    doubles when a step on the radius gets more than three quarters of it.
-    The search stops, converged, once the predicted fall is below the KL's
-    float64 resolution, eps times the size of its terms, which is about 1
-    for a normalised histogram; or else after 200 steps.
+    The step is projected onto the box and taken if it lowers the value.
+    The radius starts at 0.3, falls to a quarter of the step when the value
+    falls by less than a quarter of the fall the quadratic model predicts,
+    and doubles when a step on the radius gets more than three quarters of
+    it. The search stops, converged, once the predicted fall is below the
+    value's float64 resolution, eps times its size or 1, whichever is
+    larger (about 1 for the KL of a normalised histogram); or else after
+    200 steps.
     """
     eps, tiny = float(np.finfo(float).eps), float(np.finfo(float).tiny)
     widths = highs - lows
@@ -359,8 +337,8 @@ def _newton(objective: _BinnedKL, start: np.ndarray, lows: np.ndarray, highs: np
         step = np.zeros_like(theta)
         step[free] = -width * (vectors @ (along / (curvatures + damping)))
         fall = -(gradient @ step + 0.5 * step @ hessian @ step)
-        if not fall > eps * max(value, 1.0):
-            return _Search(theta, value, initial, iteration, True)
+        if not fall > eps * max(abs(value), 1.0):
+            return _Search(theta, value, initial, iteration, True, hessian)
         trial = np.clip(theta + step, lows, highs)
         trial_value, trial_state = objective.value(trial)
         ratio = (value - trial_value) / fall
@@ -371,7 +349,7 @@ def _newton(objective: _BinnedKL, start: np.ndarray, lows: np.ndarray, highs: np
         if trial_value < value:
             theta, value = trial, trial_value
             gradient, hessian = objective.derivatives(trial_state)
-    return _Search(theta, value, initial, iteration, False)
+    return _Search(theta, value, initial, iteration, False, hessian)
 
 
 def fit_map(

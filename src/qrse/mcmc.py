@@ -3,7 +3,8 @@
 The target combines the pointwise log-likelihood of the cleaned returns data
 with truncated-normal priors on the two scales (T, S) and normal priors on
 the two locations (mu, alpha). ``run_chains`` finds the posterior mode and
-the Laplace approximation there, then runs one of two kernels:
+the Laplace approximation there from the target's exact gradient and
+Hessian, then runs one of two kernels:
 
 - the independence kernel ("independence-t5"), whenever the config carries
   no explicit step scales and the Laplace covariance is usable, with data
@@ -14,11 +15,12 @@ the Laplace approximation there, then runs one of two kernels:
   1994, Ann. Statist. 22(4); Mengersen & Tweedie 1996, Ann. Statist.
   24(1)). The tune steps are burn-in;
 - the random walk ("random-walk") otherwise, for explicit step scales or
-  a Laplace fit that fell back (a boundary mode, a saddle): Gaussian steps
-  with a per-coordinate scale vector. ``run_chain`` also takes a fixed
-  correlation for its steps, which ``run_chains`` never passes. Scales
-  adapt in windows of 100 steps during the tune phase and are frozen
-  afterwards, so the recorded draws come from a fixed kernel.
+  a Laplace fit that fell back (a mode on a bound of the support or the
+  location box, a saddle): Gaussian steps with a per-coordinate scale
+  vector. ``run_chain`` also takes a fixed correlation for its steps,
+  which ``run_chains`` never passes. Scales adapt in windows of 100 steps
+  during the tune phase and are frozen afterwards, so the recorded draws
+  come from a fixed kernel.
 
 Everything is deterministic given (data, priors, config): chains use a
 counter-based generator keyed by seed + chain_index, and initial points are
@@ -43,11 +45,10 @@ jobs are then the target evaluations of all chains, and each lane's call
 is ``_log_targets`` on its slice. Each chain's accept/reject sweep runs
 afterwards in the calling process. For the random walk the jobs are whole
 chains, so with 3 chains on 2 lanes lane 0 runs chain 0 and lane 1 chains 1
-and 2. The mode search and the random walk evaluate one row at a time, and
-the Laplace fit its whole 33-point stencil in one call. Either way every
-start, proposal and Generator is made in the calling process before any
-lane runs, and each target value is a pure function of its row, so the
-output is bit-identical at any lane count, including one.
+and 2, and a walk evaluates one row at a time. Either way every start,
+proposal and Generator is made in the calling process before any lane
+runs, and each target value is a pure function of its row, so the output
+is bit-identical at any lane count, including one.
 
 The sampled posterior is truncated to mu and alpha within CORNER_SDS prior
 sds of their centers, and the sampler rejects proposals outside that box.
@@ -65,10 +66,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadStart, OutOfSupport, ParseError, QrseError, StuckChain
+from .mapfit import _newton
 from .model import (
     DEFAULT_GRID_POINTS,
     EvalGrid,
     QrseParams,
+    _log_likelihood_derivatives,
     _log_likelihood_rows,
     _sort_data,
     _SortedData,
@@ -388,26 +391,35 @@ def log_posterior(
     return prior + log_likelihood(values, params, grid)
 
 
-def _make_target(data, priors: PriorSpec, grid: EvalGrid | None):
+class _Target:
     """The sampler's log target: ``_log_targets`` on ``data``, which is
-    checked here once, not on every evaluation, and without an explicit
-    grid also sorted here once, with its prefix sums (``model._sort_data``).
-    It maps an (m, 4) array of rows (T, S, mu, alpha) to their m log
-    posteriors.
-
-    Raises
-    ------
-    ValueError
-        If the data holds a NaN or an infinity.
+    checked here once, not on every evaluation (ValueError for a NaN or an
+    infinity), and without an explicit grid also sorted here once, with its
+    prefix sums (``model._sort_data``). Called on an (m, 4) array of rows
+    (T, S, mu, alpha), it gives their m log posteriors. For
+    ``mapfit._newton``, ``value`` is the negative log target at one row,
+    which is its own state, and ``derivatives`` the negated
+    ``_log_target_derivatives`` there.
     """
-    values = np.asarray(data, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("the sampler requires finite observations")
-    if not values.size:
-        values = None
-    elif grid is None:
-        values = _sort_data(values)
-    return lambda points: _log_targets(points, values, priors, grid)
+
+    def __init__(self, data, priors: PriorSpec, grid: EvalGrid | None):
+        values = np.asarray(data, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("the sampler requires finite observations")
+        if not values.size:
+            values = None
+        elif grid is None:
+            values = _sort_data(values)
+        self.values, self.priors, self.grid = values, priors, grid
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        return _log_targets(points, self.values, self.priors, self.grid)
+
+    def value(self, row: np.ndarray) -> tuple[float, np.ndarray]:
+        return -self(row[None])[0], row
+
+    def derivatives(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(-part for part in _log_target_derivatives(row, self.values, self.priors, self.grid))
 
 
 def _log_targets(points: np.ndarray, values: _SortedData | np.ndarray | None,
@@ -416,17 +428,15 @@ def _log_targets(points: np.ndarray, values: _SortedData | np.ndarray | None,
     calls over blocks of rows: -inf outside the support and the location
     box, and inside them log prior plus ``_log_likelihood_rows``, the bits
     of ``log_posterior`` at that point. A row's value does not depend on
-    the rows around it. ``values`` is what ``_make_target`` builds from
+    the rows around it. ``values`` is what ``_Target`` builds from
     finite data: None without observations, else the form
     ``_log_likelihood_rows`` reads for ``grid``.
     """
-    (mu_low, mu_high), (alpha_low, alpha_high) = _location_box(priors)
-    low = (priors.bound_low, priors.bound_low, mu_low, alpha_low)
-    high = (priors.bound_high, priors.bound_high, mu_high, alpha_high)
+    low, high = _bounds(priors)
     inside = ((low <= points) & (points <= high)).all(axis=1)
     rows = points[inside]
-    # One row (the mode search, the random walk) takes the prior in Python
-    # floats: the same bits, several times faster than on 1-element arrays.
+    # One row (the mode search's values, the random walk) takes the prior in
+    # Python floats: the same bits, several times faster than on arrays.
     log_p = priors._log_density(*(rows[0].tolist() if len(rows) == 1 else rows.T))
     if values is not None:
         log_p = log_p + _log_likelihood_rows(values, rows, grid)
@@ -435,147 +445,68 @@ def _log_targets(points: np.ndarray, values: _SortedData | np.ndarray | None,
     return out
 
 
-def _posterior_mode(target, priors: PriorSpec) -> np.ndarray:
-    """Interior maximum of the target, found by simplex descent from the
-    prior centers (clipped into the truncation interval).
+def _log_target_derivatives(row: np.ndarray, values: _SortedData | np.ndarray | None,
+                            priors: PriorSpec, grid: EvalGrid | None):
+    """Gradient and Hessian of the log target at one row (T, S, mu, alpha)
+    inside the support and the location box: the prior's in closed form,
+    plus ``_log_likelihood_derivatives`` taken from log T and log S by the
+    chain rule (d^2/dT^2 = (d^2/dlog T^2 - d/dlog T) / T^2)."""
+    precision = priors.sds() ** -2.0
+    gradient = (priors.centers() - row) * precision
+    hessian = np.diag(-precision)
+    if values is not None:
+        log_gradient, log_hessian = _log_likelihood_derivatives(values, row, grid)
+        log_hessian[[0, 1], [0, 1]] -= log_gradient[:2]
+        scale = np.array([row[0], row[1], 1.0, 1.0])
+        gradient += log_gradient / scale
+        hessian += log_hessian / np.multiply.outer(scale, scale)
+    return gradient, hessian
 
-    The descent is ``_nelder_mead``, a bit-exact port of SciPy's
-    Nelder-Mead, so the mode and every draw started from it are those
-    SciPy would give, without ``sample`` importing SciPy.
+
+def _bounds(priors: PriorSpec, inset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Lows and highs of (T, S, mu, alpha): the support, moved ``inset``
+    times its width inside, then the location box."""
+    (mu_low, mu_high), (alpha_low, alpha_high) = _location_box(priors)
+    inset *= priors.bound_high - priors.bound_low
+    return (np.array([priors.bound_low + inset, priors.bound_low + inset, mu_low, alpha_low]),
+            np.array([priors.bound_high - inset, priors.bound_high - inset, mu_high, alpha_high]))
+
+
+def _posterior_mode(target: _Target, priors: PriorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The target's maximum over the support and the location box, the log
+    target's Hessian there, and which coordinates lie on a bound, by
+    ``mapfit._newton`` from the prior centres clipped into the box, T and S
+    1e-3 of the support's width inside it: at a small T the likelihood has a
+    local mode in mu every few T, and started on T's lower bound, the search
+    in CI's random-walk case stops 7 nats below the mode it finds from inside.
     """
-    inset = 1e-3 * (priors.bound_high - priors.bound_low)
-    start = priors.centers()
-    start[:2] = np.clip(start[:2], priors.bound_low + inset, priors.bound_high - inset)
-    x, _ = _nelder_mead(
-        lambda theta: -target(theta[None])[0], start, xatol=1e-6, fatol=1e-8, maxiter=2000
-    )
-    return x
-
-
-def _nelder_mead(
-    func, x0: np.ndarray, *, xatol: float, fatol: float, maxiter: int
-) -> tuple[np.ndarray, int]:
-    """Minimize ``func`` from ``x0`` by the Nelder-Mead simplex method.
-
-    A port of the unbounded, non-adaptive path of ``_minimize_neldermead``
-    in SciPy's ``scipy/optimize/_optimize.py`` (BSD-3-Clause, Copyright (c)
-    2001-2002 Enthought, Inc. and 2003- SciPy Developers). It keeps that
-    code's coefficients (reflection 1, expansion 2, contraction and shrink
-    0.5), its initial simplex (each coordinate in turn stretched by 5%, or
-    set to 0.00025 where it is zero), its stopping test (simplex within
-    ``xatol`` of the best vertex and values within ``fatol`` of the best),
-    its ``maxiter`` count, its argsort of the vertices after every
-    iteration and the copy of each point handed to ``func``. Every
-    floating-point operation is the same, so the result matches
-    ``scipy.optimize.minimize(method="Nelder-Mead")`` bit for bit.
-
-    Returns the best vertex and the number of ``func`` evaluations.
-    """
-    rho, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float).flatten()
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-
-    evals = 0
-
-    def f(x: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        return func(np.copy(x))
-
-    fsim = np.array([f(vertex) for vertex in sim], dtype=float)
-    # SciPy sorts the first simplex twice. argsort is not documented as
-    # stable, so a second pass may reorder tied vertices (say, two outside
-    # the support); it is kept.
-    for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-
-    iterations = 1
-    while iterations < maxiter:
-        if (
-            np.max(np.abs(sim[1:] - sim[0])) <= xatol
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-        ):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:  # inside contraction
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink toward the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return sim[0].copy(), evals
+    lows, highs = _bounds(priors)
+    search = _newton(target, np.clip(priors.centers(), *_bounds(priors, 1e-3)), lows, highs)
+    return search.theta, -search.hessian, (search.theta <= lows) | (search.theta >= highs)
 
 
 def _laplace_proposal(
-    target, mode: np.ndarray, priors: PriorSpec
+    hessian: np.ndarray, bounded: np.ndarray, priors: PriorSpec
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Proposal scales and correlation from the Laplace approximation.
 
-    Builds the finite-difference Hessian of the log target at the mode and
-    inverts its negation. The square roots of the diagonal give marginal
-    sds, scaled by 2.4/sqrt(d) (1.2 in four dimensions); the off-diagonal
-    structure is returned as the lower Cholesky factor of the correlation
-    matrix. ``run_chains`` multiplies the two into the factor of the
-    independence kernel's scale matrix, 1.2^2 times the Laplace covariance;
-    mu and alpha in particular are strongly coupled, and a proposal blind to
-    that would rarely land where the posterior is.
+    ``hessian`` is the log target's at the mode, and ``bounded`` marks the
+    mode's coordinates on a bound. With none there, the negated Hessian is
+    inverted: the square roots of the diagonal give marginal sds, scaled by
+    2.4/sqrt(d) (1.2 in four dimensions); the off-diagonal structure is
+    returned as the lower Cholesky factor of the correlation matrix.
+    ``run_chains`` multiplies the two into the factor of the independence
+    kernel's scale matrix, 1.2^2 times the Laplace covariance; mu and alpha
+    in particular are strongly coupled, and a proposal blind to that would
+    rarely land where the posterior is.
 
-    Falls back to per-coordinate curvature with no correlation when the
-    Hessian is unusable (boundary mode, saddle), and to a tenth of the
-    prior sd per dimension where even that fails. The None correlation
-    tells ``run_chains`` to run the random walk on these scales.
-
-    ``target`` maps rows to log targets, and the central-difference stencil
-    (the mode, mode +- step j, and mode +- step j +- step k for j < k: 33
-    points in 4 dimensions) is one call.
+    Falls back to per-coordinate curvature with no correlation at a mode on
+    a bound or a saddle: a coordinate on a bound, or without negative
+    curvature, takes a tenth of its prior sd. The None correlation tells
+    ``run_chains`` to run the random walk on these scales.
     """
-    d = mode.size
-    factor = 2.4 / math.sqrt(d)
-    steps = np.maximum(1e-4 * np.abs(mode), 1e-5)
-    shifts = np.diag(steps)
-    plus, minus = mode + shifts, mode - shifts
-    j, k = np.triu_indices(d, 1)
-    stencil = np.concatenate([
-        mode[None], plus, minus,
-        plus[j] + shifts[k], plus[j] - shifts[k], minus[j] + shifts[k], minus[j] - shifts[k],
-    ])
-    # Python floats: at a boundary mode some points lie outside the support,
-    # and -inf - -inf gives, without a warning, the NaN the fallback looks for.
-    value = target(stencil).tolist()
-    hessian = np.empty((d, d))
-    for i in range(d):
-        hessian[i, i] = (value[1 + i] - 2.0 * value[0] + value[1 + d + i]) / steps[i] ** 2
-    for pair, (a, b) in enumerate(zip(j.tolist(), k.tolist())):
-        pp, pm, mp, mm = value[1 + 2 * d + pair::len(j)]
-        hessian[a, b] = hessian[b, a] = (pp - pm - mp + mm) / (4.0 * steps[a] * steps[b])
-    if np.all(np.isfinite(hessian)):
+    factor = 2.4 / math.sqrt(len(hessian))
+    if not bounded.any() and np.all(np.isfinite(hessian)):
         try:
             # Cholesky doubles as the negative-definiteness check
             np.linalg.cholesky(-hessian)
@@ -585,14 +516,11 @@ def _laplace_proposal(
             return factor * sds, np.linalg.cholesky(correlation)
         except np.linalg.LinAlgError:
             pass
-    scales = np.empty(d)
-    for j in range(d):
-        second = hessian[j, j]
-        if math.isfinite(second) and second < 0.0:
-            scales[j] = factor / math.sqrt(-second)
-        else:
-            scales[j] = 0.1 * priors.sds()[j]
-    return scales, None
+    scales = [
+        factor / math.sqrt(-second) if not edge and -math.inf < second < 0.0 else 0.1 * sd
+        for second, edge, sd in zip(np.diag(hessian).tolist(), bounded.tolist(), priors.sds().tolist())
+    ]
+    return np.array(scales), None
 
 
 @dataclass(frozen=True, eq=False)
@@ -660,7 +588,7 @@ def run_chain(
             raise ValueError("proposals need 1 + tune + draws points and log weights")
         start, log_p = points[0], log_weights[0]
     else:
-        target = _make_target(data, priors, grid)
+        target = _Target(data, priors, grid)
         start = initial.as_array()
         log_p = target(start[None])[0]
     if not math.isfinite(log_p):
@@ -858,12 +786,13 @@ def run_chains(
     proposal coordinates.
 
     The kernel is the independence sampler when the config carries no step
-    scales and the Laplace Hessian is negative definite, whether or not
-    there is data. Its proposals are a multivariate t with PROPOSAL_DOF
+    scales, no coordinate of the mode lies on a bound of the support or the
+    location box, and the Hessian there is negative definite, whether or
+    not there is data. Its proposals are a multivariate t with PROPOSAL_DOF
     degrees of freedom, centred at the mode, with scale matrix 1.2^2 times
     the Laplace covariance; the tune steps are burn-in. Otherwise (explicit
-    scales, or a Laplace fit that fell back to per-coordinate curvature, as
-    at a boundary mode or a saddle) it is the random walk of ``run_chain``,
+    scales, or a Laplace fit that fell back to per-coordinate curvature, at
+    a mode on a bound or a saddle) it is the random walk of ``run_chain``,
     with independent proposal coordinates. ``PosteriorDraws.kernel``
     records which ran.
 
@@ -897,15 +826,15 @@ def run_chains(
     When several chains fail, the one with the lowest index is raised.
     """
     values = np.asarray(data, dtype=float)
-    target = _make_target(values, priors, grid)
+    target = _Target(values, priors, grid)
     if grid is None and values.size:
         _check_local_grids(values, priors)
 
     mode = None
     if config.initial is None or config.step_scales is None:
-        mode = _posterior_mode(target, priors)
+        mode, hessian, bounded = _posterior_mode(target, priors)
     if config.step_scales is None:
-        scales, proposal_cholesky = _laplace_proposal(target, mode, priors)
+        scales, proposal_cholesky = _laplace_proposal(hessian, bounded, priors)
     else:
         scales = np.asarray(config.step_scales, dtype=float)
         proposal_cholesky = None
@@ -915,8 +844,7 @@ def run_chains(
         steps = config.tune + config.draws
         points = np.empty((config.chains, 1 + steps, 4))
 
-    inset = 1e-6 * (priors.bound_high - priors.bound_low)
-    box = np.array(_location_box(priors))
+    lows, highs = _bounds(priors, 1e-6)
     starts, rngs = [], []
     for index in range(config.chains):
         rng = rng_from_seed(config.seed + index)
@@ -924,12 +852,7 @@ def run_chains(
             start = config.initial[index]
         else:
             jitter = rng.uniform(-0.1, 0.1, 4) * priors.sds()
-            point = mode + jitter
-            point[:2] = np.clip(
-                point[:2], priors.bound_low + inset, priors.bound_high - inset
-            )
-            point[2:] = np.clip(point[2:], box[:, 0], box[:, 1])
-            start = QrseParams.from_array(point)
+            start = QrseParams.from_array(np.clip(mode + jitter, lows, highs))
         if independent:
             points[index, 0] = start.as_array()
             points[index, 1:] = _t_proposals(rng, mode, factor, steps)

@@ -27,6 +27,7 @@ numpy arrays and accept scalars.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -713,6 +714,103 @@ def _log_likelihood_rows(
         sums[start:start + step] = np.sum(out, axis=1)
     log_z = np.array([build_density(QrseParams.from_array(row), grid).log_z for row in rows])
     return sums - n * log_z
+
+
+def _kernel_derivatives(x: np.ndarray, row: np.ndarray, t: np.ndarray, tr: np.ndarray,
+                        weights: np.ndarray, dot=np.dot):
+    """The log kernel's derivatives in (log T, log S, mu, alpha) at the
+    points ``x`` for one ``row``, given t and t r as ``_log_kernel_block``
+    leaves them: dk, shaped (4, x.size), and the sum over the points of
+    ``weights`` times d^2k, shaped (4, 4), taken with ``dot``.
+
+    With u = (x - mu)/T, r = (x - alpha)/S, s = 1 - t^2 and q = s (u + r),
+    dk = (u q, t r, q/T, t/S). With q_u = dq/du = s (1 - 2 t (u + r)) and
+    a = q + u q_u, d^2k is
+
+        -u a     -u s r   -a/T       -u s/S
+                 -t r     -s r/T     -t/S
+                          -q_u/T^2   -s/(T S)
+                                      0
+
+    Where tanh saturates (s = 0) only the t r and t/S terms are left.
+    """
+    T, S, mu, alpha = row.tolist()
+    u, r = (x - mu) / T, (x - alpha) / S
+    s = 1.0 - t * t
+    ur = u + r
+    q = s * ur
+    dk = np.array([u * q, tr, q / T, t / S])
+    qu = s * (1.0 - 2.0 * (t * ur))
+    a = u * qu + q
+    ws = weights * s
+    wsu = ws * u
+    tt, ts, tm, ta = dot(weights, u * a), dot(wsu, r), dot(weights, a) / T, wsu.sum() / S
+    ss, sm, sa = dot(weights, tr), dot(ws, r) / T, dot(weights, t) / S
+    mm, ma = dot(weights, qu) / (T * T), ws.sum() / (T * S)
+    second = -np.array([[tt, ts, tm, ta], [ts, ss, sm, sa], [tm, sm, mm, ma], [ta, sa, ma, 0.0]])
+    return dk, second
+
+
+# Not a BLAS dot: in a fresh process one can take milliseconds to start its
+# thread pool.
+_einsum_dot = functools.partial(np.einsum, "i,i->")
+
+
+def _log_likelihood_derivatives(
+    data: _SortedData | np.ndarray, row: np.ndarray, grid: EvalGrid | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of ``_log_likelihood_rows`` at one row, in (log
+    T, log S, mu, alpha), with ``data`` in the form that reads for ``grid``.
+
+    The data part sums ``_kernel_derivatives`` over the points, in _BLOCK
+    chunks. Each of the N log Z terms adds -E[dk] and -(E[d^2k] + Cov(dk))
+    under the weights its value sums: the pdf on an explicit grid, else
+    ``_local_log_z_rows``' local grid and its two saturated tails. Past an
+    end point e of that grid the m-th point weighs w_e rho^m, rho =
+    exp(-dx/S), and has dk_e and d^2k_e, less m dx/S at (log S, log S) and
+    plus m dx/S in dk's log S slot. So the tails' moments are geometric sums
+    in closed form: A = sum rho^m = 1/expm1(dx/S), sum m rho^m = A (1 + A)
+    and sum m^2 rho^m = A (1 + A) (1 + 2 A). An explicit grid has A = 0.
+    """
+    if grid is None:
+        x = data.x
+        halves, spacing = _local_grids(row[:1], row[1:2])
+        points = _local_points(int(halves[0]), spacing, row[2:3])[0]
+        step = float(spacing[0]) / row[1]
+        tail = 1.0 / math.expm1(step)
+    else:
+        x, points, step, tail = data, grid.points, 0.0, 0.0
+
+    def terms(points):  # the log kernel, t and t r
+        kernel, tr, t = np.empty((3, points.size))
+        with np.errstate(over="ignore"):
+            _log_kernel_block(points, _Columns._make(row.tolist()), kernel, tr, t)
+        return kernel, t, tr
+
+    gradient, hessian = np.zeros(4), np.zeros((4, 4))
+    for start in range(0, x.size, _BLOCK):
+        chunk = x[start:start + _BLOCK]
+        dk, second = _kernel_derivatives(chunk, row, *terms(chunk)[1:], np.ones(chunk.size), _einsum_dot)
+        gradient += dk.sum(axis=1)
+        hessian += second
+
+    kernel, t, tr = terms(points)
+    weights = np.exp(kernel - kernel.max())
+    ends = weights[[0, -1]]
+    weights[[0, -1]] *= 1.0 + tail
+    dk, second = _kernel_derivatives(points, row, t, tr, weights, _einsum_dot)
+    linear = tail * (1.0 + tail) * step  # sum m rho^m dx/S
+    first = np.einsum("ai,i->a", dk, weights)
+    first[1] += linear * ends.sum()
+    second[1, 1] -= linear * ends.sum()
+    mean = first / weights.sum()
+    centred = dk - mean[:, None]
+    spread = np.einsum("ai,bi,i->ab", centred, centred, weights)
+    cross = linear * (centred[:, [0, -1]] @ ends)
+    spread[1] += cross
+    spread[:, 1] += cross
+    spread[1, 1] += linear * (1.0 + 2.0 * tail) * step * ends.sum()
+    return gradient - x.size * mean, hessian - x.size * (second + spread) / weights.sum()
 
 
 def bin_probabilities(edges, params: QrseParams, grid: EvalGrid | None = None) -> np.ndarray:

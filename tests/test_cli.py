@@ -386,10 +386,11 @@ class TestSampleAndReport:
 
 class TestBoxWall:
     def test_mode_on_the_location_box_wall_samples(self, tmp_path):
-        # The mode search from these prior centres ends on the location
-        # box's wall (alpha = 17.8 + 4 sds). Jittered starts past the wall
-        # used to exit 2 with "initial point has non-finite log posterior";
-        # they are now clipped into the box, and the random walk runs.
+        # A simplex search from these prior centres ended on the location
+        # box's wall (alpha = 17.8 + 4 sds), where jittered starts past the
+        # wall exited 2 and, once clipped, the random walk ran. The Newton
+        # search reaches the interior mode, where the Laplace fit shapes the
+        # independence kernel.
         d = str(tmp_path / "d")
         assert run("simulate", "--outdir", d, "--t", "0.59", "--s", "6.412", "--mu", "-1.765",
                    "--alpha", "17.457", "-n", "1000", "--seed", "60") == 0
@@ -399,7 +400,7 @@ class TestBoxWall:
                    "--prior-t-center", "2.1", "--prior-s-center", "4.9",
                    "--prior-mu-center", "8.66", "--prior-alpha-center", "17.8") == 0
         with open(f"{d}/trace.csv") as trace:
-            assert '"kernel": "random-walk"' in trace.readline()
+            assert '"kernel": "independence-t5"' in trace.readline()
         assert run("report", "--outdir", d) == 0
 
 

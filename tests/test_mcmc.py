@@ -9,6 +9,7 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import optimize, special, stats
 
 from qrse import (
@@ -25,7 +26,9 @@ from qrse import (
     SampleConfig,
     StuckChain,
     build_density,
+    build_histogram,
     build_sampling_grid,
+    fit_map,
     load_trace,
     log_likelihood,
     log_posterior,
@@ -34,7 +37,7 @@ from qrse import (
     sample,
     save_trace,
 )
-from qrse import mcmc
+from qrse import mcmc, mapfit
 from qrse.model import local_log_z
 from tests.conftest import REF
 
@@ -165,7 +168,7 @@ class TestLogPosterior:
 
         monkeypatch.setattr(mcmc, "build_sampling_grid", forbidden)
         data = sample(REF, SampleConfig(n=200, seed=2))
-        target = mcmc._make_target(data, PRIORS, None)
+        target = mcmc._Target(data, PRIORS, None)
         for theta in ([2.1, 4.9, 8.66, 17.8], [0.3, 7.5, 20.0, -5.0]):
             params = QrseParams.from_array(theta)
             expected = scipy_prior_logpdf(params, PRIORS) + log_likelihood(data, params)
@@ -549,13 +552,13 @@ class TestKernelChoice:
     def test_boundary_mode_gives_random_walk(self, small_data, tmp_path, monkeypatch):
         # A narrow T prior centred below the support puts the mode on T's
         # lower bound, where the Laplace fit falls back to per-coordinate
-        # scales.
-        priors = PriorSpec(t_center=-3.0, s_center=4.9, mu_center=8.66, alpha_center=17.8,
+        # scales. (Centred at -3 the data pull the mode inside, to T = 0.78.)
+        priors = PriorSpec(t_center=-5.0, s_center=4.9, mu_center=8.66, alpha_center=17.8,
                            t_sd=0.5)
-        target = mcmc._make_target(small_data, priors, None)
-        mode = mcmc._posterior_mode(target, priors)
+        target = mcmc._Target(small_data, priors, None)
+        mode, hessian, bounded = mcmc._posterior_mode(target, priors)
         assert mode[0] == pytest.approx(priors.bound_low, abs=1e-9)
-        assert mcmc._laplace_proposal(target, mode, priors)[1] is None
+        assert mcmc._laplace_proposal(hessian, bounded, priors)[1] is None
         config = ChainConfig(chains=2, draws=50, tune=10)
         assert self.kernel_seen(small_data, priors, config, tmp_path, monkeypatch) == (
             "random-walk"
@@ -615,9 +618,11 @@ class TestIndependenceKernel:
 
     def test_gaussian_posterior_moments(self, small_data, monkeypatch):
         # With the log posterior replaced by a correlated Gaussian in
-        # _log_targets, the one target of the mode search, the Laplace fit
-        # and the proposals' rows, run_chains (mode, Laplace fit, t
-        # proposals, weights, sweep) must recover its mean and covariance.
+        # _log_targets, the one target of the mode search and the proposals'
+        # rows, and in _log_target_derivatives, which gives the mode search
+        # and the Laplace fit their derivatives, run_chains (mode, Laplace
+        # fit, t proposals, weights, sweep) must recover its mean and
+        # covariance.
         # Weighting by the target alone, without the proposal density,
         # shrinks every variance to about 0.44 of truth.
         center = REF.as_array()
@@ -631,7 +636,11 @@ class TestIndependenceKernel:
             inside = np.all((PRIORS.bound_low <= scales) & (scales <= PRIORS.bound_high), axis=1)
             return np.where(inside, -0.5 * np.sum((shift @ precision) * shift, axis=1), -math.inf)
 
+        def log_target_derivatives(row, *args):
+            return -precision @ (row - center), -precision
+
         monkeypatch.setattr(mcmc, "_log_targets", log_targets)
+        monkeypatch.setattr(mcmc, "_log_target_derivatives", log_target_derivatives)
         config = ChainConfig(chains=4, draws=10_000, tune=500, seed=5)
         posterior = run_chains(small_data, PRIORS, config)
         assert posterior.kernel == "independence-t5"
@@ -1100,7 +1109,7 @@ class TestLocationBox:
     """The target is truncated to the location box."""
 
     def test_target_rejects_locations_outside_the_box(self):
-        target = mcmc._make_target(np.array([]), PRIORS, None)
+        target = mcmc._Target(np.array([]), PRIORS, None)
         reach = mcmc.CORNER_SDS * PRIORS.sds()
         for index in (2, 3):
             for sign in (-1.0, 1.0):
@@ -1137,7 +1146,7 @@ class TestLocationBox:
         # A mode on the box's wall: starts jittered past it used to fail.
         wall = PRIORS.centers()
         wall[3] = mcmc._location_box(PRIORS)[1][1]
-        monkeypatch.setattr(mcmc, "_posterior_mode", lambda target, priors: wall.copy())
+        monkeypatch.setattr(mcmc, "_posterior_mode", lambda target, priors: (wall.copy(), None, None))
         config = ChainConfig(chains=4, draws=50, tune=0, step_scales=(0.1, 0.1, 0.3, 0.5))
         posterior = run_chains(np.array([]), PRIORS, config)
         assert posterior.draws[:, :, 3].max() <= wall[3]
@@ -1187,7 +1196,7 @@ class TestLogTargets:
     @staticmethod
     def assert_same_bits(data, priors, grid=None, rows=TARGET_ROWS):
         expected = reference_targets(rows, data, priors, grid)
-        got = mcmc._make_target(data, priors, grid)(rows)
+        got = mcmc._Target(data, priors, grid)(rows)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
@@ -1209,7 +1218,7 @@ class TestLogTargets:
         rows = rng.uniform(low, high, (300, 4))  # some outside the support or the box
         expected = reference_targets(rows, data, PRIORS)
         assert 0 < np.sum(expected == -math.inf) < 100
-        target = mcmc._make_target(data, PRIORS, None)
+        target = mcmc._Target(data, PRIORS, None)
         got = np.concatenate([target(row[None]) for row in rows])
         assert got.tobytes() == expected.tobytes()
 
@@ -1225,7 +1234,7 @@ class TestLogTargets:
                                              (40, 4)),
             [[2.1, 4.9, data[7], 17.8], [2.0, 5.0, high, 17.0], [2.2, 4.8, low - 0.5, 18.0]],
         ])
-        target = mcmc._make_target(data, WIDE_PRIORS, None)
+        target = mcmc._Target(data, WIDE_PRIORS, None)
         whole = target(rows)
         order = np.random.default_rng(10).permutation(len(rows))
         permuted = target(rows[order])
@@ -1251,8 +1260,8 @@ class TestLogTargets:
         self.assert_same_bits(np.array([]), WIDE_PRIORS)
         outside = TARGET_ROWS[8:]
         self.assert_same_bits(small_data, WIDE_PRIORS, rows=outside)
-        assert np.all(mcmc._make_target(small_data, WIDE_PRIORS, None)(outside) == -math.inf)
-        assert mcmc._make_target(small_data, PRIORS, None)(np.empty((0, 4))).shape == (0,)
+        assert np.all(mcmc._Target(small_data, WIDE_PRIORS, None)(outside) == -math.inf)
+        assert mcmc._Target(small_data, PRIORS, None)(np.empty((0, 4))).shape == (0,)
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -1266,127 +1275,34 @@ class TestLogTargets:
         assert multiprocessing.active_children() == []
 
 
-NELDER_MEAD_OPTIONS = {"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000}
-
-
-def assert_same_as_scipy(func, x0, options=NELDER_MEAD_OPTIONS):
-    expected = optimize.minimize(func, x0, method="Nelder-Mead", options=options)
-    x, evals = mcmc._nelder_mead(func, x0, **options)
-    np.testing.assert_array_equal(x, expected.x)
-    assert evals == expected.nfev
-    return x
-
-
-class TestNelderMead:
-    """The port takes SciPy's steps exactly, so SciPy is its oracle."""
-
-    @pytest.mark.parametrize("x0", [
-        [-1.2, 1.0],
-        [1.3, 0.7, 0.8, 1.9, 1.2],
-        [0.0, 1.0, -1.2, 0.5],  # a zero coordinate takes the absolute step
-    ])
-    def test_rosenbrock(self, x0):
-        x = assert_same_as_scipy(optimize.rosen, np.array(x0))
-        np.testing.assert_allclose(x, 1.0, atol=1e-4)
-
-    @pytest.mark.parametrize("levels, x0", [
-        (4.0, [2.0, -1.0, 0.5]),
-        (2.0, [-2.8, 1.4, -1.9]),
-        (4.0, [2.6, 1.9, -3.0]),
-    ])
-    def test_plateaus(self, levels, x0):
-        # A step function ties many comparisons; together these starts pin
-        # down whether each test in the port is < or <=.
-        def steps(x):
-            return float(np.floor(levels * np.sum((x - 0.3) ** 2)))
-
-        assert_same_as_scipy(steps, np.array(x0))
-
-    def test_iteration_cap(self):
-        options = {"xatol": 1e-12, "fatol": 1e-12, "maxiter": 40}
-        assert_same_as_scipy(optimize.rosen, np.array([-1.2, 1.0, 0.5]), options)
-
-    @pytest.mark.parametrize("t_center", [2.1, 7.95])
-    def test_readme_posterior(self, t_center):
-        # At t_center 7.95 the start is clipped to just inside the upper
-        # bound, and the stretched T vertex falls outside the support: the
-        # first simplex holds an infinite value.
-        data = sample(REF, SampleConfig(n=2000, seed=4))
-        priors = PriorSpec(t_center=t_center, s_center=4.9, mu_center=8.66,
-                           alpha_center=17.8)
-        target = mcmc._make_target(data, priors, None)
-        inset = 1e-3 * (priors.bound_high - priors.bound_low)
-        start = priors.centers()
-        start[:2] = np.clip(start[:2], priors.bound_low + inset, priors.bound_high - inset)
-        x = assert_same_as_scipy(lambda theta: -target(theta[None])[0], start)
-        np.testing.assert_array_equal(mcmc._posterior_mode(target, priors), x)
-
-    def test_passes_a_copy(self):
-        seen = []
-
-        def func(x):
-            seen.append(x)
-            value = float(np.sum((x - 1.0) ** 2))
-            x[0] = 99.0  # must not reach the simplex
-            return value
-
-        x0 = np.array([0.5, 0.5])
-        x, _ = mcmc._nelder_mead(func, x0, **NELDER_MEAD_OPTIONS)
-        np.testing.assert_allclose(x, 1.0, atol=1e-3)
-        assert x0.tolist() == [0.5, 0.5]
-        assert len({id(x) for x in seen}) == len(seen)
-
-
 class TestModeAndScales:
     def test_prior_only_mode_is_prior_center(self):
-        target = mcmc._make_target(np.array([]), PRIORS, None)
-        mode = mcmc._posterior_mode(target, PRIORS)
+        target = mcmc._Target(np.array([]), PRIORS, None)
+        mode, _, _ = mcmc._posterior_mode(target, PRIORS)
         np.testing.assert_allclose(mode, PRIORS.centers(), atol=1e-3)
 
     def test_prior_only_scales_match_prior_sd(self):
         # At an interior normal mode the curvature is -1/sd^2, so the
         # 2.4/sqrt(4) rule gives 1.2 sd per coordinate, and independent
         # coordinates leave the proposal correlation at identity.
-        target = mcmc._make_target(np.array([]), PRIORS, None)
-        scales, cholesky = mcmc._laplace_proposal(target, PRIORS.centers(), PRIORS)
+        hessian = mcmc._log_target_derivatives(PRIORS.centers(), None, PRIORS, None)[1]
+        scales, cholesky = mcmc._laplace_proposal(hessian, np.zeros(4, bool), PRIORS)
         np.testing.assert_allclose(scales, 1.2 * PRIORS.sds(), rtol=0.05)
         np.testing.assert_allclose(cholesky, np.eye(4), atol=1e-3)
 
-    def test_stencil_is_one_call_on_the_difference_points(self):
-        # The mode, mode +- step j and mode +- step j +- step k (j < k), each
-        # built as the difference quotients' terms read: the 33 points, in
-        # one call.
-        mode = np.array([2.1, 4.9, -8.66, 0.0])
-        calls = []
-
-        def target(points):
-            calls.append(points.copy())
-            return -0.5 * np.sum((points - mode) ** 2, axis=1)
-
-        scales, cholesky = mcmc._laplace_proposal(target, mode, PRIORS)
-        np.testing.assert_allclose(scales, 1.2 * np.ones(4), rtol=1e-3)
-        np.testing.assert_allclose(cholesky, np.eye(4), atol=1e-3)
-        assert len(calls) == 1 and calls[0].shape == (33, 4)
-        steps = np.maximum(1e-4 * np.abs(mode), 1e-5)
-        shift = [np.where(np.arange(4) == j, steps[j], 0.0) for j in range(4)]
-        expected = [mode] + [mode + s for s in shift] + [mode - s for s in shift]
-        for j, k in itertools.combinations(range(4), 2):
-            expected += [mode + shift[j] + shift[k], mode + shift[j] - shift[k],
-                         mode - shift[j] + shift[k], mode - shift[j] - shift[k]]
-        assert sorted(row.tobytes() for row in calls[0]) == sorted(
-            row.tobytes() for row in expected
-        )
-
     def test_boundary_mode_falls_back_without_warning(self):
-        # With T at its lower bound, half the finite-difference points lie
-        # outside the support, and the mixed terms meet -inf - -inf.
+        # With T on its lower bound the fit falls back, whatever the Hessian
+        # there, and T takes a tenth of its prior sd.
         data = sample(REF, SampleConfig(n=200, seed=2))
-        target = mcmc._make_target(data, PRIORS, None)
+        target = mcmc._Target(data, PRIORS, None)
         mode = PRIORS.centers()
         mode[0] = PRIORS.bound_low
-        scales, cholesky = mcmc._laplace_proposal(target, mode, PRIORS)
+        hessian = mcmc._log_target_derivatives(mode, target.values, PRIORS, None)[1]
+        bounded = np.array([True, False, False, False])
+        scales, cholesky = mcmc._laplace_proposal(hessian, bounded, PRIORS)
         assert cholesky is None
         assert np.all(np.isfinite(scales)) and np.all(scales > 0.0)
+        assert scales[0] == pytest.approx(0.1 * PRIORS.t_sd)
 
     def test_correlated_target_recovers_correlation(self):
         # Quadratic log target with corr(mu, alpha) = 0.8 and unit sds:
@@ -1395,13 +1311,7 @@ class TestModeAndScales:
         correlation = np.eye(4)
         correlation[2, 3] = correlation[3, 2] = 0.8
         precision = np.linalg.inv(correlation)
-        center = PRIORS.centers()
-
-        def target(points):
-            shift = points - center
-            return -0.5 * np.sum((shift @ precision) * shift, axis=1)
-
-        scales, cholesky = mcmc._laplace_proposal(target, center.copy(), PRIORS)
+        scales, cholesky = mcmc._laplace_proposal(-precision, np.zeros(4, bool), PRIORS)
         np.testing.assert_allclose(scales, 1.2 * np.ones(4), rtol=1e-3)
         np.testing.assert_allclose(cholesky[3, 2], 0.8, rtol=1e-3)
         np.testing.assert_allclose(cholesky[3, 3], 0.6, rtol=1e-3)
@@ -1411,13 +1321,130 @@ class TestModeAndScales:
         # A saddle (positive curvature in one coordinate) defeats the
         # Hessian inversion; usable coordinates keep their curvature
         # scales and the bad one falls back to a tenth of the prior sd.
-        center = PRIORS.centers()
-
-        def target(points):
-            shift = points - center
-            return -0.5 * np.sum(shift[:, :3] ** 2, axis=1) + 0.5 * shift[:, 3] ** 2
-
-        scales, cholesky = mcmc._laplace_proposal(target, center.copy(), PRIORS)
+        hessian = np.diag([-1.0, -1.0, -1.0, 1.0])
+        scales, cholesky = mcmc._laplace_proposal(hessian, np.zeros(4, bool), PRIORS)
         assert cholesky is None
         np.testing.assert_allclose(scales[:3], 1.2 * np.ones(3), rtol=1e-3)
         assert scales[3] == pytest.approx(0.1 * PRIORS.sds()[3])
+
+    def test_search_converges_below_zero(self):
+        # With T = S = 0.2 the log-likelihood is positive, so the value the
+        # search minimizes is negative; its stopping rule must still read
+        # the value's size, and stop once the value no longer falls. A rule
+        # of bare eps took 8 more steps here, none of them lower.
+        data = sample(dataclasses.replace(REF, T=0.2, S=0.2), SampleConfig(n=2000, seed=3))
+        priors = dataclasses.replace(PRIORS, t_center=0.2, s_center=0.2, bound_low=0.05)
+        target = mcmc._Target(data, priors, None)
+        values, value = [], target.value
+        target.value = lambda row: values.append(value(row)[0]) or value(row)
+        lows, highs = mcmc._bounds(priors)
+        search = mapfit._newton(target, priors.centers(), lows, highs)
+        assert search.value < 0.0
+        assert search.converged and search.iterations < 50
+        assert len(values) - 1 - int(np.argmin(values)) <= 1
+
+
+# A location box that holds mu and alpha anywhere in [-40, 60], and room for
+# T and S a step beyond (0.1, 8).
+DERIVATIVE_PRIORS = PriorSpec(t_center=2.1, s_center=4.9, mu_center=10.0, alpha_center=10.0,
+                              mu_sd=20.0, alpha_sd=20.0, bound_low=0.05, bound_high=8.5)
+
+
+@pytest.fixture(scope="module")
+def derivative_targets(small_data):
+    grid = build_sampling_grid(small_data, DERIVATIVE_PRIORS)
+    return {explicit: mcmc._Target(small_data, DERIVATIVE_PRIORS, grid if explicit else None)
+            for explicit in (False, True)}
+
+
+# The examples put T >> S, S >> T, and mu 30 T below all the data, where
+# every point is past saturation, or above it.
+LOG_SCALE = st.floats(math.log(0.1), math.log(8.0))
+LOCATION = st.floats(-40.0, 60.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(log_t=LOG_SCALE, log_s=LOG_SCALE, mu=LOCATION, alpha=LOCATION, explicit=st.booleans())
+@example(log_t=math.log(8.0), log_s=math.log(0.25), mu=8.0, alpha=15.0, explicit=False)
+@example(log_t=math.log(8.0), log_s=math.log(0.25), mu=8.0, alpha=15.0, explicit=True)
+@example(log_t=math.log(0.1), log_s=math.log(8.0), mu=8.0, alpha=15.0, explicit=False)
+@example(log_t=math.log(0.1), log_s=math.log(8.0), mu=8.0, alpha=15.0, explicit=True)
+@example(log_t=math.log(0.5), log_s=math.log(3.0), mu=-40.0, alpha=-30.0, explicit=False)
+@example(log_t=math.log(0.5), log_s=math.log(3.0), mu=-40.0, alpha=-30.0, explicit=True)
+@example(log_t=math.log(0.3), log_s=math.log(2.0), mu=55.0, alpha=40.0, explicit=False)
+def test_log_target_derivatives_match_central_differences(
+    derivative_targets, small_data, log_t, log_s, mu, alpha, explicit
+):
+    target = derivative_targets[explicit]
+    row = np.array([math.exp(log_t), math.exp(log_s), mu, alpha])
+    if mu == -40.0:
+        assert np.all(np.tanh((small_data - mu) / row[0]) == 1.0)
+    gradient, hessian = mcmc._log_target_derivatives(row, target.values, target.priors, target.grid)
+
+    def central(i, h):
+        shift = np.zeros(4)
+        shift[i] = h * (row[i] if i < 2 else 1.0)
+        up, down = row + shift, row - shift
+        values = target(np.array([up, down]))
+        slopes = [mcmc._log_target_derivatives(point, target.values, target.priors, target.grid)[0]
+                  for point in (up, down)]
+        return np.concatenate([[values[0] - values[1]], slopes[0] - slopes[1]]) / (2.0 * shift[i])
+
+    # Central differences at h and h/2 (relative for T and S), Richardson's
+    # extrapolation of the two, and their disagreement as the differences'
+    # rounding error, as in the fit's derivative test. On an explicit grid
+    # the derivatives are those of the sum the value takes. The local grid
+    # moves with mu and T, and the derivatives are its quadrature of the
+    # derivatives of log Z, equal to the value's to the quadrature's error.
+    h = 1e-3
+    coarse, fine = (np.array([central(i, step) for i in range(4)]) for step in (h, h / 2.0))
+    extrapolated, spread = (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse)
+    rtol = 1e-9 if explicit else 1e-6
+    assert np.all(np.abs(gradient - extrapolated[:, 0]) <= rtol * np.max(np.abs(gradient)) + 4.0 * spread[:, 0])
+    assert np.all(np.abs(hessian - extrapolated[:, 1:]) <= rtol * np.max(np.abs(hessian)) + 4.0 * spread[:, 1:])
+
+
+def mode_case(name):
+    """(data, priors) of a case the mode search must solve: seed-7 data of
+    the benchmark's two workloads and the README run, with priors centred
+    at the fit as ``qrse sample`` centres them; the README data with the
+    truth as prior centres and T and S bounded at 2; CI's random-walk case;
+    and the box-wall data, whose simplex mode lay on the location box's
+    wall."""
+    n, seed = {"posterior_2k_long": (2000, 7), "acceptance_100k": (100_000, 7)}.get(name, (20_000, 0))
+    if name == "walk":
+        data = sample(QrseParams(T=5.0, S=5.0, mu=0.0, alpha=0.0), SampleConfig(n=500, seed=1))
+        fitted = fit_map(build_histogram(data, "fd"), restarts=0).params
+        return data, PriorSpec(-20.0, fitted.S, fitted.mu, fitted.alpha)
+    if name == "box_wall":
+        data = sample(QrseParams(T=0.59, S=6.412, mu=-1.765, alpha=17.457), SampleConfig(n=1000, seed=60))
+        return data, PRIORS
+    data = sample(REF, SampleConfig(n=n, seed=7))
+    if name == "bound_2":
+        return data, dataclasses.replace(PRIORS, bound_high=2.0)
+    fitted = fit_map(build_histogram(data, "fd"), seed=seed).params
+    return data, PriorSpec(fitted.T, fitted.S, fitted.mu, fitted.alpha)
+
+
+@pytest.mark.parametrize("name, floor", [
+    ("posterior_2k_long", None), ("acceptance_100k", None), ("readme", None), ("walk", None),
+    ("bound_2", -64_771.70), ("box_wall", -2921.996),
+])
+def test_mode_no_worse_than_nelder_mead(name, floor):
+    # The oracle is SciPy's Nelder-Mead from the start the sampler's simplex
+    # search took: the prior centres, T and S clipped 1e-3 of the support
+    # inside it.
+    data, priors = mode_case(name)
+    target = mcmc._Target(data, priors, None)
+    mode, _, bounded = mcmc._posterior_mode(target, priors)
+    inset = 1e-3 * (priors.bound_high - priors.bound_low)
+    start = priors.centers()
+    start[:2] = np.clip(start[:2], priors.bound_low + inset, priors.bound_high - inset)
+    simplex = optimize.minimize(lambda theta: -target(theta[None])[0], start, method="Nelder-Mead",
+                                options={"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000})
+    value = target(mode[None])[0]
+    assert value >= -simplex.fun - 1e-6
+    if floor is not None:
+        assert value >= floor
+    if name == "box_wall":
+        assert not bounded.any()
