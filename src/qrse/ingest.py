@@ -115,7 +115,11 @@ class CleanedSample:
 
 @dataclass(frozen=True, eq=False)
 class HistogramSpec:
-    """Observed histogram: edges, relative frequencies, and raw counts."""
+    """Observed histogram: edges, relative frequencies, and raw counts.
+
+    Edges must be finite and strictly increasing, frequencies and counts
+    finite and nonnegative, and the frequencies must sum to 1.
+    """
 
     edges: np.ndarray
     frequencies: np.ndarray
@@ -127,6 +131,11 @@ class HistogramSpec:
         counts = np.asarray(self.counts, dtype=float)
         if len(frequencies) != len(edges) - 1 or len(counts) != len(frequencies):
             raise ValueError("histogram arrays have inconsistent lengths")
+        if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0.0)):
+            raise ValueError("histogram edges must be finite and strictly increasing")
+        for name, arr in (("frequencies", frequencies), ("counts", counts)):
+            if not np.all((arr >= 0.0) & (arr < math.inf)):
+                raise ValueError(f"histogram {name} must be finite and nonnegative")
         if abs(float(np.sum(frequencies)) - 1.0) > 1e-12:
             raise ValueError("frequencies must sum to 1")
         for name, arr in (("edges", edges), ("frequencies", frequencies), ("counts", counts)):

@@ -286,7 +286,7 @@ class _Search(NamedTuple):
     initial: float
     iterations: int
     converged: bool
-    hessian: np.ndarray | None = None
+    hessian: np.ndarray
 
 
 def _newton(objective, start: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> _Search:

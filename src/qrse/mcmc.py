@@ -25,15 +25,17 @@ Hessian, then runs one of two kernels:
 Everything is deterministic given (data, priors, config): chains use a
 counter-based generator keyed by seed + chain_index, and initial points are
 jittered around the posterior mode. The sampler has one target,
-``_log_targets``, which evaluates the log posterior at a block of rows; each
-row takes log Z from ``local_log_z``'s grid around its own mu, unless the
-caller passes one fixed grid. The data is checked for NaN and infinity once,
-when the target is built, not on every evaluation. Without a fixed grid it
-is also sorted then, once, and each row's data term is
-``model._data_log_kernel``'s sum over it, split at the row's own mu: one
-exp and one division per point, and one log per 32 points for the sum of
-log1p terms, against the pointwise ``log_kernel``'s tanh, log1p and two
-divisions.
+``_Target``, built once per run, which evaluates the log posterior at a
+block of rows and gives the mode search its gradient and Hessian. When it
+is built, the data is checked for NaN and infinity and sorted, once, in
+either grid mode, and the bounds of the support and the location box are
+set. Each row takes log Z from ``local_log_z``'s grid around its own mu,
+and its data term is ``model._data_log_kernel``'s sum over the sorted
+data, split at the row's own mu: one exp and one division per point, and
+one log per 32 points for the sum of log1p terms, against the pointwise
+``log_kernel``'s tanh, log1p and two divisions. A caller's fixed grid
+changes two things only: log Z comes from it, and the data term is the
+pointwise ``log_kernel`` sum over the sorted data.
 
 ``run_chains`` spreads its work over parallel lanes, one per CPU the
 process may use (``os.sched_getaffinity``): lane 0 is the calling process
@@ -42,7 +44,7 @@ splits a list of jobs into equal contiguous slices, one per lane, and
 makes one call per lane on its slice. An independence chain's proposals do
 not depend on its state, so every chain draws its proposals first; the
 jobs are then the target evaluations of all chains, and each lane's call
-is ``_log_targets`` on its slice. Each chain's accept/reject sweep runs
+is the target on its slice. Each chain's accept/reject sweep runs
 afterwards in the calling process. For the random walk the jobs are whole
 chains, so with 3 chains on 2 lanes lane 0 runs chain 0 and lane 1 chains 1
 and 2, and a walk evaluates one row at a time. Either way every start,
@@ -74,7 +76,6 @@ from .model import (
     _log_likelihood_derivatives,
     _log_likelihood_rows,
     _sort_data,
-    _SortedData,
     build_density,
     log_likelihood,
 )
@@ -227,6 +228,8 @@ class PriorSpec:
 
     @classmethod
     def from_json(cls, payload: dict) -> "PriorSpec":
+        if not isinstance(payload, dict):
+            raise TypeError(f"priors must be a JSON object, got {type(payload).__name__}")
         return cls(**{key: float(value) for key, value in payload.items()})
 
 
@@ -344,7 +347,7 @@ def build_sampling_grid(
 def _check_local_grids(values: np.ndarray, priors: PriorSpec) -> None:
     """Build the largest local log Z grid the support allows and evaluate
     the public ``log_posterior`` of ``values`` on it, which sums the
-    pointwise ``log_kernel`` over the data.
+    pointwise ``log_kernel`` over a sorted copy of the data.
 
     The grid's size grows with T / min(T, S), so it peaks at (T, S) =
     (bound_high, bound_low); mu and alpha cannot change it and sit at the
@@ -371,10 +374,10 @@ def log_posterior(
     """Log prior plus log-likelihood; prior only when data is empty.
 
     With ``grid=None``, log Z comes from ``local_log_z`` at ``params``; an
-    explicit grid is used as given. The sampler's target is
-    ``_log_targets``, which gives these bits at every point of the support
-    and the location box; the sampler calls this once, in its start-up
-    check (``_check_local_grids``).
+    explicit grid is used as given. The sampler's target is ``_Target``,
+    which gives these bits at every point of the support and the location
+    box; the sampler calls this once, in its start-up check
+    (``_check_local_grids``).
 
     Raises
     ------
@@ -392,75 +395,61 @@ def log_posterior(
 
 
 class _Target:
-    """The sampler's log target: ``_log_targets`` on ``data``, which is
-    checked here once, not on every evaluation (ValueError for a NaN or an
-    infinity), and without an explicit grid also sorted here once, with its
-    prefix sums (``model._sort_data``). Called on an (m, 4) array of rows
-    (T, S, mu, alpha), it gives their m log posteriors. For
+    """The sampler's log target, built once per run: the data is checked
+    here once, not on every evaluation (ValueError for a NaN or an
+    infinity), and sorted here once, with its prefix sums
+    (``model._sort_data``), in either grid mode; the lows and highs of the
+    support and the location box and the prior's centres and precision are
+    kept here too.
+
+    Called on an (m, 4) array of rows (T, S, mu, alpha), it gives their m
+    log posteriors in a few calls over blocks of rows: -inf outside the
+    support and the location box, and inside them log prior plus
+    ``_log_likelihood_rows``, the bits of ``log_posterior`` at that point.
+    A row's value does not depend on the rows around it. For
     ``mapfit._newton``, ``value`` is the negative log target at one row,
-    which is its own state, and ``derivatives`` the negated
-    ``_log_target_derivatives`` there.
+    which is its own state, and ``derivatives`` the negated gradient and
+    Hessian there.
     """
 
     def __init__(self, data, priors: PriorSpec, grid: EvalGrid | None):
         values = np.asarray(data, dtype=float)
         if not np.all(np.isfinite(values)):
             raise ValueError("the sampler requires finite observations")
-        if not values.size:
-            values = None
-        elif grid is None:
-            values = _sort_data(values)
-        self.values, self.priors, self.grid = values, priors, grid
+        self.data = _sort_data(values) if values.size else None
+        self.priors, self.grid = priors, grid
+        self.lows, self.highs = _bounds(priors)
+        self.centers, self.precision = priors.centers(), priors.sds() ** -2.0
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return _log_targets(points, self.values, self.priors, self.grid)
+        inside = ((self.lows <= points) & (points <= self.highs)).all(axis=1)
+        rows = points[inside]
+        # One row (the mode search's values, the random walk) takes the prior in
+        # Python floats: the same bits, several times faster than on arrays.
+        log_p = self.priors._log_density(*(rows[0].tolist() if len(rows) == 1 else rows.T))
+        if self.data is not None:
+            log_p = log_p + _log_likelihood_rows(self.data, rows, self.grid)
+        out = np.full(len(points), -math.inf)
+        out[inside] = log_p
+        return out
 
     def value(self, row: np.ndarray) -> tuple[float, np.ndarray]:
         return -self(row[None])[0], row
 
     def derivatives(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(-part for part in _log_target_derivatives(row, self.values, self.priors, self.grid))
-
-
-def _log_targets(points: np.ndarray, values: _SortedData | np.ndarray | None,
-                 priors: PriorSpec, grid: EvalGrid | None) -> np.ndarray:
-    """The log posterior at each row (T, S, mu, alpha) of ``points``, in a few
-    calls over blocks of rows: -inf outside the support and the location
-    box, and inside them log prior plus ``_log_likelihood_rows``, the bits
-    of ``log_posterior`` at that point. A row's value does not depend on
-    the rows around it. ``values`` is what ``_Target`` builds from
-    finite data: None without observations, else the form
-    ``_log_likelihood_rows`` reads for ``grid``.
-    """
-    low, high = _bounds(priors)
-    inside = ((low <= points) & (points <= high)).all(axis=1)
-    rows = points[inside]
-    # One row (the mode search's values, the random walk) takes the prior in
-    # Python floats: the same bits, several times faster than on arrays.
-    log_p = priors._log_density(*(rows[0].tolist() if len(rows) == 1 else rows.T))
-    if values is not None:
-        log_p = log_p + _log_likelihood_rows(values, rows, grid)
-    out = np.full(len(points), -math.inf)
-    out[inside] = log_p
-    return out
-
-
-def _log_target_derivatives(row: np.ndarray, values: _SortedData | np.ndarray | None,
-                            priors: PriorSpec, grid: EvalGrid | None):
-    """Gradient and Hessian of the log target at one row (T, S, mu, alpha)
-    inside the support and the location box: the prior's in closed form,
-    plus ``_log_likelihood_derivatives`` taken from log T and log S by the
-    chain rule (d^2/dT^2 = (d^2/dlog T^2 - d/dlog T) / T^2)."""
-    precision = priors.sds() ** -2.0
-    gradient = (priors.centers() - row) * precision
-    hessian = np.diag(-precision)
-    if values is not None:
-        log_gradient, log_hessian = _log_likelihood_derivatives(values, row, grid)
-        log_hessian[[0, 1], [0, 1]] -= log_gradient[:2]
-        scale = np.array([row[0], row[1], 1.0, 1.0])
-        gradient += log_gradient / scale
-        hessian += log_hessian / np.multiply.outer(scale, scale)
-    return gradient, hessian
+        """The negated gradient and Hessian of the log target at one row
+        inside the support and the location box: the prior's in closed
+        form, plus ``_log_likelihood_derivatives`` taken from log T and
+        log S by the chain rule (d^2/dT^2 = (d^2/dlog T^2 - d/dlog T) / T^2)."""
+        gradient = (self.centers - row) * self.precision
+        hessian = np.diag(-self.precision)
+        if self.data is not None:
+            log_gradient, log_hessian = _log_likelihood_derivatives(self.data, row, self.grid)
+            log_hessian[[0, 1], [0, 1]] -= log_gradient[:2]
+            scale = np.array([row[0], row[1], 1.0, 1.0])
+            gradient += log_gradient / scale
+            hessian += log_hessian / np.multiply.outer(scale, scale)
+        return -gradient, -hessian
 
 
 def _bounds(priors: PriorSpec, inset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -472,7 +461,7 @@ def _bounds(priors: PriorSpec, inset: float = 0.0) -> tuple[np.ndarray, np.ndarr
             np.array([priors.bound_high - inset, priors.bound_high - inset, mu_high, alpha_high]))
 
 
-def _posterior_mode(target: _Target, priors: PriorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _posterior_mode(target: _Target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The target's maximum over the support and the location box, the log
     target's Hessian there, and which coordinates lie on a bound, by
     ``mapfit._newton`` from the prior centres clipped into the box, T and S
@@ -480,8 +469,8 @@ def _posterior_mode(target: _Target, priors: PriorSpec) -> tuple[np.ndarray, np.
     local mode in mu every few T, and started on T's lower bound, the search
     in CI's random-walk case stops 7 nats below the mode it finds from inside.
     """
-    lows, highs = _bounds(priors)
-    search = _newton(target, np.clip(priors.centers(), *_bounds(priors, 1e-3)), lows, highs)
+    lows, highs = target.lows, target.highs
+    search = _newton(target, np.clip(target.centers, *_bounds(target.priors, 1e-3)), lows, highs)
     return search.theta, -search.hessian, (search.theta <= lows) | (search.theta >= highs)
 
 
@@ -802,7 +791,7 @@ def run_chains(
     equal contiguous slices: lane 0 in this process, each other lane in a
     forked process. For the independence kernel the slices cut the chains
     x (1 + tune + draws) target evaluations (each chain's start, then its
-    proposals); each lane evaluates its slice in one ``_log_targets`` call,
+    proposals); each lane evaluates its slice in one call of the target,
     and each chain's accept/reject sweep then runs here, through
     ``run_chain``, in chain order. For the random walk they cut the list of
     chains, and each chain runs whole in its lane. Each target value
@@ -832,7 +821,7 @@ def run_chains(
 
     mode = None
     if config.initial is None or config.step_scales is None:
-        mode, hessian, bounded = _posterior_mode(target, priors)
+        mode, hessian, bounded = _posterior_mode(target)
     if config.step_scales is None:
         scales, proposal_cholesky = _laplace_proposal(hessian, bounded, priors)
     else:

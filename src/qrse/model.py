@@ -19,7 +19,9 @@ over the data from sorted data (``_data_log_kernel``): one exp and one
 division per point, and one log per 32 points for the sum of log1p terms,
 taken as logs of products of 1 + e below 2^33. With an explicit grid it
 sums ``log_kernel`` point by point, which is the reference the tests hold
-that sum to.
+that sum to. The data is sorted in either mode (``_sort_data``), so an
+explicit grid decides only where log Z comes from and that the kernel sum
+is pointwise; neither value depends on the data's order.
 
 All four parameters are in thousands of dollars. Operations broadcast over
 numpy arrays and accept scalars.
@@ -664,45 +666,46 @@ def log_likelihood(data, params: QrseParams, grid: EvalGrid | None = None) -> fl
     """Log-likelihood of observed outcomes under the model.
 
     Per-observation terms are exact at each data point; only the partition
-    function uses a grid. With ``grid=None`` this is the one-row case of
-    ``_log_likelihood_rows``: log Z on ``local_log_z``'s grid, built for
-    ``params``, and the kernel sum ``_data_log_kernel`` over a sorted copy
-    of the data. The sampler's row evaluator gives the same bits on data
-    checked and sorted once. An explicit grid is used as given, through
-    ``build_density``, and the kernel sum is ``log_kernel`` at each point,
-    summed: the pointwise reference. The data is checked on every call.
+    function uses a grid. The data is checked and sorted on every call, in
+    either grid mode, so the value does not depend on the data's order.
+    With ``grid=None`` this is the one-row case of ``_log_likelihood_rows``:
+    log Z on ``local_log_z``'s grid, built for ``params``, and the kernel
+    sum ``_data_log_kernel`` over the sorted copy. An explicit grid is used
+    as given, through ``build_density``, and the kernel sum is
+    ``log_kernel`` at each point of the sorted copy, summed: the pointwise
+    reference. The sampler's target gives the same bits in both modes, on
+    data checked and sorted once.
     """
     values = np.asarray(data, dtype=float)
     if values.size == 0:
         raise ValueError("log_likelihood requires at least one observation")
     if not np.all(np.isfinite(values)):
         raise ValueError("log_likelihood requires finite observations")
+    ordered = _sort_data(values)
     if grid is None:
-        return float(_log_likelihood_rows(_sort_data(values), params.as_array()[None])[0])
+        return float(_log_likelihood_rows(ordered, params.as_array()[None])[0])
     log_z = build_density(params, grid).log_z
-    return float(np.sum(log_kernel(values, params))) - values.size * log_z
+    return float(np.sum(log_kernel(ordered.x, params))) - values.size * log_z
 
 
-def _log_likelihood_rows(
-    data: _SortedData | np.ndarray, rows: np.ndarray, grid: EvalGrid | None = None
-) -> np.ndarray:
+def _log_likelihood_rows(data: _SortedData, rows: np.ndarray,
+                         grid: EvalGrid | None = None) -> np.ndarray:
     """``log_likelihood(values, QrseParams.from_array(row), grid)`` at each
-    row of ``rows``, bit for bit, for finite, nonempty ``values``, which
-    the caller passes as ``data`` in the form its grid mode reads.
+    row of ``rows``, bit for bit, where ``data`` is ``_sort_data(values)``
+    of finite, nonempty ``values`` (the sampler sorts once per run).
 
-    With ``grid=None``, ``data`` is ``_sort_data(values)`` (the sampler
-    sorts once per run), the kernel sums are ``_data_log_kernel``'s and
-    log Z comes from ``_local_log_z_rows``. With an explicit grid, ``data``
-    is the array ``values``, and the data kernel runs on (rows, N) blocks
-    of at most _BLOCK elements (one row in _BLOCK chunks when N is larger)
-    and is summed per row; a row sum of a C-contiguous block is the same
-    pairwise sum as a 1-d one. log Z then comes from one ``build_density``
-    per row.
+    With ``grid=None`` the kernel sums are ``_data_log_kernel``'s and log Z
+    comes from ``_local_log_z_rows``. With an explicit grid the data kernel
+    runs on (rows, N) blocks of the sorted points, at most _BLOCK elements
+    (one row in _BLOCK chunks when N is larger), and is summed per row; a
+    row sum of a C-contiguous block is the same pairwise sum as a 1-d one.
+    log Z then comes from one ``build_density`` per row.
     """
     if grid is None:
         log_z = _local_log_z_rows(rows)  # first: it raises for an oversized grid
         return _data_log_kernel(data, rows) - data.x.size * log_z
-    n = data.size
+    x = data.x
+    n = x.size
     step = max(1, _BLOCK // n)
     sums = np.empty(len(rows))
     kernel = np.empty((min(step, len(rows)), n))
@@ -710,7 +713,7 @@ def _log_likelihood_rows(
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
         out = kernel[:len(block)]
-        _kernel_rows(data, block, out, *scratch[:, :len(block)])
+        _kernel_rows(x, block, out, *scratch[:, :len(block)])
         sums[start:start + step] = np.sum(out, axis=1)
     log_z = np.array([build_density(QrseParams.from_array(row), grid).log_z for row in rows])
     return sums - n * log_z
@@ -757,15 +760,15 @@ _einsum_dot = functools.partial(np.einsum, "i,i->")
 
 
 def _log_likelihood_derivatives(
-    data: _SortedData | np.ndarray, row: np.ndarray, grid: EvalGrid | None = None
+    data: _SortedData, row: np.ndarray, grid: EvalGrid | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of ``_log_likelihood_rows`` at one row, in (log
-    T, log S, mu, alpha), with ``data`` in the form that reads for ``grid``.
+    T, log S, mu, alpha).
 
-    The data part sums ``_kernel_derivatives`` over the points, in _BLOCK
-    chunks. Each of the N log Z terms adds -E[dk] and -(E[d^2k] + Cov(dk))
-    under the weights its value sums: the pdf on an explicit grid, else
-    ``_local_log_z_rows``' local grid and its two saturated tails. Past an
+    The data part sums ``_kernel_derivatives`` over the sorted points, in
+    _BLOCK chunks. Each of the N log Z terms adds -E[dk] and -(E[d^2k] +
+    Cov(dk)) under the weights its value sums: the pdf on an explicit grid,
+    else ``EvalGrid.local``'s grid and its two saturated tails. Past an
     end point e of that grid the m-th point weighs w_e rho^m, rho =
     exp(-dx/S), and has dk_e and d^2k_e, less m dx/S at (log S, log S) and
     plus m dx/S in dk's log S slot. So the tails' moments are geometric sums
@@ -773,13 +776,12 @@ def _log_likelihood_derivatives(
     and sum m^2 rho^m = A (1 + A) (1 + 2 A). An explicit grid has A = 0.
     """
     if grid is None:
-        x = data.x
-        halves, spacing = _local_grids(row[:1], row[1:2])
-        points = _local_points(int(halves[0]), spacing, row[2:3])[0]
-        step = float(spacing[0]) / row[1]
+        grid = EvalGrid.local(QrseParams.from_array(row))
+        step = grid.spacing / row[1]
         tail = 1.0 / math.expm1(step)
     else:
-        x, points, step, tail = data, grid.points, 0.0, 0.0
+        step = tail = 0.0
+    x, points = data.x, grid.points
 
     def terms(points):  # the log kernel, t and t r
         kernel, tr, t = np.empty((3, points.size))

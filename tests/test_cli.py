@@ -204,6 +204,21 @@ class TestFit:
     def test_missing_histogram(self, tmp_path):
         assert run("fit", "--outdir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("key, edit, message", [
+        # Still summing to 1: ingest never writes a negative frequency.
+        ("frequencies", lambda f: [f[0] - 0.3, *f[1:-1], f[-1] + 0.3],
+         "frequencies must be finite and nonnegative"),
+        ("edges", lambda edges: edges[::-1], "edges must be finite and strictly increasing"),
+    ], ids=["negative-frequency", "reversed-edges"])
+    def test_histogram_ingest_never_writes(self, pipeline_dir, tmp_path, capsys, key, edit, message):
+        payload = json.loads((pipeline_dir / "histogram.json").read_text())
+        payload[key] = edit(payload[key])
+        (tmp_path / "histogram.json").write_text(json.dumps(payload))
+        assert run("fit", "--outdir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "histogram.json") in err and message in err
+        assert not (tmp_path / "map.json").exists()
+
     def test_zero_restarts(self, pipeline_dir, tmp_path, capsys):
         shutil.copy(pipeline_dir / "histogram.json", tmp_path)
         assert run("fit", "--outdir", str(tmp_path), "--restarts", "0") == 0

@@ -185,7 +185,7 @@ class TestFitMap:
     def test_no_descent(self, medium_hist, monkeypatch):
         def failing_search(objective, start, lows, highs):
             initial = objective.value(start)[0]
-            return mapfit._Search(start, math.inf, initial, 1, False)
+            return mapfit._Search(start, math.inf, initial, 1, False, None)
 
         monkeypatch.setattr(mapfit, "_newton", failing_search)
         with pytest.raises(NoDescent):
@@ -202,7 +202,7 @@ def _starts(hist, restarts, seed):
     def record(objective, start, lows, highs):
         starts.append(np.array(start))
         value = objective.value(start)[0]
-        return mapfit._Search(start, value, value, 0, True)
+        return mapfit._Search(start, value, value, 0, True, None)
 
     with mock.patch.object(mapfit, "_newton", record):
         fit_map(hist, restarts=restarts, seed=seed)

@@ -263,7 +263,7 @@ class TestLocalGridCheck:
         self, small_data, lanes, monkeypatch, step_scales
     ):
         # The mode search, the Laplace fit and both kernels evaluate
-        # through _log_targets; the start-up check is the one caller of the
+        # through _Target; the start-up check is the one caller of the
         # public log_posterior, and it checks the data itself.
         calls = []
         real = mcmc.log_posterior
@@ -287,7 +287,7 @@ class TestLocalGridCheck:
 
         monkeypatch.setattr(mcmc, "run_chain", forbidden)
         monkeypatch.setattr(mcmc, "log_posterior", forbidden)
-        monkeypatch.setattr(mcmc, "_log_targets", forbidden)
+        monkeypatch.setattr(mcmc._Target, "__call__", forbidden)
         priors = PriorSpec(t_center=2.1, s_center=4.9, mu_center=8.66, alpha_center=17.8,
                            bound_low=1e-6)
         data = sample(REF, SampleConfig(n=50, seed=1))
@@ -391,11 +391,11 @@ class TestRunChain:
         correlation[2, 3] = correlation[3, 2] = 0.8
         precision = np.linalg.inv(correlation * np.outer(sds, sds))
 
-        def log_targets(points, *args):
+        def log_targets(self, points):
             shift = points - center
             return -0.5 * np.sum((shift @ precision) * shift, axis=1)
 
-        monkeypatch.setattr(mcmc, "_log_targets", log_targets)
+        monkeypatch.setattr(mcmc._Target, "__call__", log_targets)
         result = run_chain(np.array([]), PRIORS, REF, tuple(1.2 * sds), draws=20_000,
                            tune=1000, seed=0, proposal_cholesky=np.linalg.cholesky(correlation))
         draws = result.draws
@@ -556,7 +556,7 @@ class TestKernelChoice:
         priors = PriorSpec(t_center=-5.0, s_center=4.9, mu_center=8.66, alpha_center=17.8,
                            t_sd=0.5)
         target = mcmc._Target(small_data, priors, None)
-        mode, hessian, bounded = mcmc._posterior_mode(target, priors)
+        mode, hessian, bounded = mcmc._posterior_mode(target)
         assert mode[0] == pytest.approx(priors.bound_low, abs=1e-9)
         assert mcmc._laplace_proposal(hessian, bounded, priors)[1] is None
         config = ChainConfig(chains=2, draws=50, tune=10)
@@ -618,9 +618,9 @@ class TestIndependenceKernel:
 
     def test_gaussian_posterior_moments(self, small_data, monkeypatch):
         # With the log posterior replaced by a correlated Gaussian in
-        # _log_targets, the one target of the mode search and the proposals'
-        # rows, and in _log_target_derivatives, which gives the mode search
-        # and the Laplace fit their derivatives, run_chains (mode, Laplace
+        # _Target's call, the one target of the mode search and the
+        # proposals' rows, and in its derivatives, which give the mode
+        # search and the Laplace fit their derivatives, run_chains (mode, Laplace
         # fit, t proposals, weights, sweep) must recover its mean and
         # covariance.
         # Weighting by the target alone, without the proposal density,
@@ -629,18 +629,18 @@ class TestIndependenceKernel:
         covariance = 0.01 * self.FACTOR @ self.FACTOR.T
         precision = np.linalg.inv(covariance)
 
-        def log_targets(points, *args):
+        def log_targets(self, points):
             # As the real one: -inf outside the support.
             shift = points - center
             scales = points[:, :2]
             inside = np.all((PRIORS.bound_low <= scales) & (scales <= PRIORS.bound_high), axis=1)
             return np.where(inside, -0.5 * np.sum((shift @ precision) * shift, axis=1), -math.inf)
 
-        def log_target_derivatives(row, *args):
-            return -precision @ (row - center), -precision
+        def log_target_derivatives(self, row):  # negated, as the search minimizes
+            return precision @ (row - center), precision
 
-        monkeypatch.setattr(mcmc, "_log_targets", log_targets)
-        monkeypatch.setattr(mcmc, "_log_target_derivatives", log_target_derivatives)
+        monkeypatch.setattr(mcmc._Target, "__call__", log_targets)
+        monkeypatch.setattr(mcmc._Target, "derivatives", log_target_derivatives)
         config = ChainConfig(chains=4, draws=10_000, tune=500, seed=5)
         posterior = run_chains(small_data, PRIORS, config)
         assert posterior.kernel == "independence-t5"
@@ -767,23 +767,23 @@ class TestLanes:
         self.assert_lane_invariant(data, config, lanes, fork_starts, (2,), mcmc.INDEPENDENCE)
 
     def test_independence_sweeps_run_here(self, small_data, lanes, monkeypatch):
-        # Lane 0 evaluates its slice through _log_targets, and every chain's
+        # Lane 0 evaluates its slice through _Target, and every chain's
         # sweep is one run_chain call in this process, so both can be traced.
         parent = os.getpid()
         seen = {"sweeps": 0, "targets": 0}
-        real_chain, real_targets = mcmc.run_chain, mcmc._log_targets
+        real_chain, real_targets = mcmc.run_chain, mcmc._Target.__call__
 
         def run_chain(*args, **kwargs):
             assert os.getpid() == parent and "proposals" in kwargs
             seen["sweeps"] += 1
             return real_chain(*args, **kwargs)
 
-        def log_targets(points, *args):
+        def log_targets(self, points):
             seen["targets"] += len(points) if os.getpid() == parent else 0
-            return real_targets(points, *args)
+            return real_targets(self, points)
 
         monkeypatch.setattr(mcmc, "run_chain", run_chain)
-        monkeypatch.setattr(mcmc, "_log_targets", log_targets)
+        monkeypatch.setattr(mcmc._Target, "__call__", log_targets)
         config = ChainConfig(chains=3, draws=100, tune=50)
         lanes(1)
         run_chains(small_data, PRIORS, config)
@@ -865,14 +865,14 @@ class TestLanes:
         # Each chain has 1 + 50 + 100 target evaluations: 453 in all, 226
         # in lane 0 and 227 in lane 1.
         parent = os.getpid()
-        real = mcmc._log_targets
+        real = mcmc._Target.__call__
 
         def log_targets(*args):
             if os.getpid() != parent:
                 os._exit(1)
             return real(*args)
 
-        monkeypatch.setattr(mcmc, "_log_targets", log_targets)
+        monkeypatch.setattr(mcmc._Target, "__call__", log_targets)
         lanes(2)
         with deadline(60), pytest.raises(QrseError) as caught:
             run_chains(small_data, PRIORS, ChainConfig(chains=3, draws=100, tune=50))
@@ -885,9 +885,9 @@ class TestLanes:
     @pytest.mark.parametrize("config", [LANE_CONFIG, ChainConfig(chains=3, draws=100, tune=50)],
                              ids=["random-walk", "independence"])
     def test_error_in_other_lane_is_raised(self, small_data, lanes, monkeypatch, config):
-        # Lane 1 holds chains 1 and 2, whose random walks call _log_targets
+        # Lane 1 holds chains 1 and 2, whose random walks call _Target
         # once per step, or the last 227 target evaluations, one
-        # _log_targets call.
+        # _Target call.
         parent = os.getpid()
 
         def in_lane_1(real):
@@ -898,7 +898,7 @@ class TestLanes:
 
             return fail
 
-        monkeypatch.setattr(mcmc, "_log_targets", in_lane_1(mcmc._log_targets))
+        monkeypatch.setattr(mcmc._Target, "__call__", in_lane_1(mcmc._Target.__call__))
         lanes(2)
         with deadline(60), pytest.raises(ValueError) as caught:
             run_chains(small_data, PRIORS, config)
@@ -916,14 +916,14 @@ class TestLanes:
         all_starts = tuple(
             QrseParams(T=2.01 + 0.1 * i, S=4.9, mu=8.66, alpha=17.8) for i in range(3)
         )
-        real = mcmc._log_targets
+        real = mcmc._Target.__call__
         starts = np.array([all_starts[i].as_array() for i in failing])
 
-        def log_targets(points, *args):
+        def log_targets(self, points):
             bonus = 1e6 * np.any(np.all(points[:, None] == starts, axis=2), axis=1)
-            return real(points, *args) + bonus
+            return real(self, points) + bonus
 
-        monkeypatch.setattr(mcmc, "_log_targets", log_targets)
+        monkeypatch.setattr(mcmc._Target, "__call__", log_targets)
         lanes(lane_count)
         config = ChainConfig(chains=3, draws=50, tune=0, seed=0, initial=all_starts)
         with deadline(60), pytest.raises(StuckChain) as caught:
@@ -939,7 +939,7 @@ class TestDataChecks:
             raise AssertionError("target evaluated")
 
         monkeypatch.setattr(mcmc, "log_posterior", forbidden)
-        monkeypatch.setattr(mcmc, "_log_targets", forbidden)
+        monkeypatch.setattr(mcmc._Target, "__call__", forbidden)
         data = small_data.copy()
         data[7] = bad
         with pytest.raises(ValueError, match="sampler requires finite observations"):
@@ -1076,8 +1076,9 @@ class TestTrace:
             # load_trace shapes the rows by the metadata's counts, so counts
             # that disagree with the rows show as rows out of order.
             ({"chains": 2, "draws": 150}, "order"),
+            ({"priors": [1, 2]}, "priors must be a JSON object"),
         ],
-        ids=["rates", "scale-rows", "scale-width", "config"],
+        ids=["rates", "scale-rows", "scale-width", "config", "priors-not-an-object"],
     )
     def test_rejects_metadata_that_disagrees_with_draws(
         self, small_posterior, tmp_path, change, message
@@ -1146,7 +1147,7 @@ class TestLocationBox:
         # A mode on the box's wall: starts jittered past it used to fail.
         wall = PRIORS.centers()
         wall[3] = mcmc._location_box(PRIORS)[1][1]
-        monkeypatch.setattr(mcmc, "_posterior_mode", lambda target, priors: (wall.copy(), None, None))
+        monkeypatch.setattr(mcmc, "_posterior_mode", lambda target: (wall.copy(), None, None))
         config = ChainConfig(chains=4, draws=50, tune=0, step_scales=(0.1, 0.1, 0.3, 0.5))
         posterior = run_chains(np.array([]), PRIORS, config)
         assert posterior.draws[:, :, 3].max() <= wall[3]
@@ -1278,14 +1279,14 @@ class TestLogTargets:
 class TestModeAndScales:
     def test_prior_only_mode_is_prior_center(self):
         target = mcmc._Target(np.array([]), PRIORS, None)
-        mode, _, _ = mcmc._posterior_mode(target, PRIORS)
+        mode, _, _ = mcmc._posterior_mode(target)
         np.testing.assert_allclose(mode, PRIORS.centers(), atol=1e-3)
 
     def test_prior_only_scales_match_prior_sd(self):
         # At an interior normal mode the curvature is -1/sd^2, so the
         # 2.4/sqrt(4) rule gives 1.2 sd per coordinate, and independent
         # coordinates leave the proposal correlation at identity.
-        hessian = mcmc._log_target_derivatives(PRIORS.centers(), None, PRIORS, None)[1]
+        hessian = -mcmc._Target(np.array([]), PRIORS, None).derivatives(PRIORS.centers())[1]
         scales, cholesky = mcmc._laplace_proposal(hessian, np.zeros(4, bool), PRIORS)
         np.testing.assert_allclose(scales, 1.2 * PRIORS.sds(), rtol=0.05)
         np.testing.assert_allclose(cholesky, np.eye(4), atol=1e-3)
@@ -1297,7 +1298,7 @@ class TestModeAndScales:
         target = mcmc._Target(data, PRIORS, None)
         mode = PRIORS.centers()
         mode[0] = PRIORS.bound_low
-        hessian = mcmc._log_target_derivatives(mode, target.values, PRIORS, None)[1]
+        hessian = -target.derivatives(mode)[1]
         bounded = np.array([True, False, False, False])
         scales, cholesky = mcmc._laplace_proposal(hessian, bounded, PRIORS)
         assert cholesky is None
@@ -1379,15 +1380,14 @@ def test_log_target_derivatives_match_central_differences(
     row = np.array([math.exp(log_t), math.exp(log_s), mu, alpha])
     if mu == -40.0:
         assert np.all(np.tanh((small_data - mu) / row[0]) == 1.0)
-    gradient, hessian = mcmc._log_target_derivatives(row, target.values, target.priors, target.grid)
+    gradient, hessian = (-part for part in target.derivatives(row))
 
     def central(i, h):
         shift = np.zeros(4)
         shift[i] = h * (row[i] if i < 2 else 1.0)
         up, down = row + shift, row - shift
         values = target(np.array([up, down]))
-        slopes = [mcmc._log_target_derivatives(point, target.values, target.priors, target.grid)[0]
-                  for point in (up, down)]
+        slopes = [-target.derivatives(point)[0] for point in (up, down)]
         return np.concatenate([[values[0] - values[1]], slopes[0] - slopes[1]]) / (2.0 * shift[i])
 
     # Central differences at h and h/2 (relative for T and S), Richardson's
@@ -1436,7 +1436,7 @@ def test_mode_no_worse_than_nelder_mead(name, floor):
     # inside it.
     data, priors = mode_case(name)
     target = mcmc._Target(data, priors, None)
-    mode, _, bounded = mcmc._posterior_mode(target, priors)
+    mode, _, bounded = mcmc._posterior_mode(target)
     inset = 1e-3 * (priors.bound_high - priors.bound_low)
     start = priors.centers()
     start[:2] = np.clip(start[:2], priors.bound_low + inset, priors.bound_high - inset)
