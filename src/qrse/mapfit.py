@@ -31,7 +31,6 @@ import numpy as np
 from .errors import LengthMismatch, NegativeDivergence, NoDescent
 from .ingest import HistogramSpec
 from .model import (
-    DensityTable,
     EvalGrid,
     QrseParams,
     _fold_bins,
@@ -177,8 +176,10 @@ class _BinnedKL:
 
     ``value`` takes the steps of ``bin_probabilities`` and ``kl_divergence``
     in their order, so it returns the same bits, and keeps what
-    ``derivatives`` needs. The bins are checked against the grid by the
-    caller, once.
+    ``derivatives`` needs. It reads the cell masses straight from
+    ``model._log_partition``'s pdf, which is normalized on the grid by
+    construction. The bins are checked against the grid by the caller,
+    once.
 
     The log kernel k has the derivatives dk and d^2k of
     ``model._kernel_derivatives``. The cell masses m are a softmax of k,
@@ -215,16 +216,14 @@ class _BinnedKL:
     def value(self, theta: np.ndarray):
         """The KL at theta, and the state ``derivatives`` takes.
 
-        Raises GridTooNarrow or ValueError as ``build_density`` does.
+        Raises GridTooNarrow as ``build_density`` does.
         """
         row = np.array([math.exp(theta[0]), math.exp(theta[1]), theta[2], theta[3]])
         # The fit grid's 4001 points are one block of _kernel_rows, so its
         # scratch ends holding t and t r over the whole grid.
         kernel, tr, t = np.empty((3, 1, self.grid.points.size))
         _kernel_rows(self.grid.points, row[None], kernel, tr, t)
-        log_z, pdf = _log_partition(kernel[0], self.grid.spacing)
-        table = DensityTable(grid=self.grid, log_kernel_values=kernel[0], log_z=log_z, pdf=pdf)
-        masses = table.pdf * self.grid.spacing
+        masses = _log_partition(kernel[0], self.grid.spacing)[1] * self.grid.spacing
         cumulative = np.concatenate([[0.0], np.cumsum(masses)])
         probabilities = _fold_bins(cumulative, self.cell_edges, self.clipped)
         kl = kl_divergence(probabilities, self.observed, reverse=self.reverse)

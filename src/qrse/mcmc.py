@@ -34,8 +34,9 @@ and its data term is ``model._data_log_kernel``'s sum over the sorted
 data, split at the row's own mu: one exp and one division per point, and
 one log per 32 points for the sum of log1p terms, against the pointwise
 ``log_kernel``'s tanh, log1p and two divisions. A caller's fixed grid
-changes two things only: log Z comes from it, and the data term is the
-pointwise ``log_kernel`` sum over the sorted data.
+changes two things only: log Z comes from it, through ``build_density``,
+and the data term is the pointwise ``log_kernel`` sum over the sorted data,
+one row at a time.
 
 ``run_chains`` spreads its work over parallel lanes, one per CPU the
 process may use (``os.sched_getaffinity``): lane 0 is the calling process
@@ -403,9 +404,10 @@ class _Target:
     kept here too.
 
     Called on an (m, 4) array of rows (T, S, mu, alpha), it gives their m
-    log posteriors in a few calls over blocks of rows: -inf outside the
-    support and the location box, and inside them log prior plus
-    ``_log_likelihood_rows``, the bits of ``log_posterior`` at that point.
+    log posteriors: -inf outside the support and the location box, and
+    inside them log prior plus ``_log_likelihood_rows``, the bits of
+    ``log_posterior`` at that point, in a few calls over blocks of rows
+    without a grid and one row at a time with one.
     A row's value does not depend on the rows around it. For
     ``mapfit._newton``, ``value`` is the negative log target at one row,
     which is its own state, and ``derivatives`` the negated gradient and

@@ -18,10 +18,11 @@ closed form and is accurate to about 1e-11 relative, and sums the kernel
 over the data from sorted data (``_data_log_kernel``): one exp and one
 division per point, and one log per 32 points for the sum of log1p terms,
 taken as logs of products of 1 + e below 2^33. With an explicit grid it
-sums ``log_kernel`` point by point, which is the reference the tests hold
-that sum to. The data is sorted in either mode (``_sort_data``), so an
-explicit grid decides only where log Z comes from and that the kernel sum
-is pointwise; neither value depends on the data's order.
+is the public formula, row by row: ``log_kernel`` summed over the data,
+the reference the tests hold that sum to, less N times ``build_density``'s
+log Z on the grid. The data is sorted in either mode (``_sort_data``), so
+neither value depends on the data's order. The kernel at a set of points
+has one chunk loop, ``_kernel_rows``, for one row or many.
 
 All four parameters are in thousands of dollars. Operations broadcast over
 numpy arrays and accept scalars.
@@ -324,8 +325,9 @@ def _kernel_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray, u: np.ndarray
                  t: np.ndarray, block=_log_kernel_block) -> None:
     """Write ``block`` (the log kernel unless told otherwise) at each row of
     ``rows`` (T, S, mu, alpha) into the same row of ``out``, in chunks of
-    _BLOCK columns. ``x`` is one set of points for every row, or one row of
-    points per row.
+    _BLOCK columns; the parameters are (rows, 1) columns. ``x`` is one 1-d
+    set of points for every row, or one row of points per row. ``block``
+    leaves t and t r in ``t`` and ``u`` for the last chunk only.
 
     ``u`` and ``t`` are scratch with ``out``'s rows and min(columns, _BLOCK)
     columns. Callers allocate them and ``out`` once for all their blocks:
@@ -336,12 +338,7 @@ def _kernel_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray, u: np.ndarray
     Overflow is silenced: a (x - mu)/T past the largest float saturates the
     entropy to 0, and a (x - alpha)/S past it is the kernel's own -inf.
     """
-    if len(rows) == 1:
-        # numpy runs scalar operands 5-10% faster than (1, 1) columns.
-        x, out, u, t = x.reshape(-1), out[0], u[0], t[0]
-        columns = _Columns._make(rows[0].tolist())
-    else:
-        columns = _Columns._make(rows.T[:, :, None])
+    columns = _Columns._make(rows.T[:, :, None])
     with np.errstate(over="ignore"):
         for start in range(0, out.shape[-1], _BLOCK):
             chunk = slice(start, start + _BLOCK)
@@ -357,7 +354,7 @@ def _blockwise(block, x, params: QrseParams):
     values = np.asarray(x, dtype=float)
     out = np.empty((1, values.size))
     u, t = np.empty((2, 1, min(values.size, _BLOCK)))
-    _kernel_rows(values, params.as_array()[None], out, u, t, block)
+    _kernel_rows(values.reshape(-1), params.as_array()[None], out, u, t, block)
     return out.reshape(values.shape)[()]
 
 
@@ -580,25 +577,25 @@ def _choice_sums(x: np.ndarray, scale: np.ndarray, mu: np.ndarray,
     d = x - mu[r], e = exp(-scale[r] |d|) and q = e / (1 + e), where the
     first below[r] points have d < 0.
 
-    While a block of _BLOCK elements holds three rows or more (N <= 5,461),
-    each block is one (rows, N) array and the signs come from d
-    (``copysign``). Otherwise each row runs alone and its two sides are
-    separate slices, which saves the abs and copysign passes: 1 + e is
-    formed once, its lower slice negated after ``_log1p_sums`` has read it.
-    That cut-off is the measured crossover: per row, the blocks ran 7-17%
-    faster at N = 3,000-5,400 (three to five rows a block) and 0-15% slower
-    at N = 5,500-8,192 (two rows a block; 2-core Xeon VM, 64 rows). Both
-    give the same values elementwise and the same log1p sums, and
-    einsum, not a BLAS dot, forms sum |d| q: in a fresh process a BLAS call
-    can take milliseconds to start its thread pool. -scale |d| may
-    overflow to -inf, where e is 0.
+    Both layouts take one sign rule: 1 + e is formed once, and its slice
+    below mu negated after ``_log1p_sums`` has read it, so that q comes out
+    negative there. While a block of _BLOCK elements holds two rows or more
+    (N <= 8,192), each block is one (rows, N) array, e is formed from |d|,
+    and each row's slice is negated in turn. Otherwise each row runs alone
+    and its two sides are separate slices, which saves the abs pass. That
+    cut-off is the measured crossover: per row, blocks of two rows ran
+    10-14% faster at N = 5,600-8,192 (29.0-37.2 against 33.7-41.4 us) and
+    three rows 19-24% faster at N = 5,000-5,461 (2-core Xeon VM, 64 rows).
+    Both layouts give the same bits, and einsum, not a BLAS dot, forms
+    sum |d| q: in a fresh process a BLAS call can take milliseconds to start
+    its thread pool. -scale |d| may overflow to -inf, where e is 0.
     """
     n = x.size
     sums = np.empty((3, len(mu)))
     step = _BLOCK // n
     columns = -(-n // _FACTORS)
     with np.errstate(over="ignore"):
-        if step > 2:
+        if step > 1:
             buffers = np.empty((3, min(step, len(mu)), n))
             products = np.empty((len(buffers[0]), columns))
             for start in range(0, len(mu), step):
@@ -610,8 +607,9 @@ def _choice_sums(x: np.ndarray, scale: np.ndarray, mu: np.ndarray,
                 np.exp(w, out=w)
                 np.add(w, 1.0, out=b)
                 sums[1, block] = _log1p_sums(w, b, products[:len(d)])
+                for row, k in zip(b, below[block].tolist()):
+                    np.negative(row[:k], out=row[:k])  # -(1 + e): q < 0 below mu
                 w /= b
-                np.copysign(w, d, out=w)
                 sums[0, block] = np.einsum("ij,ij->i", d, w)
                 sums[2, block] = w.sum(axis=1)
         else:
@@ -666,57 +664,39 @@ def log_likelihood(data, params: QrseParams, grid: EvalGrid | None = None) -> fl
     """Log-likelihood of observed outcomes under the model.
 
     Per-observation terms are exact at each data point; only the partition
-    function uses a grid. The data is checked and sorted on every call, in
-    either grid mode, so the value does not depend on the data's order.
-    With ``grid=None`` this is the one-row case of ``_log_likelihood_rows``:
-    log Z on ``local_log_z``'s grid, built for ``params``, and the kernel
-    sum ``_data_log_kernel`` over the sorted copy. An explicit grid is used
-    as given, through ``build_density``, and the kernel sum is
-    ``log_kernel`` at each point of the sorted copy, summed: the pointwise
-    reference. The sampler's target gives the same bits in both modes, on
-    data checked and sorted once.
+    function uses a grid. The data is checked and sorted on every call, so
+    the value does not depend on the data's order. This is the one-row case
+    of ``_log_likelihood_rows``, in either grid mode; the sampler's target
+    gives the same bits on data checked and sorted once.
     """
     values = np.asarray(data, dtype=float)
     if values.size == 0:
         raise ValueError("log_likelihood requires at least one observation")
     if not np.all(np.isfinite(values)):
         raise ValueError("log_likelihood requires finite observations")
-    ordered = _sort_data(values)
-    if grid is None:
-        return float(_log_likelihood_rows(ordered, params.as_array()[None])[0])
-    log_z = build_density(params, grid).log_z
-    return float(np.sum(log_kernel(ordered.x, params))) - values.size * log_z
+    return float(_log_likelihood_rows(_sort_data(values), params.as_array()[None], grid)[0])
 
 
 def _log_likelihood_rows(data: _SortedData, rows: np.ndarray,
                          grid: EvalGrid | None = None) -> np.ndarray:
     """``log_likelihood(values, QrseParams.from_array(row), grid)`` at each
-    row of ``rows``, bit for bit, where ``data`` is ``_sort_data(values)``
-    of finite, nonempty ``values`` (the sampler sorts once per run).
+    row of ``rows``, where ``data`` is ``_sort_data(values)`` of finite,
+    nonempty ``values`` (the sampler sorts once per run).
 
     With ``grid=None`` the kernel sums are ``_data_log_kernel``'s and log Z
-    comes from ``_local_log_z_rows``. With an explicit grid the data kernel
-    runs on (rows, N) blocks of the sorted points, at most _BLOCK elements
-    (one row in _BLOCK chunks when N is larger), and is summed per row; a
-    row sum of a C-contiguous block is the same pairwise sum as a 1-d one.
-    log Z then comes from one ``build_density`` per row.
+    comes from ``_local_log_z_rows``, on local grids built for each row. An
+    explicit grid is used as given: each row is the sum of ``log_kernel``
+    over the sorted points, the pointwise reference, less N times
+    ``build_density``'s log Z on that grid.
     """
+    n = data.x.size
     if grid is None:
         log_z = _local_log_z_rows(rows)  # first: it raises for an oversized grid
-        return _data_log_kernel(data, rows) - data.x.size * log_z
-    x = data.x
-    n = x.size
-    step = max(1, _BLOCK // n)
-    sums = np.empty(len(rows))
-    kernel = np.empty((min(step, len(rows)), n))
-    scratch = np.empty((2, len(kernel), min(n, _BLOCK)))
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        out = kernel[:len(block)]
-        _kernel_rows(x, block, out, *scratch[:, :len(block)])
-        sums[start:start + step] = np.sum(out, axis=1)
-    log_z = np.array([build_density(QrseParams.from_array(row), grid).log_z for row in rows])
-    return sums - n * log_z
+        return _data_log_kernel(data, rows) - n * log_z
+    return np.array([
+        float(np.sum(log_kernel(data.x, params))) - n * build_density(params, grid).log_z
+        for params in map(QrseParams.from_array, rows)
+    ])
 
 
 def _kernel_derivatives(x: np.ndarray, row: np.ndarray, t: np.ndarray, tr: np.ndarray,

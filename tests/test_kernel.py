@@ -174,7 +174,7 @@ def data_sum_cases(draw):
 
 
 def both_layouts(x):
-    """Row blocks (the default _BLOCK, for N <= 5,461), then one row with
+    """Row blocks (the default _BLOCK, for N <= 8,192), then one row with
     its sides as separate slices (_BLOCK patched to N)."""
     yield contextlib.nullcontext()
     yield mock.patch.object(model, "_BLOCK", x.size)
@@ -201,7 +201,7 @@ def test_overflowing_points_are_saturated():
 @given(case=data_sum_cases())
 def test_data_sum_matches_oracle(case):
     # Both layouts of _choice_sums: row blocks, and one row with its sides
-    # as separate slices (which runs once a block holds fewer than three).
+    # as separate slices (which runs once a block holds fewer than two).
     p, x = case
     terms = [exact_log_kernel(v, p) for v in x.tolist()]
     bound = 1e-12 * math.fsum(map(abs, terms))
@@ -303,3 +303,53 @@ def test_log1p_sum_rows_stand_alone():
     for r in range(len(mu)):
         alone = model._choice_sums(x, scale[r:r + 1], mu[r:r + 1], below[r:r + 1])
         np.testing.assert_array_equal(block[:, r], alone[:, 0])
+
+
+@st.composite
+def choice_sum_cases(draw):
+    """Sorted data of 1 to 8,192 points, where a block of _BLOCK elements
+    holds two rows or more, and 2 to 8 rows (2/T, mu, split). The data may
+    hold -0.0 and 0.0, points 25 T and 1e6 T (past saturation) from 0, and
+    ties from rounding; each mu lies below the data, among it, on a data
+    point or above it."""
+    n = draw(st.integers(1, model._BLOCK // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0.0, draw(st.floats(0.1, 30.0)), n)
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        x = np.round(x, decimals)
+    extra = draw(st.lists(st.sampled_from([-0.0, 0.0, 25.0, -25.0, 1e6, -1e6]), max_size=min(n, 6)))
+    x[:len(extra)] = extra
+    x = model._sort_data(x).x
+    T = np.array(draw(st.lists(scales, min_size=2, max_size=8)))
+    mu = []
+    for scale in T.tolist():
+        side = draw(st.sampled_from(["below", "among", "on", "above"]))
+        if side == "below":
+            mu.append(x[0] - scale * draw(st.floats(0.0, 5.0)))
+        elif side == "among":
+            mu.append(draw(st.floats(x[0], x[-1])))
+        elif side == "on":
+            mu.append(x[draw(st.integers(0, n - 1))])
+        else:
+            mu.append(x[-1] + scale * draw(st.floats(1e-3, 5.0)))
+    mu = np.array(mu)
+    return x, 2.0 / T, mu, np.searchsorted(x, mu)
+
+
+@PROPERTY_SETTINGS
+@given(case=choice_sum_cases())
+def test_choice_sum_layouts_agree_bit_for_bit(case):
+    # Row blocks negate each row's lower slice of 1 + e, as one row with its
+    # sides as separate slices does: the three sums have the same bits in
+    # both layouts, and each row those of its one-row call.
+    x, scale, mu, below = case
+    results = []
+    for layout in both_layouts(x):
+        with layout:
+            sums = model._choice_sums(x, scale, mu, below)
+            for r in range(len(mu)):
+                alone = model._choice_sums(x, scale[r:r + 1], mu[r:r + 1], below[r:r + 1])
+                assert alone[:, 0].tobytes() == sums[:, r].tobytes()
+            results.append(sums)
+    assert results[0].tobytes() == results[1].tobytes()
