@@ -176,8 +176,30 @@ def _load_json(path: Path, what: str) -> dict:
     return payload
 
 
+def _json_member(value) -> str:
+    """``value`` as ``json.dumps(payload, indent=2)`` writes it one level in.
+
+    ``indent`` runs the pure-Python encoder, so a flat list (no ``[`` past
+    the first character and no ``{``) or a scalar goes through the C
+    encoder, with the indented item separator; anything else is indented
+    whole. A string that holds ``[`` or ``{`` only takes the slower branch.
+    """
+    text = json.dumps(value, separators=(",\n    ", ": "))
+    if "[" in text[1:] or "{" in text:
+        return json.dumps(value, indent=2).replace("\n", "\n  ")
+    if text.startswith("[") and text != "[]":
+        return "[\n    " + text[1:-1] + "\n  ]"
+    return text
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """Write ``json.dumps(payload, indent=2) + "\n"``, byte for byte, for a
+    dict with str keys."""
+    members = ",\n".join(
+        f"  {json.dumps(key)}: {_json_member(value)}" for key, value in payload.items()
+    )
+    text = "{\n" + members + "\n}\n" if payload else "{}\n"
+    path.write_text(text, encoding="utf-8")
 
 
 def _load_artifact(path: Path, what: str, from_json):
@@ -322,13 +344,14 @@ def _export_quantal_response(path: Path, table: model.DensityTable,
 def _export_parameter_variation(path: Path) -> None:
     base = VARIATION_BASELINE
     grid = model.EvalGrid.from_bounds(-90.0, 90.0, 1201)
-    points = grid.points.tolist()
+    # The x cells are the same in every block, so they are formatted once.
+    x_cells = [f"{x!r}," for x in grid.points.tolist()]
     parts = ["parameter,value,x,pdf\n"]
     for name, values in VARIATION_VALUES.items():
         for value in values:
             table = model.build_density(dataclasses.replace(base, **{name: value}), grid)
             prefix = f"{name},{value!r},"
-            parts += [f"{prefix}{x!r},{p!r}\n" for x, p in zip(points, table.pdf.tolist())]
+            parts += [f"{prefix}{x}{p!r}\n" for x, p in zip(x_cells, table.pdf.tolist())]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("".join(parts))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDraws, TooFewSamples
-from .ingest import HistogramSpec
+from .ingest import HistogramSpec, fd_bin_count
 from .mapfit import kl_divergence, soofi_id
 from .mcmc import PosteriorDraws
 from .model import EvalGrid, QrseParams, bin_probabilities
@@ -191,13 +191,18 @@ def posterior_mode(samples) -> float:
     values = np.asarray(samples, dtype=float).reshape(-1)
     if values.size < MIN_SUMMARY_SAMPLES:
         raise TooFewSamples(f"need >= {MIN_SUMMARY_SAMPLES} samples, got {values.size}")
-    if float(np.min(values)) == float(np.max(values)):
+    ordered = np.sort(values)
+    if float(ordered[0]) == float(ordered[-1]):
         return float(values[0])
-    counts, edges = np.histogram(values, bins="fd")
+    counts, edges = np.histogram(values, bins=fd_bin_count(ordered))
     centers = 0.5 * (edges[:-1] + edges[1:])
     fullest = counts == counts.max()
     candidates = centers[fullest]
-    median = float(np.median(values))
+    half = ordered.size // 2
+    if ordered.size % 2:
+        median = float(ordered[half])
+    else:
+        median = (float(ordered[half - 1]) + float(ordered[half])) / 2
     return float(candidates[int(np.argmin(np.abs(candidates - median)))])
 
 

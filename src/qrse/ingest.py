@@ -14,9 +14,11 @@ excluded_extreme), then summarizes the survivors.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -219,6 +221,104 @@ def _undecodable_line(path) -> int:
     return line_no
 
 
+def _read_columns(text: str, years: tuple[int, int]):
+    """``read_records``' columns parsed a column at a time, or None when
+    ``text`` needs the csv reader.
+
+    Text with no quote, carriage return or NUL, whose header passes and
+    whose every non-blank line holds exactly six fields, none longer than
+    the csv field limit, splits on newlines and commas exactly as the csv
+    reader splits it. Each column is then parsed by one C pass: ``int`` over
+    the years and ``float`` over each number column, with blank or
+    whitespace fields as NaN where a column holds any. A field that does
+    not parse, even in a row outside the year window, which the csv loop
+    skips, also gives None.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    header, *lines = text.split("\n")
+    lines = list(filter(None, lines))  # blank lines are skipped
+    width = len(CSV_HEADER)
+    if (
+        [h.strip() for h in header.split(",")] != CSV_HEADER
+        or max(map(len, lines), default=0) > csv.field_size_limit()
+        or set(map(str.count, lines, repeat(","))) - {width - 1}
+    ):
+        return None
+    cells = ",".join(lines).split(",")
+    try:
+        record_years = list(map(int, cells[1::width]))
+        columns = []
+        for texts in (cells[column::width] for column in range(2, width)):
+            try:
+                columns.append(np.array(texts, dtype=float))
+            except ValueError:
+                # Blank fields are missing (NaN); anything else raises.
+                columns.append(np.array([t if t.strip() else "nan" for t in texts], dtype=float))
+    except ValueError:
+        return None
+    year_array = np.array(record_years)
+    keep = (year_array >= years[0]) & (year_array <= years[1])
+    fields = np.stack(columns, axis=1)[keep]
+    return (
+        list(compress(cells[::width], keep)),
+        list(compress(record_years, keep)),
+        fields,
+        len(lines) - len(fields),
+    )
+
+
+def _read_rows(text: str, years: tuple[int, int]):
+    """``read_records``' columns from ``text`` through the csv reader, row
+    by row. Every ``ParseError`` for a malformed line comes from here."""
+    year_low, year_high = years
+    ids: list[str] = []
+    record_years: list[int] = []
+    values: list[tuple[float, float, float, float]] = []
+    skipped_years = 0
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("line 1: file is empty, expected a header row") from None
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise ParseError(
+                f"line 1: header must be {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
+            )
+        for row in reader:
+            # A quoted field may hold newlines, so records and physical
+            # lines can differ; the errors name the physical line on
+            # which the record ends, as the csv module's own errors do.
+            line_no = reader.line_num
+            if len(row) != len(CSV_HEADER):
+                if len(row) == 0:
+                    continue  # tolerate trailing blank lines
+                raise ParseError(
+                    f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+                )
+            try:
+                year = int(row[1])
+            except ValueError:
+                raise ParseError(f"line {line_no}: column 'year' is not an integer: {row[1]!r}") from None
+            if not (year_low <= year <= year_high):
+                skipped_years += 1
+                continue
+            ids.append(row[0])
+            record_years.append(year)
+            try:
+                values.append((float(row[2]), float(row[3]), float(row[4]), float(row[5])))
+            except ValueError:
+                # Blank fields are missing (NaN); anything else raises.
+                values.append(tuple(
+                    _parse_number(cell, line_no, column)
+                    for cell, column in zip(row[2:], CSV_HEADER[2:])
+                ))
+    except csv.Error as err:
+        raise ParseError(f"line {reader.line_num}: {err}") from None
+    return ids, record_years, np.array(values, dtype=float).reshape(-1, 4), skipped_years
+
+
 def read_records(path, years: tuple[int, int] = DEFAULT_YEARS) -> tuple[DistrictColumns, int]:
     """Parse a district CSV into a ``DistrictColumns`` sequence.
 
@@ -230,58 +330,22 @@ def read_records(path, years: tuple[int, int] = DEFAULT_YEARS) -> tuple[District
     a malformed or oversized CSV field, bytes that are not UTF-8) raise
     ParseError with the offending physical line number; for a record whose
     quoted field spans lines, that is the line on which the record ends.
+
+    The file is read and decoded once. Plain text, with no quoting, is
+    parsed a column at a time (``_read_columns``); any other text, and any
+    text with a field that does not parse, goes through the csv reader row
+    by row (``_read_rows``). Both give the same records.
     """
-    year_low, year_high = years
-    ids: list[str] = []
-    record_years: list[int] = []
-    values: list[tuple[float, float, float, float]] = []
-    skipped_years = 0
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError("line 1: file is empty, expected a header row") from None
-            if [h.strip() for h in header] != CSV_HEADER:
-                raise ParseError(
-                    f"line 1: header must be {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
-                )
-            for row in reader:
-                # A quoted field may hold newlines, so records and physical
-                # lines can differ; the errors name the physical line on
-                # which the record ends, as the csv module's own errors do.
-                line_no = reader.line_num
-                if len(row) != len(CSV_HEADER):
-                    if len(row) == 0:
-                        continue  # tolerate trailing blank lines
-                    raise ParseError(
-                        f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-                    )
-                try:
-                    year = int(row[1])
-                except ValueError:
-                    raise ParseError(f"line {line_no}: column 'year' is not an integer: {row[1]!r}") from None
-                if not (year_low <= year <= year_high):
-                    skipped_years += 1
-                    continue
-                ids.append(row[0])
-                record_years.append(year)
-                try:
-                    values.append((float(row[2]), float(row[3]), float(row[4]), float(row[5])))
-                except ValueError:
-                    # Blank fields are missing (NaN); anything else raises.
-                    values.append(tuple(
-                        _parse_number(text, line_no, column)
-                        for text, column in zip(row[2:], CSV_HEADER[2:])
-                    ))
-        except csv.Error as err:
-            raise ParseError(f"line {reader.line_num}: {err}") from None
-        except UnicodeDecodeError as err:
-            raise ParseError(
-                f"line {_undecodable_line(path)}: not valid UTF-8 ({err.reason})"
-            ) from None
-    fields = np.array(values, dtype=float).reshape(-1, 4)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as err:
+        raise ParseError(
+            f"line {_undecodable_line(path)}: not valid UTF-8 ({err.reason})"
+        ) from None
+    ids, record_years, fields, skipped_years = (
+        _read_columns(text, years) or _read_rows(text, years)
+    )
     return DistrictColumns(tuple(ids), tuple(record_years), fields), skipped_years
 
 
@@ -408,11 +472,41 @@ def fiscal_summary(
     return clean(records, extreme_low, extreme_high).fiscal
 
 
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.percentile(ordered, 100 * q)`` of ascending ``ordered``: numpy's
+    linear interpolation at (n - 1) q, with the two branches of its
+    ``_lerp``, so the bits match."""
+    position = (ordered.size - 1) * q
+    below = math.floor(position)
+    a = float(ordered[below])
+    b = float(ordered[min(below + 1, ordered.size - 1)])
+    t = position - below
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def fd_bin_count(ordered: np.ndarray) -> int:
+    """``np.histogram(values, bins="fd")``'s bin count, from ``ordered``,
+    the values sorted ascending.
+
+    The width is 2 IQR n^(-1/3) and the count ceil(range / width), or 1 for
+    a zero width, as numpy takes them; the quartiles come from ``ordered``
+    rather than ``np.percentile``, which imports ``numpy.ma``. A range with
+    NaN or infinity gives 1, and ``np.histogram`` then rejects the range as
+    it would with ``bins="fd"``.
+    """
+    low, high = float(ordered[0]), float(ordered[-1])
+    if not (math.isfinite(low) and math.isfinite(high)):
+        return 1
+    iqr = _quantile(ordered, 0.75) - _quantile(ordered, 0.25)
+    width = 2.0 * iqr * ordered.size ** (-1.0 / 3.0)
+    return math.ceil((high - low) / width) if width else 1
+
+
 def build_histogram(values, bins: int | str = "fd") -> HistogramSpec:
     """Bin a sample into a relative-frequency histogram.
 
     ``bins`` is either a fixed bin count or "fd" for the Freedman-Diaconis
-    rule. Edges span exactly [min(values), max(values)].
+    rule (``fd_bin_count``). Edges span exactly [min(values), max(values)].
 
     Raises
     ------
@@ -424,6 +518,8 @@ def build_histogram(values, bins: int | str = "fd") -> HistogramSpec:
         raise ValueError("cannot bin an empty sample")
     if float(np.min(values)) == float(np.max(values)):
         raise DegenerateRange(f"all {values.size} values equal {float(values[0])!r}")
+    if bins == "fd":
+        bins = fd_bin_count(np.sort(values))
     counts, edges = np.histogram(values, bins=bins)
     return HistogramSpec(
         edges=edges,

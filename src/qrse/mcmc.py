@@ -40,7 +40,8 @@ one row at a time.
 
 ``run_chains`` spreads its work over parallel lanes, one per CPU the
 process may use (``os.sched_getaffinity``): lane 0 is the calling process
-and each other lane a forked process. One dealer serves both kernels: it
+and each other lane a forked process, each pinned to a CPU of its own while
+the lanes run. One dealer serves both kernels: it
 splits a list of jobs into equal contiguous slices, one per lane, and
 makes one call per lane on its slice. An independence chain's proposals do
 not depend on its state, so every chain draws its proposals first; the
@@ -693,7 +694,17 @@ def _lane_count(jobs: int) -> int:
     return min(jobs, len(os.sched_getaffinity(0)))
 
 
-def _lane_main(writer, fn, jobs) -> None:
+def _set_affinity(cpus) -> None:
+    """Run this thread on ``cpus`` only, or leave it as it is where the
+    system refuses."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _lane_main(writer, fn, jobs, cpu: int) -> None:
+    _set_affinity({cpu})
     try:
         results = fn(jobs)
     except Exception as err:  # sent to the parent, which raises it
@@ -715,6 +726,11 @@ def _deal(fn, jobs, what: str) -> list:
     the lowest job. A lane whose process exits without sending raises a
     QrseError that names it and its slice of ``what``. With one lane no
     process is started. Every lane is joined before this returns or raises.
+
+    Lane k runs on the k-th CPU of this thread's affinity set only, since
+    the scheduler need not move a forked lane off its parent's CPU, and
+    two lanes on one CPU take twice as long. This thread's affinity is
+    restored before this returns or raises.
     """
     count = len(jobs)
     lanes = _lane_count(count)
@@ -724,13 +740,15 @@ def _deal(fn, jobs, what: str) -> list:
 
     bounds = [count * lane // lanes for lane in range(lanes + 1)]
     context = multiprocessing.get_context("fork")
+    affinity = os.sched_getaffinity(0)
+    cpus = sorted(affinity)
     children = []
     try:
         for lane in range(1, lanes):
             reader, writer = context.Pipe(duplex=False)
             process = context.Process(
                 target=_lane_main,
-                args=(writer, fn, jobs[bounds[lane]:bounds[lane + 1]]),
+                args=(writer, fn, jobs[bounds[lane]:bounds[lane + 1]], cpus[lane % len(cpus)]),
                 daemon=True,
             )
             # NumPy's OpenBLAS pool is the only other thread here, and
@@ -739,6 +757,7 @@ def _deal(fn, jobs, what: str) -> list:
             process.start()
             writer.close()  # else the reader never sees EOF from a dead lane
             children.append((process, reader))
+        _set_affinity({cpus[0]})
         results = [fn(jobs[:bounds[1]])]
         for lane, (process, reader) in enumerate(children, start=1):
             try:
@@ -757,6 +776,7 @@ def _deal(fn, jobs, what: str) -> list:
             process.terminate()
         raise
     finally:
+        _set_affinity(affinity)
         for process, reader in children:
             process.join()
             reader.close()

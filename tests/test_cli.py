@@ -1,9 +1,14 @@
 import json
+import math
 import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrse import (
     NoDescent,
@@ -177,6 +182,32 @@ def test_csv_rows_are_float_reprs(tmp_path):
     path = tmp_path / "out.csv"
     cli._write_csv(path, "a,b", (np.array([0.1, -0.0]), [1, 2.5e-320]))
     assert path.read_text() == "a,b\n0.1,1.0\n-0.0,2.5e-320\n"
+
+
+# JSON scalars with the spellings the encoders could disagree on (NaN,
+# Infinity, -0.0, bools, null) and strings holding brackets, braces and
+# newlines, nested in lists and dicts.
+json_text = st.text(alphabet='ab[]{},:"\\\n é', max_size=6)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(),
+    st.sampled_from((-0.0, math.nan, math.inf, -math.inf)), json_text,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5), st.dictionaries(json_text, children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.dictionaries(json_text, st.one_of(json_values, st.lists(st.floats())), max_size=5))
+def test_write_json_matches_indented_dumps(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        cli._write_json(path, payload)
+        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
 class TestFit:

@@ -4,9 +4,11 @@ The CLI runs every stage as its own process, so ``import qrse`` is paid on
 each one, and ``import scipy.optimize`` alone would cost about 0.4 s of it.
 The package uses no SciPy at all (the tests keep it as an oracle); a SciPy
 import anywhere in the package shows up here. So does ``multiprocessing``,
-which only ``run_chains`` needs. Each case runs in a fresh interpreter,
-because the test process itself has long since imported SciPy, and a probe
-that imports ``scipy.optimize`` itself shows that the check sees it.
+which only ``run_chains`` needs, and so does ``numpy.ma``, which
+``np.percentile`` imports and the Freedman-Diaconis bin count avoids. Each
+case runs in a fresh interpreter, because the test process itself has long
+since imported SciPy, and a probe that imports ``scipy.optimize`` (or
+``numpy.ma``) itself shows that the check sees it.
 """
 
 import json
@@ -21,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs one CLI stage (or nothing, with no arguments), after an optional
 # preamble of code, and prints the exit code, the SciPy modules loaded by then and whether
-# multiprocessing was loaded, as the last stdout line.
+# multiprocessing and numpy.ma were loaded, as the last stdout line.
 _PROBE = """
 import json, sys
 from qrse import cli
@@ -29,6 +31,7 @@ code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({
     "code": code, "scipy": loaded, "multiprocessing": "multiprocessing" in sys.modules,
+    "numpy.ma": "numpy.ma" in sys.modules,
 }))
 """
 
@@ -107,6 +110,16 @@ def test_model_stages_load_no_scipy(stage_modules, stage):
 
 def test_fit_loads_no_scipy(stage_modules):
     assert stage_modules["fit"] == []
+
+
+@pytest.mark.parametrize("stage", ["ingest", "report"])
+def test_histogram_stages_load_no_numpy_ma(stage_probes, stage):
+    assert stage_probes[stage]["numpy.ma"] is False
+
+
+def test_probe_sees_numpy_ma_it_loads():
+    # The probe does see numpy.ma, so the checks above are not vacuous.
+    assert _probe(preamble="import numpy.ma\n")["numpy.ma"] is True
 
 
 def test_probe_sees_scipy_it_loads():

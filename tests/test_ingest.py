@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import math
@@ -23,6 +24,8 @@ from qrse import (
     fiscal_summary,
     read_records,
 )
+from qrse import ingest
+from qrse.ingest import fd_bin_count
 from tests.conftest import CSV_HEADER
 
 
@@ -123,6 +126,14 @@ class TestReadRecords:
             + b'"d\n2",2005,' + field + b",3.0,2,6\nd-3,2005,24.0,3.0,2,6\n"
         )
         with pytest.raises(ParseError, match=f"^line 4: {message}"):
+            read_records(path, (2000, 2016))
+
+    def test_carriage_return_ends_a_line(self, tmp_path):
+        # The csv reader ends a line at a bare carriage return, so this
+        # file's line 2 holds one field, not six.
+        path = tmp_path / "cr.csv"
+        path.write_bytes(CSV_HEADER.encode() + b"\nd-1\rd-2,2005,24.0,3.0,2,6\n")
+        with pytest.raises(ParseError, match="^line 2: expected 6 fields, got 1$"):
             read_records(path, (2000, 2016))
 
     def test_returns_a_read_only_sequence(self, district_csv):
@@ -277,6 +288,51 @@ class TestBuildHistogram:
         np.testing.assert_array_equal(hist.edges, edges)
         np.testing.assert_array_equal(hist.counts, counts.astype(float))
 
+    @pytest.mark.parametrize("values", [
+        [0.0, 1.0],  # n = 2
+        [1.0, 0.0],
+        [0.1, 0.7, 0.2],  # n = 3
+        [0.0, 0.0, 5.0],
+        [2.0] * 97 + [0.0, 1.0, 9.0],  # a constant run: IQR 0, one bin
+        [3.0] * 50 + [4.0] * 50,  # two constant runs
+        [0.1 * k for k in (1, 1, 2, 2, 2, 3, 7, 7, 8, 30)],  # ties
+        np.random.default_rng(5).integers(0, 6, size=301).astype(float) / 3.0,
+        np.random.default_rng(6).normal(8.66, 3.0, size=1000),
+        np.random.default_rng(7).standard_cauchy(size=997),
+    ], ids=lambda values: f"n={len(values)}")
+    def test_fd_bin_count_matches_numpy(self, values):
+        values = np.asarray(values, dtype=float)
+        counts, edges = np.histogram(values, bins="fd")
+        assert fd_bin_count(np.sort(values)) == counts.size
+        hist = build_histogram(values, "fd")
+        assert hist.edges.tobytes() == edges.tobytes()
+        np.testing.assert_array_equal(hist.counts, counts.astype(float))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-400, 400), min_size=2, max_size=60))
+    def test_fd_bin_count_matches_numpy_on_ties(self, quarters):
+        # Quarters keep every quartile exact, so no bin count can be huge.
+        values = np.array(quarters, dtype=float) / 4.0
+        count = fd_bin_count(np.sort(values))
+        assert count <= 20_000
+        assert count == np.histogram(values, bins="fd")[0].size
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
+    def test_quartiles_match_numpy_bit_for_bit(self, values):
+        values = np.array(values)
+        ordered = np.sort(values)
+        q75, q25 = np.percentile(values, [75, 25])  # as numpy's FD rule takes them
+        assert ingest._quantile(ordered, 0.75) == q75
+        assert ingest._quantile(ordered, 0.25) == q25
+
+    def test_fd_bin_count_leaves_non_finite_ranges_to_numpy(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            values = np.array([0.0, 1.0, 2.0, bad])
+            assert fd_bin_count(np.sort(values)) == 1
+            with pytest.raises(ValueError, match="is not finite"):
+                build_histogram(values, "fd")
+
     def test_degenerate_range(self):
         with pytest.raises(DegenerateRange):
             build_histogram(np.full(10, 3.3))
@@ -404,35 +460,41 @@ def oracle_read_records(path, years):
 
     header = CSV_HEADER.split(",")
     records, skipped = [], 0
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        next(reader)
-        for row in reader:
-            line_no = reader.line_num
-            if len(row) == 0:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            try:
-                year = int(row[1])
-            except ValueError:
-                raise ParseError(
-                    f"line {line_no}: column 'year' is not an integer: {row[1]!r}"
-                ) from None
-            if not (years[0] <= year <= years[1]):
-                skipped += 1
-                continue
-            records.append(DistrictRecord(
-                row[0], year, *(parse_number(f, line_no, c) for f, c in zip(row[2:], header[2:]))
-            ))
+        try:
+            next(reader)
+            for row in reader:
+                line_no = reader.line_num
+                if len(row) == 0:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+                try:
+                    year = int(row[1])
+                except ValueError:
+                    raise ParseError(
+                        f"line {line_no}: column 'year' is not an integer: {row[1]!r}"
+                    ) from None
+                if not (years[0] <= year <= years[1]):
+                    skipped += 1
+                    continue
+                records.append(DistrictRecord(
+                    row[0], year,
+                    *(parse_number(f, line_no, c) for f, c in zip(row[2:], header[2:])),
+                ))
+        except csv.Error as err:
+            raise ParseError(f"line {reader.line_num}: {err}") from None
     return records, skipped
 
 
-# Blank, whitespace-only and Python-only spellings; "abc" and "20x5" raise.
+# Blank, whitespace-only and Python-only spellings; "abc" and "20x5" raise,
+# and so does a field one character over the csv module's limit.
 NUMBER_SPELLINGS = (
     "", " ", " \t ", "nan", "-NaN", "inf", "-Infinity", "1_0", "1e3", " 2.5 ",
     "-0.0", "0", "5e-324", "1e400", "abc",
 )
+FIELD_LIMIT = csv.field_size_limit()
 plausible_numbers = st.one_of(
     st.integers(1, 300).map(str), st.floats(0.5, 300.0).map(repr)
 )
@@ -441,28 +503,62 @@ csv_numbers = st.one_of(
     st.integers(-5, 500).map(str),
     st.floats(allow_nan=False).map(repr),
 )
+long_numbers = st.sampled_from(("9" * FIELD_LIMIT, "9" * (FIELD_LIMIT + 1)))
 csv_years = st.one_of(
     st.integers(1995, 2020).map(str), st.sampled_from((" 2005", "+2010", "2_016", "20x5"))
 )
 # Quoted ids holding commas, quotes and newlines come from csv.writer's
-# quoting; a newline puts later records on later physical lines.
-csv_ids = st.text(alphabet='d-1, "\n', max_size=6)
-csv_rows = st.one_of(
-    st.tuples(csv_ids, csv_years, *[plausible_numbers] * 4).map(list),
-    st.tuples(csv_ids, csv_years, *[csv_numbers] * 4).map(list),
-    st.just([]),  # a blank line
-)
+# quoting; a newline puts later records on later physical lines. Plain ids
+# need no quoting, so a file of them is read a column at a time.
+quoted_ids = st.text(alphabet='d-1, "\n', max_size=6)
+plain_ids = st.text(alphabet="d-1 #\t\ufeff", max_size=6)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+def csv_lines(ids):
+    """Lines of six fields, plausible or in any spelling, and blank lines."""
+    return st.one_of(
+        st.tuples(ids, csv_years, *[plausible_numbers] * 4).map(list),
+        st.tuples(ids, csv_years, *[csv_numbers] * 4).map(list),
+        st.just([]),
+    )
+
+
+def bad_lines(ids):
+    """A whitespace-only line; lines of 5 and 7 fields, whose total is
+    right; or a number field at, or one past, the csv field limit."""
+    plausible = st.tuples(ids, csv_years, *[plausible_numbers] * 4).map(list)
+    return st.one_of(
+        st.just([[" \t"]]),
+        st.tuples(plausible, plausible).map(lambda pair: [pair[0][:5], pair[0][5:] + pair[1]]),
+        st.tuples(ids, csv_years, long_numbers, *[plausible_numbers] * 3).map(lambda row: [list(row)]),
+    )
+
+
+def csv_files(ids):
+    lines = st.lists(csv_lines(ids), max_size=12)
+    return st.one_of(
+        lines, st.tuples(lines, bad_lines(ids), lines).map(lambda p: p[0] + p[1] + p[2])
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(
-    rows=st.lists(csv_rows, max_size=12),
+    layout=st.one_of(
+        # Half the files could be read a column at a time.
+        st.tuples(csv_files(plain_ids), st.just(csv.QUOTE_MINIMAL), st.just("\n")),
+        st.tuples(
+            st.one_of(csv_files(quoted_ids), csv_files(plain_ids)),
+            st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)),
+            st.sampled_from(("\n", "\r\n")),
+        ),
+    ),
     trailing_blank_lines=st.integers(0, 3),
-    quoting=st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)),
-    lineterminator=st.sampled_from(("\n", "\r\n")),
+    bom=st.booleans(),
 )
-def test_column_reader_matches_per_row_loop(rows, trailing_blank_lines, quoting, lineterminator):
+def check_column_reader(layout, trailing_blank_lines, bom):
+    rows, quoting, lineterminator = layout
     text = io.StringIO()
+    text.write("\ufeff" * bom)
     writer = csv.writer(text, quoting=quoting, lineterminator=lineterminator)
     writer.writerow(CSV_HEADER.split(","))
     writer.writerows(rows)
@@ -495,3 +591,24 @@ def test_column_reader_matches_per_row_loop(rows, trailing_blank_lines, quoting,
     assert got.values.tobytes() == want.values.tobytes()
     assert (got.excluded_missing, got.excluded_extreme) == (want.excluded_missing, want.excluded_extreme)
     assert got.fiscal == want.fiscal
+
+
+def test_column_reader_matches_per_row_loop(monkeypatch):
+    # Counts the files read a column at a time and those read by the csv
+    # reader, so that both paths are shown to match the per-row loop.
+    taken = collections.Counter()
+    read_columns, read_rows = ingest._read_columns, ingest._read_rows
+
+    def columns(*args):
+        result = read_columns(*args)
+        taken["columns"] += result is not None
+        return result
+
+    def rows(*args):
+        taken["rows"] += 1
+        return read_rows(*args)
+
+    monkeypatch.setattr(ingest, "_read_columns", columns)
+    monkeypatch.setattr(ingest, "_read_rows", rows)
+    check_column_reader()
+    assert taken["columns"] >= 40 and taken["rows"] >= 40, taken

@@ -906,6 +906,49 @@ class TestLanes:
         assert str(caught.value) == "bad point in lane 1"
         assert multiprocessing.active_children() == []
 
+    def test_each_lane_runs_on_its_own_cpu(self, lanes):
+        cpus = sorted(os.sched_getaffinity(0))
+        lanes(2)
+        affinities = mcmc._deal(
+            lambda jobs: [os.sched_getaffinity(0) for _ in jobs], range(2), "jobs"
+        )
+        assert affinities == [[{cpus[0]}], [{cpus[1 % len(cpus)]}]]
+        assert sorted(os.sched_getaffinity(0)) == cpus
+
+    def test_lanes_run_unpinned_where_affinity_is_refused(self, small_data, lanes, monkeypatch):
+        def refuse(pid, cpus):
+            raise PermissionError("not allowed")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        lanes(2)
+        draws = run_chains(small_data, PRIORS, LANE_CONFIG).draws
+        monkeypatch.undo()
+        lanes(1)
+        np.testing.assert_array_equal(draws, run_chains(small_data, PRIORS, LANE_CONFIG).draws)
+
+    @pytest.mark.parametrize("failing", [set(), {0}, {1}], ids=["none", "lane-0", "lane-1"])
+    def test_caller_affinity_is_restored(self, small_data, lanes, monkeypatch, failing):
+        # Chain 0 runs in lane 0, chains 1 and 2 in lane 1.
+        before = os.sched_getaffinity(0)
+        parent = os.getpid()
+        set_here = []
+        real = os.sched_setaffinity
+
+        def record(pid, cpus):
+            if os.getpid() == parent:
+                set_here.append(set(cpus))
+            real(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", record)
+        fail_chains(monkeypatch, failing, stick)
+        lanes(2)
+        with deadline(60), contextlib.ExitStack() as stack:
+            if failing:
+                stack.enter_context(pytest.raises(StuckChain))
+            run_chains(small_data, PRIORS, LANE_CONFIG)
+        assert os.sched_getaffinity(0) == before
+        assert set_here == [{min(before)}, before]
+
     @pytest.mark.parametrize("failing, named", [({1, 2}, 1), ({0, 2}, 0), ({2}, 2)])
     @pytest.mark.parametrize("lane_count", [1, 2])
     def test_lowest_stuck_independence_chain_is_raised(
