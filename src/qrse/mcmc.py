@@ -40,19 +40,18 @@ one row at a time.
 
 ``run_chains`` spreads its work over parallel lanes, one per CPU the
 process may use (``os.sched_getaffinity``): lane 0 is the calling process
-and each other lane a forked process, each pinned to a CPU of its own while
-the lanes run. One dealer serves both kernels: it
-splits a list of jobs into equal contiguous slices, one per lane, and
-makes one call per lane on its slice. An independence chain's proposals do
-not depend on its state, so every chain draws its proposals first; the
-jobs are then the target evaluations of all chains, and each lane's call
-is the target on its slice. Each chain's accept/reject sweep runs
-afterwards in the calling process. For the random walk the jobs are whole
-chains, so with 3 chains on 2 lanes lane 0 runs chain 0 and lane 1 chains 1
-and 2, and a walk evaluates one row at a time. Either way every start,
-proposal and Generator is made in the calling process before any lane
-runs, and each target value is a pure function of its row, so the output
-is bit-identical at any lane count, including one.
+and each other lane a forked process, pinned to a CPU of its own, that
+inherits the run's one target. One dealer splits a list of jobs into equal
+contiguous slices, one per lane. For the independence kernel, whose
+proposals do not depend on the state, the jobs are all chains' target
+evaluations, and each chain's accept/reject sweep runs afterwards in the
+calling process. For the random walk the jobs are the chains, and a lane's
+walks step in lock-step, one target call per step. Every start and
+Generator is made in the calling process, and each target value is a pure
+function of its row, so the output is bit-identical at any lane count.
+Both kernels fail by one rule: every start is evaluated before any chain
+steps, and the lowest chain with a non-finite start raises ``BadStart``;
+after that, the lowest stuck chain raises ``StuckChain``.
 
 The sampled posterior is truncated to mu and alpha within CORNER_SDS prior
 sds of their centers, and the sampler rejects proposals outside that box.
@@ -273,7 +272,7 @@ class PosteriorDraws:
     the independence kernel, the proposal's per-coordinate scales).
     ``kernel`` names the kernel that ran, one of KERNELS. The chain and
     draw counts of ``draws``, ``config``, ``acceptance_rates`` and
-    ``step_scales`` must agree.
+    ``step_scales`` must agree, and every draw must be finite.
     """
 
     draws: np.ndarray
@@ -297,6 +296,8 @@ class PosteriorDraws:
             raise ValueError(f"need one acceptance rate per chain ({chains})")
         if len(self.step_scales) != chains or any(len(s) != 4 for s in self.step_scales):
             raise ValueError(f"need four step scales per chain ({chains})")
+        if not np.all(np.isfinite(draws)):
+            raise ValueError("draws must be finite")
         low, high = self.priors.bound_low, self.priors.bound_high
         scales_stored = draws[:, :, :2]
         if np.any(scales_stored < low) or np.any(scales_stored > high):
@@ -427,8 +428,8 @@ class _Target:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         inside = ((self.lows <= points) & (points <= self.highs)).all(axis=1)
         rows = points[inside]
-        # One row (the mode search's values, the random walk) takes the prior in
-        # Python floats: the same bits, several times faster than on arrays.
+        # One row (the mode search's values, a lane with one walk) takes the prior
+        # in Python floats: the same bits, several times faster than on arrays.
         log_p = self.priors._log_density(*(rows[0].tolist() if len(rows) == 1 else rows.T))
         if self.data is not None:
             log_p = log_p + _log_likelihood_rows(self.data, rows, self.grid)
@@ -539,8 +540,10 @@ def run_chain(
 ) -> ChainResult:
     """One Metropolis-Hastings chain.
 
-    Without ``proposals`` this is the random walk. Proposals are Gaussian
-    steps whose per-coordinate sds are ``step_scales``.
+    Without ``proposals`` this is the random walk, the one-chain case of the
+    lock-step walk ``run_chains`` runs, with the same bits at the same seed
+    and start. Proposals are Gaussian steps whose per-coordinate sds are
+    ``step_scales``.
     ``proposal_cholesky``, when given, is the lower Cholesky factor of a
     fixed proposal correlation matrix, letting the walk jump obliquely
     through correlated regions; None means independent coordinates. During
@@ -551,13 +554,13 @@ def run_chain(
 
     With ``proposals`` this is the accept/reject sweep of the independence
     kernel, and no target is evaluated here. ``proposals`` is
-    ``(points, log_weights)``: row 0 of ``points`` is ``initial`` and row
+    ``(points, log_weights)``: row 0 of ``points`` is the start and row
     k the proposal at step k - 1, and each log weight is the log target at
     that point minus the log proposal density there (up to one constant).
     A proposal is accepted with probability min(1, exp(its log weight minus
     the current state's)). The first ``tune`` steps are burn-in;
-    ``step_scales`` is returned as the chain's scales, and ``grid`` and
-    ``proposal_cholesky`` are not used.
+    ``step_scales`` is returned as the chain's scales, and ``initial``,
+    ``grid`` and ``proposal_cholesky`` are not used.
 
     ``seed`` may be an integer or an already-constructed numpy Generator;
     either kernel draws one uniform per step from it.
@@ -586,19 +589,24 @@ def run_chain(
     if not math.isfinite(log_p):
         raise BadStart(_bad_start_message(start, priors))
     if proposals is not None:
-        out, post_tune_accepts = _independence_sweep(points, log_weights, draws, tune, rng)
-        scales = step_scales
-    else:
-        out, post_tune_accepts, scales = _random_walk(
-            target, start, log_p, step_scales, draws, tune, rng, proposal_cholesky,
-        )
-    acceptance = post_tune_accepts / draws
+        return _chain_result(*_independence_sweep(points, log_weights, draws, tune, rng),
+                             step_scales)
+    [walk] = _random_walk(target, start[None], [log_p], step_scales, draws, tune, [rng],
+                          proposal_cholesky)
+    return _chain_result(*walk)
+
+
+def _chain_result(draws: np.ndarray, post_tune_accepts: int, scales) -> ChainResult:
+    """Either kernel's ChainResult from a chain's recorded states, post-tune
+    accepts and final scales; StuckChain if its acceptance is below
+    STUCK_ACCEPTANCE."""
+    acceptance = post_tune_accepts / len(draws)
     if acceptance < STUCK_ACCEPTANCE:
         raise StuckChain(
             f"post-tune acceptance {acceptance:.4f} below {STUCK_ACCEPTANCE}"
         )
     return ChainResult(
-        draws=out, acceptance_rate=acceptance, step_scales=tuple(float(s) for s in scales)
+        draws=draws, acceptance_rate=acceptance, step_scales=tuple(float(s) for s in scales)
     )
 
 
@@ -618,37 +626,40 @@ def _bad_start_message(start: np.ndarray, priors: PriorSpec) -> str:
     )
 
 
-def _random_walk(target, state, log_p, step_scales, draws, tune, rng, proposal_cholesky):
-    """The random-walk chain from ``state``, whose log target is ``log_p``:
-    (recorded states, post-tune accepts, final scales)."""
-    scales = np.asarray(step_scales, dtype=float).copy()
-
-    out = np.empty((draws, 4))
-    window_accepts = 0
-    post_tune_accepts = 0
+def _random_walk(target, states, log_p, step_scales, draws, tune, rngs, proposal_cholesky=None):
+    """The random-walk chains from the rows of ``states``, whose log targets
+    are ``log_p``, stepped in lock-step: each chain draws its jump from its
+    own Generator in ``rngs``, one target call evaluates every proposal, and
+    each chain then draws its uniform, as it would alone. One (recorded
+    states, post-tune accepts, final scales) per chain."""
+    states = np.array(states, dtype=float)
+    log_p = list(log_p)
+    scales = np.tile(np.asarray(step_scales, dtype=float), (len(rngs), 1))
+    out = np.empty((len(rngs), draws, 4))
+    window_accepts = [0] * len(rngs)
+    post_tune_accepts = [0] * len(rngs)
     for step in range(tune + draws):
-        jump = rng.standard_normal(4)
+        jumps = [rng.standard_normal(4) for rng in rngs]
         if proposal_cholesky is not None:
-            jump = proposal_cholesky @ jump
-        proposal = state + jump * scales
-        log_p_proposal = target(proposal[None])[0]
-        if math.log(rng.random()) < log_p_proposal - log_p:
-            state = proposal
-            log_p = log_p_proposal
-            window_accepts += 1
-            if step >= tune:
-                post_tune_accepts += 1
+            jumps = [proposal_cholesky @ jump for jump in jumps]
+        proposals = states + np.reshape(jumps, states.shape) * scales
+        log_p_proposals = target(proposals).tolist()
+        for chain, rng in enumerate(rngs):
+            if math.log(rng.random()) < log_p_proposals[chain] - log_p[chain]:
+                states[chain] = proposals[chain]
+                log_p[chain] = log_p_proposals[chain]
+                window_accepts[chain] += 1
+                if step >= tune:
+                    post_tune_accepts[chain] += 1
         if step < tune:
             if (step + 1) % ADAPT_WINDOW == 0:
-                rate = window_accepts / ADAPT_WINDOW
-                if rate > ACCEPT_HIGH:
-                    scales *= ADAPT_GROW
-                elif rate < ACCEPT_LOW:
-                    scales *= ADAPT_SHRINK
-                window_accepts = 0
+                rates = np.array(window_accepts) / ADAPT_WINDOW
+                scales[rates > ACCEPT_HIGH] *= ADAPT_GROW
+                scales[rates < ACCEPT_LOW] *= ADAPT_SHRINK
+                window_accepts = [0] * len(rngs)
         else:
-            out[step - tune] = state
-    return out, post_tune_accepts, scales
+            out[:, step - tune] = states
+    return list(zip(out, post_tune_accepts, scales))
 
 
 def _independence_sweep(points, log_weights, draws, tune, rng):
@@ -807,18 +818,14 @@ def run_chains(
     with independent proposal coordinates. ``PosteriorDraws.kernel``
     records which ran.
 
-    The data is checked for NaN and infinity before the mode search, not
-    on every step. Every start, proposal and Generator is made here, in
-    chain order, and the work is then dealt over ``_lane_count`` lanes in
-    equal contiguous slices: lane 0 in this process, each other lane in a
-    forked process. For the independence kernel the slices cut the chains
-    x (1 + tune + draws) target evaluations (each chain's start, then its
-    proposals); each lane evaluates its slice in one call of the target,
-    and each chain's accept/reject sweep then runs here, through
-    ``run_chain``, in chain order. For the random walk they cut the list of
-    chains, and each chain runs whole in its lane. Each target value
-    depends only on its point, so the result is bit-identical at any lane
-    count. With one lane no process is started.
+    The data is checked for NaN and infinity, and sorted, once, when the
+    run's one target is built. Every start, Generator and independence
+    proposal is made here, in chain order, and the work is dealt over
+    ``_lane_count`` lanes (see the module docstring): the chains x (1 +
+    tune + draws) target evaluations of the independence kernel, whose
+    sweeps then run here through ``run_chain``, or the random walk's chains,
+    whose starts are evaluated here first. With one lane no process is
+    started.
 
     Raises
     ------
@@ -827,14 +834,13 @@ def run_chains(
     GridTooLarge
         From the startup check of the local log Z grid (no explicit grid).
     BadStart
-        If an explicit initial point has a non-finite log posterior;
-        re-raised with the chain index attached.
+        If a chain's start has a non-finite log posterior, before any chain
+        steps; the message names the lowest such chain.
     StuckChain
-        Re-raised with the chain index attached.
+        If a chain's post-tune acceptance is below STUCK_ACCEPTANCE, once
+        every chain has run; the message names the lowest such chain.
     QrseError
         If a lane's process exits without returning its work.
-
-    When several chains fail, the one with the lowest index is raised.
     """
     values = np.asarray(data, dtype=float)
     target = _Target(values, priors, grid)
@@ -856,37 +862,45 @@ def run_chains(
         points = np.empty((config.chains, 1 + steps, 4))
 
     lows, highs = _bounds(priors, 1e-6)
-    starts, rngs = [], []
+    starts, rngs = np.empty((config.chains, 4)), []
     for index in range(config.chains):
         rng = rng_from_seed(config.seed + index)
         if config.initial is not None:
-            start = config.initial[index]
+            starts[index] = config.initial[index].as_array()
         else:
             jitter = rng.uniform(-0.1, 0.1, 4) * priors.sds()
-            start = QrseParams.from_array(np.clip(mode + jitter, lows, highs))
+            starts[index] = np.clip(mode + jitter, lows, highs)
         if independent:
-            points[index, 0] = start.as_array()
+            points[index, 0] = starts[index]
             points[index, 1:] = _t_proposals(rng, mode, factor, steps)
-        starts.append(start)
         rngs.append(rng)
-
-    def chain(index: int, **kwargs) -> ChainResult:
-        try:
-            return run_chain(
-                values, priors, starts[index], scales, config.draws, config.tune,
-                rngs[index], grid, **kwargs,
-            )
-        except (StuckChain, BadStart) as err:
-            raise type(err)(f"chain {index}: {err}") from None
 
     if independent:
         flat = points.reshape(-1, 4)
         targets = np.concatenate(_deal(target, flat, "target evaluations"))
         log_weights = (targets - _t_log_density(flat, mode, factor)).reshape(config.chains, -1)
-        results = [chain(i, proposals=(points[i], log_weights[i])) for i in range(config.chains)]
+        start_log_p = log_weights[:, 0]
     else:
-        lanes = _deal(lambda indices: [chain(i) for i in indices], range(config.chains), "chains")
-        results = [result for lane in lanes for result in lane]
+        start_log_p = target(starts)
+    bad = np.flatnonzero(~np.isfinite(start_log_p))
+    if bad.size:
+        raise BadStart(f"chain {bad[0]}: {_bad_start_message(starts[bad[0]], priors)}")
+    if not independent:
+        def walk(indices: range) -> list:
+            return _random_walk(target, starts[indices], start_log_p[indices], scales,
+                                config.draws, config.tune, [rngs[i] for i in indices])
+
+        walks = [run for lane in _deal(walk, range(config.chains), "chains") for run in lane]
+    results = []
+    for index, rng in enumerate(rngs):
+        try:
+            results.append(
+                run_chain(values, priors, None, scales, config.draws, config.tune, rng,
+                          proposals=(points[index], log_weights[index]))
+                if independent else _chain_result(*walks[index])
+            )
+        except StuckChain as err:
+            raise StuckChain(f"chain {index}: {err}") from None
     return PosteriorDraws(
         draws=np.stack([result.draws for result in results]),
         acceptance_rates=tuple(result.acceptance_rate for result in results),
@@ -929,8 +943,8 @@ def load_trace(path) -> PosteriorDraws:
 
     Raises ParseError, naming the file, unless its metadata, format tag,
     kernel name, header, row count and (chain, draw) row order are as
-    save_trace writes. A trace without a kernel name was written before
-    there was a choice, so it ran the random walk.
+    save_trace writes and every draw is finite. A trace without a kernel
+    name was written before there was a choice, so it ran the random walk.
     """
     try:
         with open(path, encoding="utf-8") as handle:

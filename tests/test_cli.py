@@ -333,6 +333,24 @@ class TestSampleAndReport:
         assert run("report", "--outdir", str(outdir)) == 2
         assert str(trace) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, value", [(2, "nan"), (4, "inf")], ids=["nan-T", "inf-mu"])
+    def test_non_finite_trace(self, pipeline_dir, tmp_path, capsys, column, value):
+        # A NaN T fails neither side of the truncation check, and an
+        # infinite mu would reach the report's histogram range.
+        outdir = tmp_path / "non-finite"
+        shutil.copytree(pipeline_dir, outdir)
+        assert run("sample", "--outdir", str(outdir), "--chains", "2",
+                   "--draws", "50", "--tune", "0", "--seed", "1") == 0
+        trace = outdir / "trace.csv"
+        lines = trace.read_text().splitlines(keepends=True)
+        cells = lines[5].split(",")
+        cells[column] = value
+        lines[5] = ",".join(cells)
+        trace.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("report", "--outdir", str(outdir)) == 2
+        assert f"{trace}: not a valid trace file: draws must be finite" in capsys.readouterr().err
+
     def test_report_exports_share_one_density(self, pipeline_dir, tmp_path):
         # Outer histogram edges far past the auto grid's span of the
         # locations plus 8 scales: the quantal export must still reach them.

@@ -454,6 +454,29 @@ class TestRunChains:
         with pytest.raises(StuckChain, match="chain 0"):
             run_chains(small_data, PRIORS, config)
 
+    @pytest.mark.parametrize("n, explicit_grid", [(400, False), (20_000, False), (400, True)],
+                             ids=["row-blocks", "rows-alone", "explicit-grid"])
+    def test_lock_step_walks_keep_their_solo_bits(self, lanes, n, explicit_grid):
+        # One lane steps the three walks together, one target call a step;
+        # chain i run alone is run_chain at seed + i. At 400 points the
+        # proposals share the kernel's row block, at 20,000 each row runs
+        # alone, and with a grid each row takes the pointwise sum. The
+        # scales narrow with the posterior, as 1 / sqrt(n).
+        data = sample(REF, SampleConfig(n=n, seed=5))
+        grid = build_sampling_grid(data, PRIORS) if explicit_grid else None
+        scales = tuple(s * math.sqrt(400 / n) for s in LANE_CONFIG.step_scales)
+        config = dataclasses.replace(LANE_CONFIG, draws=100, tune=200, seed=3,
+                                     step_scales=scales)
+        lanes(1)
+        together = run_chains(data, PRIORS, config, grid)
+        assert together.kernel == mcmc.RANDOM_WALK
+        for index, start in enumerate(LANE_STARTS):
+            alone = run_chain(data, PRIORS, start, config.step_scales, config.draws, config.tune,
+                              config.seed + index, grid)
+            np.testing.assert_array_equal(together.draws[index], alone.draws)
+            assert together.acceptance_rates[index] == alone.acceptance_rate
+            assert together.step_scales[index] == alone.step_scales
+
     def test_pooled(self, small_posterior):
         pooled = small_posterior.pooled(2)
         assert pooled.shape == (300,)
@@ -504,17 +527,24 @@ class TestKernelChoice:
 
     @pytest.fixture(autouse=True)
     def one_lane(self, lanes):
-        lanes(1)  # every run_chain call is then seen here
+        lanes(1)  # every sweep and walk is then seen here
 
     def kernel_seen(self, data, priors, config, tmp_path, monkeypatch):
+        # One entry per chain: True for an independence sweep (a run_chain
+        # call with proposals), False for each start of a random walk.
         calls = []
-        real = mcmc.run_chain
+        real_chain, real_walk = mcmc.run_chain, mcmc._random_walk
 
         def run_chain(*args, **kwargs):
             calls.append("proposals" in kwargs)
-            return real(*args, **kwargs)
+            return real_chain(*args, **kwargs)
+
+        def random_walk(target, states, *rest):
+            calls.extend(False for _ in states)
+            return real_walk(target, states, *rest)
 
         monkeypatch.setattr(mcmc, "run_chain", run_chain)
+        monkeypatch.setattr(mcmc, "_random_walk", random_walk)
         posterior = run_chains(data, priors, config)
         assert calls == [posterior.kernel == mcmc.INDEPENDENCE] * config.chains
         save_trace(posterior, tmp_path / "trace.csv")
@@ -654,7 +684,7 @@ class TestIndependenceKernel:
 
 
 # Explicit starts and scales skip the mode search, and let a patched
-# run_chain tell the chains apart by their start.
+# _random_walk tell the chains apart by their start.
 LANE_STARTS = tuple(
     QrseParams(T=2.0 + 0.1 * i, S=4.9, mu=8.66, alpha=17.8) for i in range(3)
 )
@@ -708,21 +738,27 @@ def fork_starts(monkeypatch):
 
 
 def fail_chains(monkeypatch, failing: set[int], fail) -> None:
-    """Make run_chain call ``fail()`` for the chains that start at
-    LANE_STARTS[i] for i in ``failing``."""
-    real = mcmc.run_chain
-    starts = [LANE_STARTS[i] for i in failing]
+    """Make each random walk call ``fail(run)`` on the (draws, post-tune
+    accepts, scales) of each of its chains that starts at LANE_STARTS[i]
+    for i in ``failing``, in the lane that runs it. ``fail`` returns the
+    run to hand back in its place, or raises in that lane."""
+    real = mcmc._random_walk
+    starts = [LANE_STARTS[i].as_array() for i in failing]
 
-    def run_chain(data, priors, initial, *rest):
-        if initial in starts:
-            fail()
-        return real(data, priors, initial, *rest)
+    def random_walk(target, states, *rest):
+        runs = real(target, states, *rest)
+        return [
+            fail(run) if any(np.array_equal(state, start) for start in starts) else run
+            for state, run in zip(states, runs)
+        ]
 
-    monkeypatch.setattr(mcmc, "run_chain", run_chain)
+    monkeypatch.setattr(mcmc, "_random_walk", random_walk)
 
 
-def stick():
-    raise StuckChain("post-tune acceptance 0.0000 below 0.01")
+def stick(run):
+    """A run with no post-tune accept: its chain is stuck."""
+    draws, _, scales = run
+    return draws, 0, scales
 
 
 @pytest.mark.skipif(
@@ -819,6 +855,27 @@ class TestLanes:
             small_data, config, lanes, fork_starts, (2, 3, 4), mcmc.RANDOM_WALK
         )
 
+    @pytest.mark.parametrize("config", [LANE_CONFIG, ChainConfig(chains=3, draws=100, tune=50)],
+                             ids=["random-walk", "independence"])
+    def test_one_target_per_run(self, small_data, lanes, monkeypatch, config):
+        # The calling process builds the run's target, and the lanes use the
+        # copy their fork inherits.
+        parent = os.getpid()
+        built = []
+        real = mcmc._Target.__init__
+
+        def init(self, *args):
+            if os.getpid() != parent:
+                raise AssertionError("a lane built a target")
+            built.append(self)
+            real(self, *args)
+
+        monkeypatch.setattr(mcmc._Target, "__init__", init)
+        lanes(2)
+        with deadline(60):
+            run_chains(small_data, PRIORS, config)
+        assert len(built) == 1
+
     def test_one_lane_starts_no_process(self, small_data, lanes, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a lane process was made")
@@ -847,7 +904,7 @@ class TestLanes:
     def test_lane_that_dies_raises(self, small_data, lanes, monkeypatch):
         parent = os.getpid()
 
-        def die():
+        def die(run):
             if os.getpid() == parent:
                 raise AssertionError("chain 1 ran in the calling process")
             os._exit(1)
@@ -882,28 +939,42 @@ class TestLanes:
         )
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("config", [LANE_CONFIG, ChainConfig(chains=3, draws=100, tune=50)],
-                             ids=["random-walk", "independence"])
-    def test_error_in_other_lane_is_raised(self, small_data, lanes, monkeypatch, config):
+    @pytest.mark.parametrize(
+        "config, failing",
+        [(LANE_CONFIG, {1}), (ChainConfig(chains=3, draws=100, tune=50), {1}),
+         (LANE_CONFIG, {0, 1}), (ChainConfig(chains=3, draws=100, tune=50), {0, 1})],
+        ids=["random-walk", "independence", "random-walk-both-lanes", "independence-both-lanes"],
+    )
+    def test_error_in_other_lane_is_raised(self, small_data, lanes, monkeypatch, config, failing):
         # Lane 1 holds chains 1 and 2, whose random walks call _Target
         # once per step, or the last 227 target evaluations, one
-        # _Target call.
+        # _Target call. The target fails only once the work is dealt, in
+        # the lanes named by ``failing``; when both fail, lane 0's error
+        # is the one raised.
         parent = os.getpid()
+        dealing = []
+        real_deal, real_target = mcmc._deal, mcmc._Target.__call__
 
-        def in_lane_1(real):
-            def fail(*args, **kwargs):
-                if os.getpid() != parent:
-                    raise ValueError("bad point in lane 1")
-                return real(*args, **kwargs)
+        def deal(*args):
+            dealing.append(True)  # a forked lane inherits the mark
+            try:
+                return real_deal(*args)
+            finally:
+                dealing.pop()
 
-            return fail
+        def log_targets(self, points):
+            lane = 0 if os.getpid() == parent else 1
+            if dealing and lane in failing:
+                raise ValueError(f"bad point in lane {lane}")
+            return real_target(self, points)
 
-        monkeypatch.setattr(mcmc._Target, "__call__", in_lane_1(mcmc._Target.__call__))
+        monkeypatch.setattr(mcmc, "_deal", deal)
+        monkeypatch.setattr(mcmc._Target, "__call__", log_targets)
         lanes(2)
         with deadline(60), pytest.raises(ValueError) as caught:
             run_chains(small_data, PRIORS, config)
         assert type(caught.value) is ValueError
-        assert str(caught.value) == "bad point in lane 1"
+        assert str(caught.value) == f"bad point in lane {min(failing)}"
         assert multiprocessing.active_children() == []
 
     def test_each_lane_runs_on_its_own_cpu(self, lanes):
@@ -928,7 +999,11 @@ class TestLanes:
 
     @pytest.mark.parametrize("failing", [set(), {0}, {1}], ids=["none", "lane-0", "lane-1"])
     def test_caller_affinity_is_restored(self, small_data, lanes, monkeypatch, failing):
-        # Chain 0 runs in lane 0, chains 1 and 2 in lane 1.
+        # Chain 0 runs in lane 0, chains 1 and 2 in lane 1, and the failing
+        # lane's walk raises there, so the failure passes through _deal.
+        def fail(run):
+            raise ValueError("walk failed in its lane")
+
         before = os.sched_getaffinity(0)
         parent = os.getpid()
         set_here = []
@@ -940,11 +1015,11 @@ class TestLanes:
             real(pid, cpus)
 
         monkeypatch.setattr(os, "sched_setaffinity", record)
-        fail_chains(monkeypatch, failing, stick)
+        fail_chains(monkeypatch, failing, fail)
         lanes(2)
         with deadline(60), contextlib.ExitStack() as stack:
             if failing:
-                stack.enter_context(pytest.raises(StuckChain))
+                stack.enter_context(pytest.raises(ValueError, match="walk failed in its lane"))
             run_chains(small_data, PRIORS, LANE_CONFIG)
         assert os.sched_getaffinity(0) == before
         assert set_here == [{min(before)}, before]
@@ -974,6 +1049,32 @@ class TestLanes:
         assert str(caught.value) == f"chain {named}: post-tune acceptance 0.0000 below 0.01"
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("lane_count", [1, 2])
+    @pytest.mark.parametrize("scales", [None, (0.1, 0.1, 0.3, 0.5)],
+                             ids=["independence", "random-walk"])
+    def test_bad_start_is_raised_before_a_stuck_chain(
+        self, small_data, lanes, monkeypatch, scales, lane_count
+    ):
+        # Chain 0's start carries a huge bonus, so neither kernel ever
+        # leaves it; chain 1 starts outside the location box. No chain may
+        # step before every start is checked.
+        stuck = QrseParams(T=2.01, S=4.9, mu=8.66, alpha=17.8)
+        starts = (stuck, dataclasses.replace(REF, alpha=60.0), LANE_STARTS[2])
+        real = mcmc._Target.__call__
+
+        def log_targets(self, points):
+            return real(self, points) + 1e6 * np.all(points == stuck.as_array(), axis=1)
+
+        monkeypatch.setattr(mcmc._Target, "__call__", log_targets)
+        lanes(lane_count)
+        config = ChainConfig(chains=3, draws=50, tune=0, seed=0, initial=starts,
+                             step_scales=scales)
+        with deadline(60), pytest.raises(
+            BadStart, match=r"^chain 1: .*alpha=60\.0 outside the location box"
+        ):
+            run_chains(small_data, PRIORS, config)
+        assert multiprocessing.active_children() == []
+
 
 class TestDataChecks:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -997,6 +1098,13 @@ class TestDataChecks:
             log_likelihood(data, REF)
         with pytest.raises(ValueError, match="log_likelihood requires finite observations"):
             log_posterior(REF, data, PRIORS)
+
+
+def with_cell(lines, column, value):
+    """A trace's lines with ``column`` of its fourth draw set to ``value``."""
+    cells = lines[5].split(",")
+    cells[lines[1].split(",").index(column)] = value
+    return lines[:5] + [",".join(cells)] + lines[6:]
 
 
 class TestTrace:
@@ -1086,8 +1194,11 @@ class TestTrace:
             (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], "order"),
             (lambda lines: lines[:2] + [lines[2].replace("0,0,", "0,1,", 1)] + lines[3:],
              "order"),
+            (lambda lines: with_cell(lines, "T", "nan"), "draws must be finite"),
+            (lambda lines: with_cell(lines, "mu", "inf"), "draws must be finite"),
         ],
-        ids=["truncated", "no-rows", "format-tag", "bad-json", "header", "swapped", "draw-index"],
+        ids=["truncated", "no-rows", "format-tag", "bad-json", "header", "swapped", "draw-index",
+             "nan-T", "inf-mu"],
     )
     def test_rejects_malformed_trace(self, small_posterior, tmp_path, edit, message):
         path = self.write_trace(small_posterior, tmp_path, edit)
