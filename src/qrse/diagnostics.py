@@ -293,17 +293,14 @@ def report_grid(params: QrseParams, hist: HistogramSpec) -> EvalGrid:
 
 
 def summarize(
-    posterior: PosteriorDraws,
-    hist: HistogramSpec,
-    grid: EvalGrid | None = None,
-    hdi_prob: float = DEFAULT_HDI_PROB,
+    posterior: PosteriorDraws, hist: HistogramSpec, hdi_prob: float = DEFAULT_HDI_PROB
 ) -> FitReport:
     """Build the posterior estimates report.
 
     Per parameter: mean and sd over the pooled post-tune draws, marginal
     histogram mode, shortest HDI, and split rank-normalized R-hat. The KL
     divergence and Soofi ID score the model at the posterior-mean parameters
-    against the observed histogram.
+    against the observed histogram, on ``report_grid``.
     """
     rows = []
     for name, index in _REPORT_ORDER:
@@ -324,11 +321,8 @@ def summarize(
             )
         )
     mean_params = QrseParams(**{name: summary.mean for name, summary in rows})
-    if grid is None:
-        grid = report_grid(mean_params, hist)
-    kl = kl_divergence(
-        bin_probabilities(hist.edges, mean_params, grid), hist.frequencies
-    )
+    grid = report_grid(mean_params, hist)
+    kl = kl_divergence(bin_probabilities(hist.edges, mean_params, grid), hist.frequencies)
     config = posterior.config
     return FitReport(
         rows=tuple(rows),

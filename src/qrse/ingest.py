@@ -119,8 +119,9 @@ class CleanedSample:
 class HistogramSpec:
     """Observed histogram: edges, relative frequencies, and raw counts.
 
-    Edges must be finite and strictly increasing, frequencies and counts
-    finite and nonnegative, and the frequencies must sum to 1.
+    All three must be 1-d. Edges must be finite and strictly increasing,
+    frequencies and counts finite and nonnegative, and the frequencies must
+    sum to 1.
     """
 
     edges: np.ndarray
@@ -128,9 +129,12 @@ class HistogramSpec:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.edges, dtype=float)
-        frequencies = np.asarray(self.frequencies, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
+        arrays = {name: np.asarray(getattr(self, name), dtype=float)
+                  for name in ("edges", "frequencies", "counts")}
+        for name, arr in arrays.items():
+            if arr.ndim != 1:
+                raise ValueError(f"histogram {name} must be a 1-d list, got shape {arr.shape}")
+        edges, frequencies, counts = arrays.values()
         if len(frequencies) != len(edges) - 1 or len(counts) != len(frequencies):
             raise ValueError("histogram arrays have inconsistent lengths")
         if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0.0)):
@@ -140,7 +144,7 @@ class HistogramSpec:
                 raise ValueError(f"histogram {name} must be finite and nonnegative")
         if abs(float(np.sum(frequencies)) - 1.0) > 1e-12:
             raise ValueError("frequencies must sum to 1")
-        for name, arr in (("edges", edges), ("frequencies", frequencies), ("counts", counts)):
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

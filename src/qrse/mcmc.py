@@ -27,16 +27,13 @@ counter-based generator keyed by seed + chain_index, and initial points are
 jittered around the posterior mode. The sampler has one target,
 ``_Target``, built once per run, which evaluates the log posterior at a
 block of rows and gives the mode search its gradient and Hessian. When it
-is built, the data is checked for NaN and infinity and sorted, once, in
-either grid mode, and the bounds of the support and the location box are
-set. Each row takes log Z from ``local_log_z``'s grid around its own mu,
-and its data term is ``model._data_log_kernel``'s sum over the sorted
-data, split at the row's own mu: one exp and one division per point, and
-one log per 32 points for the sum of log1p terms, against the pointwise
-``log_kernel``'s tanh, log1p and two divisions. A caller's fixed grid
-changes two things only: log Z comes from it, through ``build_density``,
-and the data term is the pointwise ``log_kernel`` sum over the sorted data,
-one row at a time.
+is built, the data is checked for NaN and infinity and sorted, once, and
+the bounds of the support and the location box are set. Each row takes
+log Z from ``local_log_z``'s grid around its own mu, and its data term is
+``model._data_log_kernel``'s sum over the sorted data, split at the row's
+own mu: one exp and one division per point, and one log per 32 points for
+the sum of log1p terms, against the pointwise ``log_kernel``'s tanh, log1p
+and two divisions.
 
 ``run_chains`` spreads its work over parallel lanes, one per CPU the
 process may use (``os.sched_getaffinity``): lane 0 is the calling process
@@ -71,7 +68,6 @@ import numpy as np
 from .errors import BadStart, OutOfSupport, ParseError, QrseError, StuckChain
 from .mapfit import _newton
 from .model import (
-    DEFAULT_GRID_POINTS,
     EvalGrid,
     QrseParams,
     _log_likelihood_derivatives,
@@ -256,11 +252,15 @@ class ChainConfig:
             raise ValueError("seed must be nonnegative")
         if self.initial is not None and len(self.initial) != self.chains:
             raise ValueError("need one initial point per chain")
-        if self.step_scales is not None:
-            if len(self.step_scales) != 4 or not all(0.0 <= s < math.inf for s in self.step_scales):
-                raise ValueError(
-                    f"step_scales must be four finite nonnegative numbers, got {self.step_scales!r}"
-                )
+        if self.step_scales is not None and not _valid_scales(self.step_scales):
+            raise ValueError(
+                f"step_scales must be four finite nonnegative numbers, got {self.step_scales!r}"
+            )
+
+
+def _valid_scales(scales) -> bool:
+    """The rule for one chain's step scales: four finite nonnegative numbers."""
+    return len(scales) == 4 and all(0.0 <= s < math.inf for s in scales)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +272,8 @@ class PosteriorDraws:
     the independence kernel, the proposal's per-coordinate scales).
     ``kernel`` names the kernel that ran, one of KERNELS. The chain and
     draw counts of ``draws``, ``config``, ``acceptance_rates`` and
-    ``step_scales`` must agree, and every draw must be finite.
+    ``step_scales`` must agree, every draw must be finite, and each
+    chain's scales must pass ``ChainConfig``'s rule (``_valid_scales``).
     """
 
     draws: np.ndarray
@@ -294,8 +295,8 @@ class PosteriorDraws:
             raise ValueError(f"draws shape {draws.shape[:2]} does not match the config")
         if len(self.acceptance_rates) != chains:
             raise ValueError(f"need one acceptance rate per chain ({chains})")
-        if len(self.step_scales) != chains or any(len(s) != 4 for s in self.step_scales):
-            raise ValueError(f"need four step scales per chain ({chains})")
+        if len(self.step_scales) != chains or not all(map(_valid_scales, self.step_scales)):
+            raise ValueError(f"need four step scales per chain ({chains}), finite and nonnegative")
         if not np.all(np.isfinite(draws)):
             raise ValueError("draws must be finite")
         low, high = self.priors.bound_low, self.priors.bound_high
@@ -321,23 +322,21 @@ def _location_box(priors: PriorSpec) -> tuple[tuple[float, float], tuple[float, 
     )
 
 
-def build_sampling_grid(
-    data, priors: PriorSpec, n_points: int = DEFAULT_GRID_POINTS
-) -> EvalGrid:
-    """One fixed partition-function grid for a whole MCMC run, for callers
-    who pass ``grid=`` instead of the default per-proposal grid.
+def build_sampling_grid(data, priors: PriorSpec) -> EvalGrid:
+    """One fixed partition-function grid for ``log_posterior(grid=)`` and
+    ``log_likelihood(grid=)`` over the support and location box of ``priors``.
 
     Spans the data range and the prior's extreme corners (the corners of
     the location box, scales at the upper truncation bound), then verifies
-    the edge-mass limit at those corners so that no in-support proposal
-    can need a wider grid.
+    the edge-mass limit at those corners so that no point of the support
+    and the box can need a wider grid.
     """
     values = np.asarray(data, dtype=float)
     mu_corners, alpha_corners = _location_box(priors)
     points = mu_corners + alpha_corners
     if values.size:
         points += (float(np.min(values)), float(np.max(values)))
-    grid = EvalGrid.spanning(points, priors.bound_high, n_points=n_points)
+    grid = EvalGrid.spanning(points, priors.bound_high)
     for mu in mu_corners:
         for alpha in alpha_corners:
             corner = QrseParams(
@@ -377,10 +376,10 @@ def log_posterior(
     """Log prior plus log-likelihood; prior only when data is empty.
 
     With ``grid=None``, log Z comes from ``local_log_z`` at ``params``; an
-    explicit grid is used as given. The sampler's target is ``_Target``,
-    which gives these bits at every point of the support and the location
-    box; the sampler calls this once, in its start-up check
-    (``_check_local_grids``).
+    explicit grid, such as ``build_sampling_grid``'s, is used as given. The
+    sampler's target is ``_Target``, which gives the ``grid=None`` bits at
+    every point of the support and the location box; the sampler calls this
+    once, in its start-up check (``_check_local_grids``).
 
     Raises
     ------
@@ -401,27 +400,25 @@ class _Target:
     """The sampler's log target, built once per run: the data is checked
     here once, not on every evaluation (ValueError for a NaN or an
     infinity), and sorted here once, with its prefix sums
-    (``model._sort_data``), in either grid mode; the lows and highs of the
-    support and the location box and the prior's centres and precision are
-    kept here too.
+    (``model._sort_data``); the lows and highs of the support and the
+    location box and the prior's centres and precision are kept here too.
 
     Called on an (m, 4) array of rows (T, S, mu, alpha), it gives their m
     log posteriors: -inf outside the support and the location box, and
     inside them log prior plus ``_log_likelihood_rows``, the bits of
-    ``log_posterior`` at that point, in a few calls over blocks of rows
-    without a grid and one row at a time with one.
-    A row's value does not depend on the rows around it. For
-    ``mapfit._newton``, ``value`` is the negative log target at one row,
-    which is its own state, and ``derivatives`` the negated gradient and
-    Hessian there.
+    ``log_posterior`` at that point with log Z from ``local_log_z``, in a
+    few calls over blocks of rows. A row's value does not depend on the
+    rows around it. For ``mapfit._newton``, ``value`` is the negative log
+    target at one row, which is its own state, and ``derivatives`` the
+    negated gradient and Hessian there.
     """
 
-    def __init__(self, data, priors: PriorSpec, grid: EvalGrid | None):
+    def __init__(self, data, priors: PriorSpec):
         values = np.asarray(data, dtype=float)
         if not np.all(np.isfinite(values)):
             raise ValueError("the sampler requires finite observations")
         self.data = _sort_data(values) if values.size else None
-        self.priors, self.grid = priors, grid
+        self.priors = priors
         self.lows, self.highs = _bounds(priors)
         self.centers, self.precision = priors.centers(), priors.sds() ** -2.0
 
@@ -432,7 +429,7 @@ class _Target:
         # in Python floats: the same bits, several times faster than on arrays.
         log_p = self.priors._log_density(*(rows[0].tolist() if len(rows) == 1 else rows.T))
         if self.data is not None:
-            log_p = log_p + _log_likelihood_rows(self.data, rows, self.grid)
+            log_p = log_p + _log_likelihood_rows(self.data, rows)
         out = np.full(len(points), -math.inf)
         out[inside] = log_p
         return out
@@ -448,7 +445,7 @@ class _Target:
         gradient = (self.centers - row) * self.precision
         hessian = np.diag(-self.precision)
         if self.data is not None:
-            log_gradient, log_hessian = _log_likelihood_derivatives(self.data, row, self.grid)
+            log_gradient, log_hessian = _log_likelihood_derivatives(self.data, row)
             log_hessian[[0, 1], [0, 1]] -= log_gradient[:2]
             scale = np.array([row[0], row[1], 1.0, 1.0])
             gradient += log_gradient / scale
@@ -533,7 +530,6 @@ def run_chain(
     draws: int,
     tune: int,
     seed,
-    grid: EvalGrid | None = None,
     proposal_cholesky: np.ndarray | None = None,
     *,
     proposals: tuple[np.ndarray, np.ndarray] | None = None,
@@ -559,8 +555,8 @@ def run_chain(
     that point minus the log proposal density there (up to one constant).
     A proposal is accepted with probability min(1, exp(its log weight minus
     the current state's)). The first ``tune`` steps are burn-in;
-    ``step_scales`` is returned as the chain's scales, and ``initial``,
-    ``grid`` and ``proposal_cholesky`` are not used.
+    ``step_scales`` is returned as the chain's scales, and ``initial`` and
+    ``proposal_cholesky`` are not used.
 
     ``seed`` may be an integer or an already-constructed numpy Generator;
     either kernel draws one uniform per step from it.
@@ -571,8 +567,8 @@ def run_chain(
         If the start (``initial``, or row 0 of the proposals) has a
         non-finite log posterior.
     GridTooLarge
-        If a proposal's local log Z grid would be too large (no explicit
-        grid; ``run_chains`` rules this out before any chain runs).
+        If a proposal's local log Z grid would be too large
+        (``run_chains`` rules this out before any chain runs).
     StuckChain
         If the post-tune acceptance rate is below STUCK_ACCEPTANCE.
     """
@@ -583,7 +579,7 @@ def run_chain(
             raise ValueError("proposals need 1 + tune + draws points and log weights")
         start, log_p = points[0], log_weights[0]
     else:
-        target = _Target(data, priors, grid)
+        target = _Target(data, priors)
         start = initial.as_array()
         log_p = target(start[None])[0]
     if not math.isfinite(log_p):
@@ -794,9 +790,7 @@ def _deal(fn, jobs, what: str) -> list:
     return results
 
 
-def run_chains(
-    data, priors: PriorSpec, config: ChainConfig, grid: EvalGrid | None = None
-) -> PosteriorDraws:
+def run_chains(data, priors: PriorSpec, config: ChainConfig) -> PosteriorDraws:
     """Run config.chains independent chains and assemble the posterior draws.
 
     Chain i is keyed by seed + i (the seed split rule). Unless the config
@@ -819,20 +813,20 @@ def run_chains(
     records which ran.
 
     The data is checked for NaN and infinity, and sorted, once, when the
-    run's one target is built. Every start, Generator and independence
-    proposal is made here, in chain order, and the work is dealt over
-    ``_lane_count`` lanes (see the module docstring): the chains x (1 +
-    tune + draws) target evaluations of the independence kernel, whose
-    sweeps then run here through ``run_chain``, or the random walk's chains,
-    whose starts are evaluated here first. With one lane no process is
-    started.
+    run's one target is built, and ``_check_local_grids`` runs if there is
+    data. Every start, Generator and independence proposal is made here, in
+    chain order, and the work is dealt over ``_lane_count`` lanes (see the
+    module docstring): the chains x (1 + tune + draws) target evaluations of
+    the independence kernel, whose sweeps then run here through
+    ``run_chain``, or the random walk's chains, whose starts are evaluated
+    here first. With one lane no process is started.
 
     Raises
     ------
     ValueError
         If the data holds a NaN or an infinity.
     GridTooLarge
-        From the startup check of the local log Z grid (no explicit grid).
+        From the startup check of the local log Z grid.
     BadStart
         If a chain's start has a non-finite log posterior, before any chain
         steps; the message names the lowest such chain.
@@ -843,8 +837,8 @@ def run_chains(
         If a lane's process exits without returning its work.
     """
     values = np.asarray(data, dtype=float)
-    target = _Target(values, priors, grid)
-    if grid is None and values.size:
+    target = _Target(values, priors)
+    if values.size:
         _check_local_grids(values, priors)
 
     mode = None

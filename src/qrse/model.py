@@ -164,9 +164,7 @@ class EvalGrid:
         return cls(points=points, spacing=(high - low) / (n_points - 1))
 
     @classmethod
-    def spanning(
-        cls, points, scale: float, cover=(), n_points: int = DEFAULT_GRID_POINTS
-    ) -> "EvalGrid":
+    def spanning(cls, points, scale: float, cover=()) -> "EvalGrid":
         """Grid reaching AUTO_SPAN_SCALES units of ``scale`` beyond every one
         of ``points``, and at least to every one of ``cover`` (unpadded).
 
@@ -175,12 +173,12 @@ class EvalGrid:
         pad = AUTO_SPAN_SCALES * scale
         low = min((min(points) - pad, *cover))
         high = max((max(points) + pad, *cover))
-        return cls.from_bounds(low, high, n_points)
+        return cls.from_bounds(low, high)
 
     @classmethod
-    def auto(cls, params: QrseParams, n_points: int = DEFAULT_GRID_POINTS) -> "EvalGrid":
+    def auto(cls, params: QrseParams) -> "EvalGrid":
         """Grid spanning both locations plus AUTO_SPAN_SCALES units of max(T, S)."""
-        return cls.spanning((params.mu, params.alpha), max(params.T, params.S), n_points=n_points)
+        return cls.spanning((params.mu, params.alpha), max(params.T, params.S))
 
     @classmethod
     def local(cls, params: QrseParams) -> "EvalGrid":
@@ -667,7 +665,7 @@ def log_likelihood(data, params: QrseParams, grid: EvalGrid | None = None) -> fl
     function uses a grid. The data is checked and sorted on every call, so
     the value does not depend on the data's order. This is the one-row case
     of ``_log_likelihood_rows``, in either grid mode; the sampler's target
-    gives the same bits on data checked and sorted once.
+    gives the ``grid=None`` bits on data checked and sorted once.
     """
     values = np.asarray(data, dtype=float)
     if values.size == 0:
@@ -739,28 +737,23 @@ def _kernel_derivatives(x: np.ndarray, row: np.ndarray, t: np.ndarray, tr: np.nd
 _einsum_dot = functools.partial(np.einsum, "i,i->")
 
 
-def _log_likelihood_derivatives(
-    data: _SortedData, row: np.ndarray, grid: EvalGrid | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of ``_log_likelihood_rows`` at one row, in (log
-    T, log S, mu, alpha).
+def _log_likelihood_derivatives(data: _SortedData, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of ``_log_likelihood_rows`` at one row, without
+    a grid, in (log T, log S, mu, alpha).
 
     The data part sums ``_kernel_derivatives`` over the sorted points, in
     _BLOCK chunks. Each of the N log Z terms adds -E[dk] and -(E[d^2k] +
-    Cov(dk)) under the weights its value sums: the pdf on an explicit grid,
-    else ``EvalGrid.local``'s grid and its two saturated tails. Past an
-    end point e of that grid the m-th point weighs w_e rho^m, rho =
-    exp(-dx/S), and has dk_e and d^2k_e, less m dx/S at (log S, log S) and
-    plus m dx/S in dk's log S slot. So the tails' moments are geometric sums
-    in closed form: A = sum rho^m = 1/expm1(dx/S), sum m rho^m = A (1 + A)
-    and sum m^2 rho^m = A (1 + A) (1 + 2 A). An explicit grid has A = 0.
+    Cov(dk)) under the weights its value sums: ``EvalGrid.local``'s grid
+    and its two saturated tails. Past an end point e of that grid the m-th
+    point weighs w_e rho^m, rho = exp(-dx/S), and has dk_e and d^2k_e, less
+    m dx/S at (log S, log S) and plus m dx/S in dk's log S slot. So the
+    tails' moments are geometric sums in closed form: A = sum rho^m =
+    1/expm1(dx/S), sum m rho^m = A (1 + A) and sum m^2 rho^m = A (1 + A)
+    (1 + 2 A).
     """
-    if grid is None:
-        grid = EvalGrid.local(QrseParams.from_array(row))
-        step = grid.spacing / row[1]
-        tail = 1.0 / math.expm1(step)
-    else:
-        step = tail = 0.0
+    grid = EvalGrid.local(QrseParams.from_array(row))
+    step = grid.spacing / row[1]
+    tail = 1.0 / math.expm1(step)
     x, points = data.x, grid.points
 
     def terms(points):  # the log kernel, t and t r

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DensityTable, EvalGrid, QrseParams, build_density
+from .model import DensityTable, QrseParams, build_density
 
 # Pinned RNG algorithm, recorded in run metadata. Philox is counter-based:
 # the stream depends only on the key, never on machine state.
@@ -27,11 +27,11 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """How many draws, from which seed, on which grid (None means auto)."""
+    """How many draws, from which seed, for ``sample``'s auto grid; use
+    ``sample_from_table(build_density(params, grid), n, seed)`` on another."""
 
     n: int
     seed: int
-    grid: EvalGrid | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -60,5 +60,5 @@ def sample(params: QrseParams, config: SampleConfig) -> np.ndarray:
     GridTooNarrow
         Propagated from density construction if the grid clips the support.
     """
-    table = build_density(params, config.grid)
+    table = build_density(params)
     return sample_from_table(table, config.n, config.seed)

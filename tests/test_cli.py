@@ -240,7 +240,11 @@ class TestFit:
         ("frequencies", lambda f: [f[0] - 0.3, *f[1:-1], f[-1] + 0.3],
          "frequencies must be finite and nonnegative"),
         ("edges", lambda edges: edges[::-1], "edges must be finite and strictly increasing"),
-    ], ids=["negative-frequency", "reversed-edges"])
+        # 2-d arrays once reached the fit: a TypeError traceback for edges,
+        # "model has 2 bins, observed has 2" for frequencies.
+        ("edges", lambda edges: [[e, e + 1.0] for e in edges], "edges must be a 1-d list"),
+        ("frequencies", lambda f: [[p] for p in f], "frequencies must be a 1-d list"),
+    ], ids=["negative-frequency", "reversed-edges", "edges-2d", "frequencies-2d"])
     def test_histogram_ingest_never_writes(self, pipeline_dir, tmp_path, capsys, key, edit, message):
         payload = json.loads((pipeline_dir / "histogram.json").read_text())
         payload[key] = edit(payload[key])
@@ -350,6 +354,24 @@ class TestSampleAndReport:
         capsys.readouterr()
         assert run("report", "--outdir", str(outdir)) == 2
         assert f"{trace}: not a valid trace file: draws must be finite" in capsys.readouterr().err
+
+    def test_two_dimensional_histogram_exits_2(self, pipeline_dir, tmp_path, capsys):
+        # 2-d edges once made report exit 1 with a TypeError traceback.
+        outdir = tmp_path / "2-d"
+        shutil.copytree(pipeline_dir, outdir)
+        assert run("sample", "--outdir", str(outdir), "--chains", "2",
+                   "--draws", "50", "--tune", "0", "--seed", "1") == 0
+        histogram = outdir / "histogram.json"
+        payload = json.loads(histogram.read_text())
+        payload["edges"] = [[0.0, 1.0], [2.0, 3.0]]
+        payload["frequencies"], payload["counts"] = [1.0], [float(sum(payload["counts"]))]
+        histogram.write_text(json.dumps(payload))
+        (outdir / "report.json").unlink(missing_ok=True)  # from a report on pipeline_dir
+        capsys.readouterr()
+        assert run("report", "--outdir", str(outdir)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {histogram}: histogram edges must be a 1-d list, got shape (2, 2)\n"
+        assert not (outdir / "report.json").exists()
 
     def test_report_exports_share_one_density(self, pipeline_dir, tmp_path):
         # Outer histogram edges far past the auto grid's span of the

@@ -103,10 +103,10 @@ def fit_grid(hist, bounds):
 
 class TestSpanning:
     def test_pads_points_and_only_includes_cover(self):
-        grid = EvalGrid.spanning((1.0, 3.0), 0.5, cover=(-10.0, 2.0), n_points=11)
+        grid = EvalGrid.spanning((1.0, 3.0), 0.5, cover=(-10.0, 2.0))
         assert grid.points[0] == -10.0
         assert grid.points[-1] == 3.0 + AUTO_SPAN_SCALES * 0.5
-        assert grid.points.size == 11
+        assert grid.points.size == DEFAULT_GRID_POINTS
 
     def test_default_size(self):
         assert EvalGrid.spanning((0.0,), 1.0).points.size == DEFAULT_GRID_POINTS

@@ -168,7 +168,7 @@ class TestLogPosterior:
 
         monkeypatch.setattr(mcmc, "build_sampling_grid", forbidden)
         data = sample(REF, SampleConfig(n=200, seed=2))
-        target = mcmc._Target(data, PRIORS, None)
+        target = mcmc._Target(data, PRIORS)
         for theta in ([2.1, 4.9, 8.66, 17.8], [0.3, 7.5, 20.0, -5.0]):
             params = QrseParams.from_array(theta)
             expected = scipy_prior_logpdf(params, PRIORS) + log_likelihood(data, params)
@@ -454,25 +454,22 @@ class TestRunChains:
         with pytest.raises(StuckChain, match="chain 0"):
             run_chains(small_data, PRIORS, config)
 
-    @pytest.mark.parametrize("n, explicit_grid", [(400, False), (20_000, False), (400, True)],
-                             ids=["row-blocks", "rows-alone", "explicit-grid"])
-    def test_lock_step_walks_keep_their_solo_bits(self, lanes, n, explicit_grid):
+    @pytest.mark.parametrize("n", [400, 20_000], ids=["row-blocks", "rows-alone"])
+    def test_lock_step_walks_keep_their_solo_bits(self, lanes, n):
         # One lane steps the three walks together, one target call a step;
         # chain i run alone is run_chain at seed + i. At 400 points the
-        # proposals share the kernel's row block, at 20,000 each row runs
-        # alone, and with a grid each row takes the pointwise sum. The
-        # scales narrow with the posterior, as 1 / sqrt(n).
+        # proposals share the kernel's row block, and at 20,000 each row
+        # runs alone. The scales narrow with the posterior, as 1 / sqrt(n).
         data = sample(REF, SampleConfig(n=n, seed=5))
-        grid = build_sampling_grid(data, PRIORS) if explicit_grid else None
         scales = tuple(s * math.sqrt(400 / n) for s in LANE_CONFIG.step_scales)
         config = dataclasses.replace(LANE_CONFIG, draws=100, tune=200, seed=3,
                                      step_scales=scales)
         lanes(1)
-        together = run_chains(data, PRIORS, config, grid)
+        together = run_chains(data, PRIORS, config)
         assert together.kernel == mcmc.RANDOM_WALK
         for index, start in enumerate(LANE_STARTS):
             alone = run_chain(data, PRIORS, start, config.step_scales, config.draws, config.tune,
-                              config.seed + index, grid)
+                              config.seed + index)
             np.testing.assert_array_equal(together.draws[index], alone.draws)
             assert together.acceptance_rates[index] == alone.acceptance_rate
             assert together.step_scales[index] == alone.step_scales
@@ -585,7 +582,7 @@ class TestKernelChoice:
         # scales. (Centred at -3 the data pull the mode inside, to T = 0.78.)
         priors = PriorSpec(t_center=-5.0, s_center=4.9, mu_center=8.66, alpha_center=17.8,
                            t_sd=0.5)
-        target = mcmc._Target(small_data, priors, None)
+        target = mcmc._Target(small_data, priors)
         mode, hessian, bounded = mcmc._posterior_mode(target)
         assert mode[0] == pytest.approx(priors.bound_low, abs=1e-9)
         assert mcmc._laplace_proposal(hessian, bounded, priors)[1] is None
@@ -767,22 +764,20 @@ def stick(run):
 )
 class TestLanes:
     @staticmethod
-    def assert_lane_invariant(data, config, lanes, fork_starts, lane_counts, kernel,
-                              grid=None):
+    def assert_lane_invariant(data, config, lanes, fork_starts, lane_counts, kernel):
         lanes(1)
-        serial = run_chains(data, PRIORS, config, grid)
+        serial = run_chains(data, PRIORS, config)
         assert fork_starts == []
         assert serial.kernel == kernel
         for count in lane_counts:
             lanes(count)
-            laned = run_chains(data, PRIORS, config, grid)
+            laned = run_chains(data, PRIORS, config)
             assert len(fork_starts) == count - 1
             fork_starts.clear()
             np.testing.assert_array_equal(laned.draws, serial.draws)
             np.testing.assert_array_equal(laned.acceptance_rates, serial.acceptance_rates)
             np.testing.assert_array_equal(laned.step_scales, serial.step_scales)
             assert laned.kernel == kernel
-        return serial
 
     # The independence kernel deals target evaluations, so four lanes for
     # three chains all get work.
@@ -830,23 +825,6 @@ class TestLanes:
         assert serial["sweeps"] == seen["sweeps"] == 3
         # Lane 1 took the last 227 of the 453 evaluations.
         assert serial["targets"] - 227 <= seen["targets"] < serial["targets"]
-
-    def test_explicit_grid(self, small_data, lanes, fork_starts, monkeypatch):
-        # With one fixed log Z grid there is no local grid to check, and the
-        # independence kernel's draws stay in the location box at any lane
-        # count.
-        def forbidden(*args):
-            raise AssertionError("the local grids were checked")
-
-        monkeypatch.setattr(mcmc, "_check_local_grids", forbidden)
-        grid = build_sampling_grid(small_data, PRIORS)
-        config = ChainConfig(chains=3, draws=100, tune=50, seed=0)
-        draws = self.assert_lane_invariant(
-            small_data, config, lanes, fork_starts, (2,), mcmc.INDEPENDENCE, grid
-        ).draws
-        (mu_low, mu_high), (alpha_low, alpha_high) = mcmc._location_box(PRIORS)
-        assert np.all((mu_low <= draws[..., 2]) & (draws[..., 2] <= mu_high))
-        assert np.all((alpha_low <= draws[..., 3]) & (draws[..., 3] <= alpha_high))
 
     def test_random_walk_outputs_do_not_depend_on_lanes(self, small_data, lanes, fork_starts):
         config = ChainConfig(chains=3, draws=100, tune=150, seed=0,
@@ -1107,6 +1085,13 @@ def with_cell(lines, column, value):
     return lines[:5] + [",".join(cells)] + lines[6:]
 
 
+def with_step_scale(lines, value):
+    """A trace's lines with chain 1's mu step scale set to ``value``."""
+    metadata = json.loads(lines[0][2:])
+    metadata["step_scales"][1][2] = value
+    return ["# " + json.dumps(metadata)] + lines[1:]
+
+
 class TestTrace:
     def test_round_trip_bit_exact(self, small_posterior, tmp_path):
         path = tmp_path / "trace.csv"
@@ -1196,9 +1181,13 @@ class TestTrace:
              "order"),
             (lambda lines: with_cell(lines, "T", "nan"), "draws must be finite"),
             (lambda lines: with_cell(lines, "mu", "inf"), "draws must be finite"),
+            # A report once read these and exited 0.
+            (lambda lines: with_step_scale(lines, math.nan), "finite and nonnegative"),
+            (lambda lines: with_step_scale(lines, math.inf), "finite and nonnegative"),
+            (lambda lines: with_step_scale(lines, -0.5), "finite and nonnegative"),
         ],
         ids=["truncated", "no-rows", "format-tag", "bad-json", "header", "swapped", "draw-index",
-             "nan-T", "inf-mu"],
+             "nan-T", "inf-mu", "nan-scale", "inf-scale", "negative-scale"],
     )
     def test_rejects_malformed_trace(self, small_posterior, tmp_path, edit, message):
         path = self.write_trace(small_posterior, tmp_path, edit)
@@ -1264,7 +1253,7 @@ class TestLocationBox:
     """The target is truncated to the location box."""
 
     def test_target_rejects_locations_outside_the_box(self):
-        target = mcmc._Target(np.array([]), PRIORS, None)
+        target = mcmc._Target(np.array([]), PRIORS)
         reach = mcmc.CORNER_SDS * PRIORS.sds()
         for index in (2, 3):
             for sign in (-1.0, 1.0):
@@ -1327,7 +1316,7 @@ TARGET_ROWS = np.array([
 ])
 
 
-def reference_targets(rows, data, priors, grid=None) -> np.ndarray:
+def reference_targets(rows, data, priors) -> np.ndarray:
     """The public log_posterior at each row inside the support and the
     location box, and -inf outside them."""
     (mu_low, mu_high), (alpha_low, alpha_high) = mcmc._location_box(priors)
@@ -1337,10 +1326,10 @@ def reference_targets(rows, data, priors, grid=None) -> np.ndarray:
             out.append(-math.inf)
         elif not priors.in_support(T, S):
             with pytest.raises(OutOfSupport):
-                log_posterior(QrseParams(T, S, mu, alpha), data, priors, grid)
+                log_posterior(QrseParams(T, S, mu, alpha), data, priors)
             out.append(-math.inf)
         else:
-            out.append(log_posterior(QrseParams(T, S, mu, alpha), data, priors, grid))
+            out.append(log_posterior(QrseParams(T, S, mu, alpha), data, priors))
     return np.array(out)
 
 
@@ -1349,9 +1338,9 @@ class TestLogTargets:
     serial target: the public log_posterior, one point at a time."""
 
     @staticmethod
-    def assert_same_bits(data, priors, grid=None, rows=TARGET_ROWS):
-        expected = reference_targets(rows, data, priors, grid)
-        got = mcmc._Target(data, priors, grid)(rows)
+    def assert_same_bits(data, priors, rows=TARGET_ROWS):
+        expected = reference_targets(rows, data, priors)
+        got = mcmc._Target(data, priors)(rows)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
@@ -1373,7 +1362,7 @@ class TestLogTargets:
         rows = rng.uniform(low, high, (300, 4))  # some outside the support or the box
         expected = reference_targets(rows, data, PRIORS)
         assert 0 < np.sum(expected == -math.inf) < 100
-        target = mcmc._Target(data, PRIORS, None)
+        target = mcmc._Target(data, PRIORS)
         got = np.concatenate([target(row[None]) for row in rows])
         assert got.tobytes() == expected.tobytes()
 
@@ -1389,7 +1378,7 @@ class TestLogTargets:
                                              (40, 4)),
             [[2.1, 4.9, data[7], 17.8], [2.0, 5.0, high, 17.0], [2.2, 4.8, low - 0.5, 18.0]],
         ])
-        target = mcmc._Target(data, WIDE_PRIORS, None)
+        target = mcmc._Target(data, WIDE_PRIORS)
         whole = target(rows)
         order = np.random.default_rng(10).permutation(len(rows))
         permuted = target(rows[order])
@@ -1407,16 +1396,12 @@ class TestLogTargets:
         # 20,000 points exceed a block, so each row runs alone.
         self.assert_rows_independent(sample(REF, SampleConfig(n=20_000, seed=6)))
 
-    def test_matches_serial_target_on_an_explicit_grid(self, small_data):
-        rows = TARGET_ROWS[[0, 2, 3, 5, 6, 8, 10]]
-        self.assert_same_bits(small_data, PRIORS, build_sampling_grid(small_data, PRIORS), rows)
-
     def test_prior_only_and_nothing_inside(self, small_data):
         self.assert_same_bits(np.array([]), WIDE_PRIORS)
         outside = TARGET_ROWS[8:]
         self.assert_same_bits(small_data, WIDE_PRIORS, rows=outside)
-        assert np.all(mcmc._Target(small_data, WIDE_PRIORS, None)(outside) == -math.inf)
-        assert mcmc._Target(small_data, PRIORS, None)(np.empty((0, 4))).shape == (0,)
+        assert np.all(mcmc._Target(small_data, WIDE_PRIORS)(outside) == -math.inf)
+        assert mcmc._Target(small_data, PRIORS)(np.empty((0, 4))).shape == (0,)
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -1432,7 +1417,7 @@ class TestLogTargets:
 
 class TestModeAndScales:
     def test_prior_only_mode_is_prior_center(self):
-        target = mcmc._Target(np.array([]), PRIORS, None)
+        target = mcmc._Target(np.array([]), PRIORS)
         mode, _, _ = mcmc._posterior_mode(target)
         np.testing.assert_allclose(mode, PRIORS.centers(), atol=1e-3)
 
@@ -1440,7 +1425,7 @@ class TestModeAndScales:
         # At an interior normal mode the curvature is -1/sd^2, so the
         # 2.4/sqrt(4) rule gives 1.2 sd per coordinate, and independent
         # coordinates leave the proposal correlation at identity.
-        hessian = -mcmc._Target(np.array([]), PRIORS, None).derivatives(PRIORS.centers())[1]
+        hessian = -mcmc._Target(np.array([]), PRIORS).derivatives(PRIORS.centers())[1]
         scales, cholesky = mcmc._laplace_proposal(hessian, np.zeros(4, bool), PRIORS)
         np.testing.assert_allclose(scales, 1.2 * PRIORS.sds(), rtol=0.05)
         np.testing.assert_allclose(cholesky, np.eye(4), atol=1e-3)
@@ -1449,7 +1434,7 @@ class TestModeAndScales:
         # With T on its lower bound the fit falls back, whatever the Hessian
         # there, and T takes a tenth of its prior sd.
         data = sample(REF, SampleConfig(n=200, seed=2))
-        target = mcmc._Target(data, PRIORS, None)
+        target = mcmc._Target(data, PRIORS)
         mode = PRIORS.centers()
         mode[0] = PRIORS.bound_low
         hessian = -target.derivatives(mode)[1]
@@ -1489,7 +1474,7 @@ class TestModeAndScales:
         # of bare eps took 8 more steps here, none of them lower.
         data = sample(dataclasses.replace(REF, T=0.2, S=0.2), SampleConfig(n=2000, seed=3))
         priors = dataclasses.replace(PRIORS, t_center=0.2, s_center=0.2, bound_low=0.05)
-        target = mcmc._Target(data, priors, None)
+        target = mcmc._Target(data, priors)
         values, value = [], target.value
         target.value = lambda row: values.append(value(row)[0]) or value(row)
         lows, highs = mcmc._bounds(priors)
@@ -1506,10 +1491,8 @@ DERIVATIVE_PRIORS = PriorSpec(t_center=2.1, s_center=4.9, mu_center=10.0, alpha_
 
 
 @pytest.fixture(scope="module")
-def derivative_targets(small_data):
-    grid = build_sampling_grid(small_data, DERIVATIVE_PRIORS)
-    return {explicit: mcmc._Target(small_data, DERIVATIVE_PRIORS, grid if explicit else None)
-            for explicit in (False, True)}
+def derivative_target(small_data):
+    return mcmc._Target(small_data, DERIVATIVE_PRIORS)
 
 
 # The examples put T >> S, S >> T, and mu 30 T below all the data, where
@@ -1519,18 +1502,15 @@ LOCATION = st.floats(-40.0, 60.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(log_t=LOG_SCALE, log_s=LOG_SCALE, mu=LOCATION, alpha=LOCATION, explicit=st.booleans())
-@example(log_t=math.log(8.0), log_s=math.log(0.25), mu=8.0, alpha=15.0, explicit=False)
-@example(log_t=math.log(8.0), log_s=math.log(0.25), mu=8.0, alpha=15.0, explicit=True)
-@example(log_t=math.log(0.1), log_s=math.log(8.0), mu=8.0, alpha=15.0, explicit=False)
-@example(log_t=math.log(0.1), log_s=math.log(8.0), mu=8.0, alpha=15.0, explicit=True)
-@example(log_t=math.log(0.5), log_s=math.log(3.0), mu=-40.0, alpha=-30.0, explicit=False)
-@example(log_t=math.log(0.5), log_s=math.log(3.0), mu=-40.0, alpha=-30.0, explicit=True)
-@example(log_t=math.log(0.3), log_s=math.log(2.0), mu=55.0, alpha=40.0, explicit=False)
+@given(log_t=LOG_SCALE, log_s=LOG_SCALE, mu=LOCATION, alpha=LOCATION)
+@example(log_t=math.log(8.0), log_s=math.log(0.25), mu=8.0, alpha=15.0)
+@example(log_t=math.log(0.1), log_s=math.log(8.0), mu=8.0, alpha=15.0)
+@example(log_t=math.log(0.5), log_s=math.log(3.0), mu=-40.0, alpha=-30.0)
+@example(log_t=math.log(0.3), log_s=math.log(2.0), mu=55.0, alpha=40.0)
 def test_log_target_derivatives_match_central_differences(
-    derivative_targets, small_data, log_t, log_s, mu, alpha, explicit
+    derivative_target, small_data, log_t, log_s, mu, alpha
 ):
-    target = derivative_targets[explicit]
+    target = derivative_target
     row = np.array([math.exp(log_t), math.exp(log_s), mu, alpha])
     if mu == -40.0:
         assert np.all(np.tanh((small_data - mu) / row[0]) == 1.0)
@@ -1546,14 +1526,13 @@ def test_log_target_derivatives_match_central_differences(
 
     # Central differences at h and h/2 (relative for T and S), Richardson's
     # extrapolation of the two, and their disagreement as the differences'
-    # rounding error, as in the fit's derivative test. On an explicit grid
-    # the derivatives are those of the sum the value takes. The local grid
-    # moves with mu and T, and the derivatives are its quadrature of the
+    # rounding error, as in the fit's derivative test. The local grid moves
+    # with mu and T, and the derivatives are its quadrature of the
     # derivatives of log Z, equal to the value's to the quadrature's error.
     h = 1e-3
     coarse, fine = (np.array([central(i, step) for i in range(4)]) for step in (h, h / 2.0))
     extrapolated, spread = (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse)
-    rtol = 1e-9 if explicit else 1e-6
+    rtol = 1e-6
     assert np.all(np.abs(gradient - extrapolated[:, 0]) <= rtol * np.max(np.abs(gradient)) + 4.0 * spread[:, 0])
     assert np.all(np.abs(hessian - extrapolated[:, 1:]) <= rtol * np.max(np.abs(hessian)) + 4.0 * spread[:, 1:])
 
@@ -1589,7 +1568,7 @@ def test_mode_no_worse_than_nelder_mead(name, floor):
     # search took: the prior centres, T and S clipped 1e-3 of the support
     # inside it.
     data, priors = mode_case(name)
-    target = mcmc._Target(data, priors, None)
+    target = mcmc._Target(data, priors)
     mode, _, bounded = mcmc._posterior_mode(target)
     inset = 1e-3 * (priors.bound_high - priors.bound_low)
     start = priors.centers()
