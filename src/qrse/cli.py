@@ -72,9 +72,10 @@ SETTINGS = {
     "years": (str, "2000-2016", ("ingest",), "year filter, YYYY or YYYY-YYYY"),
     "restarts": (int, mapfit.DEFAULT_RESTARTS, ("fit",), "extra Latin-hypercube starts"),
     "reverse_kl": (_parse_bool, False, ("fit",), "fit the likelihood-consistent direction"),
-    "chains": (int, 3, ("sample",), "number of chains (>= 2)"),
-    "draws": (int, 30000, ("sample",), "post-tune draws per chain"),
-    "tune": (int, 4000, ("sample",), "burn-in steps per chain (random walk: adaptation)"),
+    "chains": (int, mcmc.ChainConfig.chains, ("sample",), "number of chains (>= 2)"),
+    "draws": (int, mcmc.ChainConfig.draws, ("sample",), "post-tune draws per chain"),
+    "tune": (int, mcmc.ChainConfig.tune, ("sample",),
+             "burn-in steps per chain (random walk: adaptation)"),
     "prior_t_center": (float, None, ("sample",), "prior center for t (default: MAP)"),
     "prior_t_sd": (float, mcmc.DEFAULT_SCALE_SD, ("sample",), "prior sd for t"),
     "prior_s_center": (float, None, ("sample",), "prior center for s (default: MAP)"),

@@ -121,7 +121,8 @@ class HistogramSpec:
 
     All three must be 1-d. Edges must be finite and strictly increasing,
     frequencies and counts finite and nonnegative, and the frequencies must
-    sum to 1.
+    sum to 1. The counts must have a positive total, and each frequency lie
+    within 1e-12 of its count over that total, as ``build_histogram`` writes.
     """
 
     edges: np.ndarray
@@ -144,6 +145,11 @@ class HistogramSpec:
                 raise ValueError(f"histogram {name} must be finite and nonnegative")
         if abs(float(np.sum(frequencies)) - 1.0) > 1e-12:
             raise ValueError("frequencies must sum to 1")
+        total = float(np.sum(counts))
+        if not total > 0.0:
+            raise ValueError("histogram counts must have a positive total")
+        if np.any(np.abs(frequencies - counts / total) > 1e-12):
+            raise ValueError("histogram frequencies must equal counts / their total")
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadStart, OutOfSupport, ParseError, QrseError, StuckChain
-from .mapfit import _newton
+from .mapfit import DEFAULT_SCALE_BOUNDS, _newton
 from .model import (
     EvalGrid,
     QrseParams,
@@ -80,8 +80,7 @@ from .synthetic import RNG_ALGORITHM, rng_from_seed
 
 DEFAULT_SCALE_SD = 2.0
 DEFAULT_LOCATION_SD = 10.0
-TRUNCATION_LOW = 0.1
-TRUNCATION_HIGH = 8.0
+TRUNCATION_LOW, TRUNCATION_HIGH = DEFAULT_SCALE_BOUNDS
 
 ADAPT_WINDOW = 100
 ADAPT_GROW = 1.1
@@ -96,8 +95,8 @@ INDEPENDENCE = "independence-t5"
 RANDOM_WALK = "random-walk"
 KERNELS = (INDEPENDENCE, RANDOM_WALK)
 
-# How many prior standard deviations out the location corners sit when the
-# partition-function grid is checked at startup.
+# How many prior standard deviations either side of its centre the location
+# box reaches, for mu and for alpha (``_bounds``).
 CORNER_SDS = 4.0
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -299,9 +298,8 @@ class PosteriorDraws:
             raise ValueError(f"need four step scales per chain ({chains}), finite and nonnegative")
         if not np.all(np.isfinite(draws)):
             raise ValueError("draws must be finite")
-        low, high = self.priors.bound_low, self.priors.bound_high
-        scales_stored = draws[:, :, :2]
-        if np.any(scales_stored < low) or np.any(scales_stored > high):
+        lows, highs = _bounds(self.priors)
+        if np.any(draws[:, :, :2] < lows[:2]) or np.any(draws[:, :, :2] > highs[:2]):
             raise ValueError("stored T or S violates the prior truncation bounds")
         if any(not (0.0 <= r <= 1.0) for r in self.acceptance_rates):
             raise ValueError("acceptance rates must lie in [0, 1]")
@@ -313,26 +311,17 @@ class PosteriorDraws:
         return self.draws[:, :, index].reshape(-1)
 
 
-def _location_box(priors: PriorSpec) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(low, high) for mu, then for alpha: CORNER_SDS prior sds either side."""
-    mu_pad, alpha_pad = CORNER_SDS * priors.mu_sd, CORNER_SDS * priors.alpha_sd
-    return (
-        (priors.mu_center - mu_pad, priors.mu_center + mu_pad),
-        (priors.alpha_center - alpha_pad, priors.alpha_center + alpha_pad),
-    )
-
-
 def build_sampling_grid(data, priors: PriorSpec) -> EvalGrid:
     """One fixed partition-function grid for ``log_posterior(grid=)`` and
     ``log_likelihood(grid=)`` over the support and location box of ``priors``.
 
     Spans the data range and the prior's extreme corners (the corners of
-    the location box, scales at the upper truncation bound), then verifies
-    the edge-mass limit at those corners so that no point of the support
-    and the box can need a wider grid.
+    ``_bounds``' location box, scales at the upper truncation bound), then
+    verifies the edge-mass limit at those corners so that no point of the
+    support and the box can need a wider grid.
     """
     values = np.asarray(data, dtype=float)
-    mu_corners, alpha_corners = _location_box(priors)
+    mu_corners, alpha_corners = np.transpose(_bounds(priors))[2:].tolist()
     points = mu_corners + alpha_corners
     if values.size:
         points += (float(np.min(values)), float(np.max(values)))
@@ -455,11 +444,13 @@ class _Target:
 
 def _bounds(priors: PriorSpec, inset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Lows and highs of (T, S, mu, alpha): the support, moved ``inset``
-    times its width inside, then the location box."""
-    (mu_low, mu_high), (alpha_low, alpha_high) = _location_box(priors)
+    times its width inside, then the location box, CORNER_SDS prior sds
+    either side of each centre: the one box every part of the sampler reads."""
+    pad = CORNER_SDS * priors.sds()
+    lows, highs = priors.centers() - pad, priors.centers() + pad
     inset *= priors.bound_high - priors.bound_low
-    return (np.array([priors.bound_low + inset, priors.bound_low + inset, mu_low, alpha_low]),
-            np.array([priors.bound_high - inset, priors.bound_high - inset, mu_high, alpha_high]))
+    lows[:2], highs[:2] = priors.bound_low + inset, priors.bound_high - inset
+    return lows, highs
 
 
 def _posterior_mode(target: _Target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -608,13 +599,13 @@ def _chain_result(draws: np.ndarray, post_tune_accepts: int, scales) -> ChainRes
 
 def _bad_start_message(start: np.ndarray, priors: PriorSpec) -> str:
     """What is wrong with a start whose log posterior is not finite: each
-    parameter outside the prior support or the location box."""
-    support = (priors.bound_low, priors.bound_high, "the support")
-    box = [(*edges, "the location box") for edges in _location_box(priors)]
+    parameter outside its range in ``_bounds``, the support or the location box."""
+    lows, highs = _bounds(priors)
+    where = ("the support",) * 2 + ("the location box",) * 2
     outside = [
-        f"{name}={value!r} outside {where} [{low!r}, {high!r}]"
-        for name, value, (low, high, where)
-        in zip(("T", "S", "mu", "alpha"), start.tolist(), (support, support, *box))
+        f"{name}={value!r} outside {place} [{low!r}, {high!r}]"
+        for name, value, low, high, place
+        in zip(("T", "S", "mu", "alpha"), start.tolist(), lows.tolist(), highs.tolist(), where)
         if not low <= value <= high
     ]
     return "initial point has non-finite log posterior" + (

@@ -17,12 +17,12 @@ takes log Z from ``local_log_z``, which adds both exponential tails in
 closed form and is accurate to about 1e-11 relative, and sums the kernel
 over the data from sorted data (``_data_log_kernel``): one exp and one
 division per point, and one log per 32 points for the sum of log1p terms,
-taken as logs of products of 1 + e below 2^33. With an explicit grid it
-is the public formula, row by row: ``log_kernel`` summed over the data,
-the reference the tests hold that sum to, less N times ``build_density``'s
-log Z on the grid. The data is sorted in either mode (``_sort_data``), so
-neither value depends on the data's order. The kernel at a set of points
-has one chunk loop, ``_kernel_rows``, for one row or many.
+taken as logs of products of 1 + e below 2^33. With an explicit grid,
+``log_likelihood`` takes the public formula: ``log_kernel`` summed over the
+data, the reference the tests hold that sum to, less N times
+``build_density``'s log Z on the grid. The data is sorted in either mode
+(``_sort_data``), so neither value depends on the data's order. The kernel
+at a set of points has one chunk loop, ``_kernel_rows``, for one row or many.
 
 All four parameters are in thousands of dollars. Operations broadcast over
 numpy arrays and accept scalars.
@@ -663,38 +663,30 @@ def log_likelihood(data, params: QrseParams, grid: EvalGrid | None = None) -> fl
 
     Per-observation terms are exact at each data point; only the partition
     function uses a grid. The data is checked and sorted on every call, so
-    the value does not depend on the data's order. This is the one-row case
-    of ``_log_likelihood_rows``, in either grid mode; the sampler's target
-    gives the ``grid=None`` bits on data checked and sorted once.
+    the value does not depend on the data's order. With ``grid=None`` it is
+    the one-row case of ``_log_likelihood_rows``, the sampler's bits. An
+    explicit grid is used as given, in the pointwise reference: the sum of
+    ``log_kernel`` over the data less N times ``build_density``'s log Z.
     """
     values = np.asarray(data, dtype=float)
     if values.size == 0:
         raise ValueError("log_likelihood requires at least one observation")
     if not np.all(np.isfinite(values)):
         raise ValueError("log_likelihood requires finite observations")
-    return float(_log_likelihood_rows(_sort_data(values), params.as_array()[None], grid)[0])
-
-
-def _log_likelihood_rows(data: _SortedData, rows: np.ndarray,
-                         grid: EvalGrid | None = None) -> np.ndarray:
-    """``log_likelihood(values, QrseParams.from_array(row), grid)`` at each
-    row of ``rows``, where ``data`` is ``_sort_data(values)`` of finite,
-    nonempty ``values`` (the sampler sorts once per run).
-
-    With ``grid=None`` the kernel sums are ``_data_log_kernel``'s and log Z
-    comes from ``_local_log_z_rows``, on local grids built for each row. An
-    explicit grid is used as given: each row is the sum of ``log_kernel``
-    over the sorted points, the pointwise reference, less N times
-    ``build_density``'s log Z on that grid.
-    """
-    n = data.x.size
+    data = _sort_data(values)
     if grid is None:
-        log_z = _local_log_z_rows(rows)  # first: it raises for an oversized grid
-        return _data_log_kernel(data, rows) - n * log_z
-    return np.array([
-        float(np.sum(log_kernel(data.x, params))) - n * build_density(params, grid).log_z
-        for params in map(QrseParams.from_array, rows)
-    ])
+        return float(_log_likelihood_rows(data, params.as_array()[None])[0])
+    kernel_sum = float(np.sum(log_kernel(data.x, params)))
+    return kernel_sum - values.size * build_density(params, grid).log_z
+
+
+def _log_likelihood_rows(data: _SortedData, rows: np.ndarray) -> np.ndarray:
+    """``log_likelihood(values, QrseParams.from_array(row))`` at each row of
+    ``rows``, where ``data`` is ``_sort_data(values)`` of finite, nonempty
+    ``values`` (the sampler sorts once per run): ``_data_log_kernel``'s sums
+    less N times ``_local_log_z_rows``' log Z, on local grids built per row."""
+    log_z = _local_log_z_rows(rows)  # first: it raises for an oversized grid
+    return _data_log_kernel(data, rows) - data.x.size * log_z
 
 
 def _kernel_derivatives(x: np.ndarray, row: np.ndarray, t: np.ndarray, tr: np.ndarray,

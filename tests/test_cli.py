@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -19,7 +20,7 @@ from qrse import (
     log_kernel,
     sample,
 )
-from qrse import cli
+from qrse import cli, mcmc
 from qrse.diagnostics import report_grid
 from qrse.ingest import HistogramSpec
 from tests.conftest import CSV_HEADER
@@ -210,6 +211,15 @@ def test_write_json_matches_indented_dumps(payload):
         assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
+# Hand edits to a histogram's counts that leave its frequencies as they were.
+COUNT_EDITS = {
+    "one-count-changed": (lambda counts: [counts[0] + 1.0, *counts[1:]],
+                          "histogram frequencies must equal counts / their total"),
+    "zero-counts": (lambda counts: [0.0] * len(counts),
+                    "histogram counts must have a positive total"),
+}
+
+
 class TestFit:
     def test_map_artifact(self, pipeline_dir, capsys):
         payload = json.loads((pipeline_dir / "map.json").read_text())
@@ -244,7 +254,8 @@ class TestFit:
         # "model has 2 bins, observed has 2" for frequencies.
         ("edges", lambda edges: [[e, e + 1.0] for e in edges], "edges must be a 1-d list"),
         ("frequencies", lambda f: [[p] for p in f], "frequencies must be a 1-d list"),
-    ], ids=["negative-frequency", "reversed-edges", "edges-2d", "frequencies-2d"])
+        *(("counts", *edit) for edit in COUNT_EDITS.values()),
+    ], ids=["negative-frequency", "reversed-edges", "edges-2d", "frequencies-2d", *COUNT_EDITS])
     def test_histogram_ingest_never_writes(self, pipeline_dir, tmp_path, capsys, key, edit, message):
         payload = json.loads((pipeline_dir / "histogram.json").read_text())
         payload[key] = edit(payload[key])
@@ -371,6 +382,26 @@ class TestSampleAndReport:
         assert run("report", "--outdir", str(outdir)) == 2
         err = capsys.readouterr().err
         assert err == f"error: {histogram}: histogram edges must be a 1-d list, got shape (2, 2)\n"
+        assert not (outdir / "report.json").exists()
+
+    @pytest.mark.parametrize("counts, message", COUNT_EDITS.values(), ids=COUNT_EDITS)
+    def test_counts_that_disagree_with_frequencies_exit_2(
+        self, pipeline_dir, tmp_path, capsys, counts, message
+    ):
+        # The KL scores the frequencies and the "N:" line prints the counts'
+        # total, so a report on such a file would contradict itself.
+        outdir = tmp_path / "counts"
+        shutil.copytree(pipeline_dir, outdir)
+        assert run("sample", "--outdir", str(outdir), "--chains", "2",
+                   "--draws", "50", "--tune", "0", "--seed", "1") == 0
+        histogram = outdir / "histogram.json"
+        payload = json.loads(histogram.read_text())
+        payload["counts"] = counts(payload["counts"])
+        histogram.write_text(json.dumps(payload))
+        (outdir / "report.json").unlink(missing_ok=True)  # from a report on pipeline_dir
+        capsys.readouterr()
+        assert run("report", "--outdir", str(outdir)) == 2
+        assert capsys.readouterr().err == f"error: {histogram}: {message}\n"
         assert not (outdir / "report.json").exists()
 
     def test_report_exports_share_one_density(self, pipeline_dir, tmp_path):
@@ -625,6 +656,24 @@ class TestParser:
             for name, p in subparsers().items()
         }
         assert actual == EXPECTED_FLAGS
+
+    def test_sample_defaults_are_the_sampler_defaults(self):
+        # Each default `qrse sample` resolves is the default of the
+        # ChainConfig or PriorSpec field it feeds; the prior centres default
+        # to the MAP.
+        settings = cli._resolve(cli.build_parser().parse_args(["sample"]))
+        defaults = {field.name: field.default for field in dataclasses.fields(mcmc.ChainConfig)
+                    if field.name in settings}
+        defaults |= {f"prior_{field.name}": field.default
+                     for field in dataclasses.fields(mcmc.PriorSpec)
+                     if field.init and field.default is not dataclasses.MISSING}
+        assert sorted(defaults) == [
+            "chains", "draws", "prior_alpha_sd", "prior_bound_high", "prior_bound_low",
+            "prior_mu_sd", "prior_s_sd", "prior_t_sd", "seed", "tune",
+        ]
+        assert {name: settings[name] for name in defaults} == defaults
+        for name in ("t", "s", "mu", "alpha"):
+            assert settings[f"prior_{name}_center"] is None
 
     def test_every_setting_is_a_flag(self):
         dests = {a.dest for p in subparsers().values() for a in p._actions}

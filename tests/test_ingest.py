@@ -363,6 +363,22 @@ class TestBuildHistogram:
                 counts=np.array([1.0, 1.0]),
             )
 
+    @pytest.mark.parametrize("frequencies, counts, message", [
+        ([0.9, 0.1], [1.0, 1000.0], "frequencies must equal counts / their total"),
+        ([0.25 + 2e-12, 0.75 - 2e-12], [1.0, 3.0], "frequencies must equal counts / their total"),
+        ([0.5, 0.5], [0.0, 0.0], "counts must have a positive total"),
+    ], ids=["far-apart", "just-past-tolerance", "zero-counts"])
+    def test_counts_must_agree_with_frequencies(self, frequencies, counts, message):
+        with pytest.raises(ValueError, match=message):
+            HistogramSpec(edges=np.array([0.0, 1.0, 2.0]), frequencies=np.array(frequencies),
+                          counts=np.array(counts))
+
+    def test_counts_agree_within_tolerance(self):
+        hist = HistogramSpec(edges=np.array([0.0, 1.0, 2.0]),
+                             frequencies=np.array([0.25 + 5e-13, 0.75 - 5e-13]),
+                             counts=np.array([1.0, 3.0]))
+        assert hist.n == 4
+
 
 def oracle_split(records, extreme_low=-50.0, extreme_high=120.0):
     """The per-record exclusion loop that the array pass replaced."""

@@ -44,6 +44,15 @@ from tests.conftest import REF
 PRIORS = PriorSpec(t_center=2.1, s_center=4.9, mu_center=8.66, alpha_center=17.8)
 
 
+def location_box(priors: PriorSpec):
+    """(low, high) for mu, then for alpha: CORNER_SDS prior sds either side
+    of the prior centre, as the sampled posterior is truncated."""
+    return tuple(
+        (center - mcmc.CORNER_SDS * sd, center + mcmc.CORNER_SDS * sd)
+        for center, sd in ((priors.mu_center, priors.mu_sd), (priors.alpha_center, priors.alpha_sd))
+    )
+
+
 def scipy_prior_logpdf(params: QrseParams, priors: PriorSpec) -> float:
     """Independent prior density via scipy's truncnorm/norm."""
     total = 0.0
@@ -213,7 +222,7 @@ class TestLocalLogZAccuracy:
     """
 
     def corners(self):
-        (mu_low, mu_high), (alpha_low, alpha_high) = mcmc._location_box(PRIORS)
+        (mu_low, mu_high), (alpha_low, alpha_high) = location_box(PRIORS)
         return itertools.product(
             (PRIORS.bound_low, PRIORS.t_center, PRIORS.bound_high),
             (PRIORS.bound_low, PRIORS.s_center, PRIORS.bound_high),
@@ -1286,10 +1295,29 @@ class TestLocationBox:
             run_chains(np.array([]), PRIORS, config)
         assert "mu=" not in str(err.value) and "T=" not in str(err.value)
 
+    @pytest.mark.parametrize("scales", [None, (0.1, 0.1, 0.3, 0.5)])
+    def test_bad_start_message_names_every_bad_coordinate_and_its_range(self, scales):
+        # T below the support, S above it and mu below the box; alpha is
+        # inside and goes unnamed.
+        bad = QrseParams(T=0.05, S=9.0, mu=-40.0, alpha=17.8)
+        message = (
+            "initial point has non-finite log posterior: "
+            "T=0.05 outside the support [0.1, 8.0], "
+            "S=9.0 outside the support [0.1, 8.0], "
+            "mu=-40.0 outside the location box [-31.34, 48.66]"
+        )
+        config = ChainConfig(chains=2, draws=20, tune=0, initial=(REF, bad), step_scales=scales)
+        with pytest.raises(BadStart) as err:
+            run_chains(np.array([]), PRIORS, config)
+        assert str(err.value) == f"chain 1: {message}"
+        with pytest.raises(BadStart) as err:
+            run_chain(np.array([]), PRIORS, bad, (0.1, 0.1, 0.3, 0.5), 20, 0, 0)
+        assert str(err.value) == message
+
     def test_jittered_starts_are_clipped_into_the_box(self, monkeypatch):
         # A mode on the box's wall: starts jittered past it used to fail.
         wall = PRIORS.centers()
-        wall[3] = mcmc._location_box(PRIORS)[1][1]
+        wall[3] = location_box(PRIORS)[1][1]
         monkeypatch.setattr(mcmc, "_posterior_mode", lambda target: (wall.copy(), None, None))
         config = ChainConfig(chains=4, draws=50, tune=0, step_scales=(0.1, 0.1, 0.3, 0.5))
         posterior = run_chains(np.array([]), PRIORS, config)
@@ -1319,7 +1347,7 @@ TARGET_ROWS = np.array([
 def reference_targets(rows, data, priors) -> np.ndarray:
     """The public log_posterior at each row inside the support and the
     location box, and -inf outside them."""
-    (mu_low, mu_high), (alpha_low, alpha_high) = mcmc._location_box(priors)
+    (mu_low, mu_high), (alpha_low, alpha_high) = location_box(priors)
     out = []
     for T, S, mu, alpha in rows.tolist():
         if not (mu_low <= mu <= mu_high and alpha_low <= alpha <= alpha_high):
