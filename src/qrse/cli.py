@@ -69,7 +69,8 @@ SETTINGS = {
                    "lower extreme-value bound, thousands"),
     "extreme_hi": (float, ingest.DEFAULT_EXTREME_HIGH, ("ingest",),
                    "upper extreme-value bound, thousands"),
-    "years": (str, "2000-2016", ("ingest",), "year filter, YYYY or YYYY-YYYY"),
+    "years": (str, "-".join(map(str, ingest.DEFAULT_YEARS)), ("ingest",),
+              "year filter, YYYY or YYYY-YYYY"),
     "restarts": (int, mapfit.DEFAULT_RESTARTS, ("fit",), "extra Latin-hypercube starts"),
     "reverse_kl": (_parse_bool, False, ("fit",), "fit the likelihood-consistent direction"),
     "chains": (int, mcmc.ChainConfig.chains, ("sample",), "number of chains (>= 2)"),

@@ -121,8 +121,9 @@ class HistogramSpec:
 
     All three must be 1-d. Edges must be finite and strictly increasing,
     frequencies and counts finite and nonnegative, and the frequencies must
-    sum to 1. The counts must have a positive total, and each frequency lie
-    within 1e-12 of its count over that total, as ``build_histogram`` writes.
+    sum to 1. The counts must be whole numbers with a positive total, ``n``,
+    and each frequency lie within 1e-12 of its count over that total, as
+    ``build_histogram`` writes.
     """
 
     edges: np.ndarray
@@ -143,6 +144,8 @@ class HistogramSpec:
         for name, arr in (("frequencies", frequencies), ("counts", counts)):
             if not np.all((arr >= 0.0) & (arr < math.inf)):
                 raise ValueError(f"histogram {name} must be finite and nonnegative")
+        if np.any(counts != np.floor(counts)):
+            raise ValueError("histogram counts must be whole numbers")
         if abs(float(np.sum(frequencies)) - 1.0) > 1e-12:
             raise ValueError("frequencies must sum to 1")
         total = float(np.sum(counts))
@@ -156,7 +159,7 @@ class HistogramSpec:
 
     @property
     def n(self) -> int:
-        return int(round(float(np.sum(self.counts))))
+        return int(np.sum(self.counts))
 
     def to_json(self) -> dict:
         return {

@@ -27,7 +27,7 @@ counter-based generator keyed by seed + chain_index, and initial points are
 jittered around the posterior mode. The sampler has one target,
 ``_Target``, built once per run, which evaluates the log posterior at a
 block of rows and gives the mode search its gradient and Hessian. When it
-is built, the data is checked for NaN and infinity and sorted, once, and
+is built, the data is checked and sorted, once (``model._sort_data``), and
 the bounds of the support and the location box are set. Each row takes
 log Z from ``local_log_z``'s grid around its own mu, and its data term is
 ``model._data_log_kernel``'s sum over the sorted data, split at the row's
@@ -271,8 +271,9 @@ class PosteriorDraws:
     the independence kernel, the proposal's per-coordinate scales).
     ``kernel`` names the kernel that ran, one of KERNELS. The chain and
     draw counts of ``draws``, ``config``, ``acceptance_rates`` and
-    ``step_scales`` must agree, every draw must be finite, and each
-    chain's scales must pass ``ChainConfig``'s rule (``_valid_scales``).
+    ``step_scales`` must agree, every draw must be finite and inside the
+    support and the location box (``_bounds``), and each chain's scales
+    must pass ``ChainConfig``'s rule (``_valid_scales``).
     """
 
     draws: np.ndarray
@@ -299,8 +300,8 @@ class PosteriorDraws:
         if not np.all(np.isfinite(draws)):
             raise ValueError("draws must be finite")
         lows, highs = _bounds(self.priors)
-        if np.any(draws[:, :, :2] < lows[:2]) or np.any(draws[:, :, :2] > highs[:2]):
-            raise ValueError("stored T or S violates the prior truncation bounds")
+        if np.any(draws < lows) or np.any(draws > highs):
+            raise ValueError("stored draws lie outside the prior support or the location box")
         if any(not (0.0 <= r <= 1.0) for r in self.acceptance_rates):
             raise ValueError("acceptance rates must lie in [0, 1]")
         draws.setflags(write=False)
@@ -315,16 +316,17 @@ def build_sampling_grid(data, priors: PriorSpec) -> EvalGrid:
     """One fixed partition-function grid for ``log_posterior(grid=)`` and
     ``log_likelihood(grid=)`` over the support and location box of ``priors``.
 
-    Spans the data range and the prior's extreme corners (the corners of
-    ``_bounds``' location box, scales at the upper truncation bound), then
-    verifies the edge-mass limit at those corners so that no point of the
-    support and the box can need a wider grid.
+    Spans the data range, from ``model._sort_data``'s sorted copy, and the
+    prior's extreme corners (the corners of ``_bounds``' location box,
+    scales at the upper truncation bound), then verifies the edge-mass
+    limit at those corners so that no point of the support and the box can
+    need a wider grid.
     """
-    values = np.asarray(data, dtype=float)
+    data = _sort_data(data)
     mu_corners, alpha_corners = np.transpose(_bounds(priors))[2:].tolist()
     points = mu_corners + alpha_corners
-    if values.size:
-        points += (float(np.min(values)), float(np.max(values)))
+    if data is not None:
+        points += (float(data.x[0]), float(data.x[-1]))
     grid = EvalGrid.spanning(points, priors.bound_high)
     for mu in mu_corners:
         for alpha in alpha_corners:
@@ -335,10 +337,10 @@ def build_sampling_grid(data, priors: PriorSpec) -> EvalGrid:
     return grid
 
 
-def _check_local_grids(values: np.ndarray, priors: PriorSpec) -> None:
+def _check_local_grids(data, priors: PriorSpec) -> None:
     """Build the largest local log Z grid the support allows and evaluate
-    the public ``log_posterior`` of ``values`` on it, which sums the
-    pointwise ``log_kernel`` over a sorted copy of the data.
+    the public ``log_posterior`` of nonempty ``data`` on it, which checks
+    and sorts the data again and sums the pointwise ``log_kernel`` over it.
 
     The grid's size grows with T / min(T, S), so it peaks at (T, S) =
     (bound_high, bound_low); mu and alpha cannot change it and sit at the
@@ -353,7 +355,7 @@ def _check_local_grids(values: np.ndarray, priors: PriorSpec) -> None:
     """
     corner = QrseParams(T=priors.bound_high, S=priors.bound_low,
                         mu=priors.mu_center, alpha=priors.alpha_center)
-    log_posterior(corner, values, priors, EvalGrid.local(corner))
+    log_posterior(corner, data, priors, EvalGrid.local(corner))
 
 
 def log_posterior(
@@ -362,7 +364,7 @@ def log_posterior(
     priors: PriorSpec,
     grid: EvalGrid | None = None,
 ) -> float:
-    """Log prior plus log-likelihood; prior only when data is empty.
+    """Log prior plus log-likelihood; the prior alone for empty 1-d data.
 
     With ``grid=None``, log Z comes from ``local_log_z`` at ``params``; an
     explicit grid, such as ``build_sampling_grid``'s, is used as given. The
@@ -376,21 +378,19 @@ def log_posterior(
         If T or S violates the prior truncation bounds (callers treat this
         as -inf and auto-reject).
     ValueError
-        If the data holds a NaN or an infinity.
+        Unless the data is a 1-d array of finite numbers (``_sort_data``).
     """
     prior = priors.log_density(params)
-    values = np.asarray(data, dtype=float)
-    if values.size == 0:
+    if np.shape(data) == (0,):
         return prior
-    return prior + log_likelihood(values, params, grid)
+    return prior + log_likelihood(data, params, grid)
 
 
 class _Target:
-    """The sampler's log target, built once per run: the data is checked
-    here once, not on every evaluation (ValueError for a NaN or an
-    infinity), and sorted here once, with its prefix sums
-    (``model._sort_data``); the lows and highs of the support and the
-    location box and the prior's centres and precision are kept here too.
+    """The sampler's log target, built once per run: ``model._sort_data``
+    checks and sorts the data here once, not on every evaluation (None when
+    it is empty); the lows and highs of the support and the location box
+    and the prior's centres and precision are kept here too.
 
     Called on an (m, 4) array of rows (T, S, mu, alpha), it gives their m
     log posteriors: -inf outside the support and the location box, and
@@ -403,10 +403,7 @@ class _Target:
     """
 
     def __init__(self, data, priors: PriorSpec):
-        values = np.asarray(data, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("the sampler requires finite observations")
-        self.data = _sort_data(values) if values.size else None
+        self.data = _sort_data(data)
         self.priors = priors
         self.lows, self.highs = _bounds(priors)
         self.centers, self.precision = priors.centers(), priors.sds() ** -2.0
@@ -546,8 +543,8 @@ def run_chain(
     that point minus the log proposal density there (up to one constant).
     A proposal is accepted with probability min(1, exp(its log weight minus
     the current state's)). The first ``tune`` steps are burn-in;
-    ``step_scales`` is returned as the chain's scales, and ``initial`` and
-    ``proposal_cholesky`` are not used.
+    ``step_scales`` is returned as the chain's scales, and ``data``,
+    ``initial`` and ``proposal_cholesky`` are not used.
 
     ``seed`` may be an integer or an already-constructed numpy Generator;
     either kernel draws one uniform per step from it.
@@ -803,8 +800,8 @@ def run_chains(data, priors: PriorSpec, config: ChainConfig) -> PosteriorDraws:
     with independent proposal coordinates. ``PosteriorDraws.kernel``
     records which ran.
 
-    The data is checked for NaN and infinity, and sorted, once, when the
-    run's one target is built, and ``_check_local_grids`` runs if there is
+    The data is checked and sorted once, when the run's one target is built
+    (``model._sort_data``), and ``_check_local_grids`` runs if there is
     data. Every start, Generator and independence proposal is made here, in
     chain order, and the work is dealt over ``_lane_count`` lanes (see the
     module docstring): the chains x (1 + tune + draws) target evaluations of
@@ -815,7 +812,7 @@ def run_chains(data, priors: PriorSpec, config: ChainConfig) -> PosteriorDraws:
     Raises
     ------
     ValueError
-        If the data holds a NaN or an infinity.
+        Unless the data is a 1-d array of finite numbers.
     GridTooLarge
         From the startup check of the local log Z grid.
     BadStart
@@ -827,10 +824,9 @@ def run_chains(data, priors: PriorSpec, config: ChainConfig) -> PosteriorDraws:
     QrseError
         If a lane's process exits without returning its work.
     """
-    values = np.asarray(data, dtype=float)
-    target = _Target(values, priors)
-    if values.size:
-        _check_local_grids(values, priors)
+    target = _Target(data, priors)
+    if target.data is not None:
+        _check_local_grids(data, priors)
 
     mode = None
     if config.initial is None or config.step_scales is None:
@@ -880,7 +876,7 @@ def run_chains(data, priors: PriorSpec, config: ChainConfig) -> PosteriorDraws:
     for index, rng in enumerate(rngs):
         try:
             results.append(
-                run_chain(values, priors, None, scales, config.draws, config.tune, rng,
+                run_chain(data, priors, None, scales, config.draws, config.tune, rng,
                           proposals=(points[index], log_weights[index]))
                 if independent else _chain_result(*walks[index])
             )
@@ -928,8 +924,9 @@ def load_trace(path) -> PosteriorDraws:
 
     Raises ParseError, naming the file, unless its metadata, format tag,
     kernel name, header, row count and (chain, draw) row order are as
-    save_trace writes and every draw is finite. A trace without a kernel
-    name was written before there was a choice, so it ran the random walk.
+    save_trace writes and every draw is finite and inside the support and
+    the location box (``PosteriorDraws``). A trace without a kernel name was
+    written before there was a choice, so it ran the random walk.
     """
     try:
         with open(path, encoding="utf-8") as handle:

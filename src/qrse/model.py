@@ -20,8 +20,8 @@ division per point, and one log per 32 points for the sum of log1p terms,
 taken as logs of products of 1 + e below 2^33. With an explicit grid,
 ``log_likelihood`` takes the public formula: ``log_kernel`` summed over the
 data, the reference the tests hold that sum to, less N times
-``build_density``'s log Z on the grid. The data is sorted in either mode
-(``_sort_data``), so neither value depends on the data's order. The kernel
+``build_density``'s log Z on the grid. ``_sort_data`` checks and sorts the
+data in either mode, so neither value depends on the data's order. The kernel
 at a set of points has one chunk loop, ``_kernel_rows``, for one row or many.
 
 All four parameters are in thousands of dollars. Operations broadcast over
@@ -523,8 +523,14 @@ class _SortedData(NamedTuple):
     prefix: np.ndarray
 
 
-def _sort_data(values: np.ndarray) -> _SortedData:
-    """``_SortedData`` of nonempty ``values``."""
+def _sort_data(data) -> _SortedData | None:
+    """The one rule for observations, in the model and the sampler: ValueError
+    unless ``data`` is a 1-d array of finite numbers; None if it is empty."""
+    values = np.asarray(data, dtype=float)
+    if values.ndim != 1 or not np.isfinite(values).all():
+        raise ValueError("observations must be a 1-d array of finite numbers")
+    if not values.size:
+        return None
     x = np.sort(values)
     x += 0.0  # -0.0 + 0.0 is 0.0
     center = float(x[x.size // 2])
@@ -662,27 +668,24 @@ def log_likelihood(data, params: QrseParams, grid: EvalGrid | None = None) -> fl
     """Log-likelihood of observed outcomes under the model.
 
     Per-observation terms are exact at each data point; only the partition
-    function uses a grid. The data is checked and sorted on every call, so
-    the value does not depend on the data's order. With ``grid=None`` it is
-    the one-row case of ``_log_likelihood_rows``, the sampler's bits. An
+    function uses a grid. ``_sort_data`` checks and sorts the data on every
+    call, so the value does not depend on the data's order. With ``grid=None``
+    it is the one-row case of ``_log_likelihood_rows``, the sampler's bits. An
     explicit grid is used as given, in the pointwise reference: the sum of
     ``log_kernel`` over the data less N times ``build_density``'s log Z.
     """
-    values = np.asarray(data, dtype=float)
-    if values.size == 0:
+    data = _sort_data(data)
+    if data is None:
         raise ValueError("log_likelihood requires at least one observation")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("log_likelihood requires finite observations")
-    data = _sort_data(values)
     if grid is None:
         return float(_log_likelihood_rows(data, params.as_array()[None])[0])
     kernel_sum = float(np.sum(log_kernel(data.x, params)))
-    return kernel_sum - values.size * build_density(params, grid).log_z
+    return kernel_sum - data.x.size * build_density(params, grid).log_z
 
 
 def _log_likelihood_rows(data: _SortedData, rows: np.ndarray) -> np.ndarray:
     """``log_likelihood(values, QrseParams.from_array(row))`` at each row of
-    ``rows``, where ``data`` is ``_sort_data(values)`` of finite, nonempty
+    ``rows``, where ``data`` is ``_sort_data(values)`` of nonempty
     ``values`` (the sampler sorts once per run): ``_data_log_kernel``'s sums
     less N times ``_local_log_z_rows``' log Z, on local grids built per row."""
     log_z = _local_log_z_rows(rows)  # first: it raises for an oversized grid

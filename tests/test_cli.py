@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -20,7 +21,7 @@ from qrse import (
     log_kernel,
     sample,
 )
-from qrse import cli, mcmc
+from qrse import cli, ingest, mcmc
 from qrse.diagnostics import report_grid
 from qrse.ingest import HistogramSpec
 from tests.conftest import CSV_HEADER
@@ -217,6 +218,9 @@ COUNT_EDITS = {
                           "histogram frequencies must equal counts / their total"),
     "zero-counts": (lambda counts: [0.0] * len(counts),
                     "histogram counts must have a positive total"),
+    # Scaled to a total of 0.4: a report once printed "N: 0".
+    "fractional-counts": (lambda counts: [c * 0.4 / sum(counts) for c in counts],
+                          "histogram counts must be whole numbers"),
 }
 
 
@@ -674,6 +678,16 @@ class TestParser:
         assert {name: settings[name] for name in defaults} == defaults
         for name in ("t", "s", "mu", "alpha"):
             assert settings[f"prior_{name}_center"] is None
+
+    def test_ingest_defaults_are_the_reader_defaults(self):
+        # The year filter and extreme bounds `qrse ingest` resolves are the
+        # defaults of the ingest functions they feed.
+        settings = cli._resolve(cli.build_parser().parse_args(["ingest"]))
+        read_records = inspect.signature(ingest.read_records).parameters
+        clean = inspect.signature(ingest.clean).parameters
+        assert cli._parse_years(settings["years"]) == read_records["years"].default
+        assert settings["extreme_lo"] == clean["extreme_low"].default
+        assert settings["extreme_hi"] == clean["extreme_high"].default
 
     def test_every_setting_is_a_flag(self):
         dests = {a.dest for p in subparsers().values() for a in p._actions}

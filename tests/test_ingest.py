@@ -367,7 +367,8 @@ class TestBuildHistogram:
         ([0.9, 0.1], [1.0, 1000.0], "frequencies must equal counts / their total"),
         ([0.25 + 2e-12, 0.75 - 2e-12], [1.0, 3.0], "frequencies must equal counts / their total"),
         ([0.5, 0.5], [0.0, 0.0], "counts must have a positive total"),
-    ], ids=["far-apart", "just-past-tolerance", "zero-counts"])
+        ([0.25, 0.75], [0.1, 0.3], "counts must be whole numbers"),
+    ], ids=["far-apart", "just-past-tolerance", "zero-counts", "fractional"])
     def test_counts_must_agree_with_frequencies(self, frequencies, counts, message):
         with pytest.raises(ValueError, match=message):
             HistogramSpec(edges=np.array([0.0, 1.0, 2.0]), frequencies=np.array(frequencies),

@@ -1063,28 +1063,48 @@ class TestLanes:
         assert multiprocessing.active_children() == []
 
 
+def with_value(data, value):
+    """A copy of ``data`` with its eighth point set to ``value``."""
+    data = data.copy()
+    data[7] = value
+    return data
+
+
+# Observations that break the one rule for them, a 1-d array of finite
+# numbers. The shapes once ended in an IndexError, a TypeError or numpy's
+# AxisError.
+BAD_DATA = {
+    "nan": lambda data: with_value(data, math.nan),
+    "inf": lambda data: with_value(data, math.inf),
+    "0-d": lambda data: np.asarray(data[0]),
+    "2-d": lambda data: data.reshape(20, -1),
+    "column": lambda data: data[:, None],
+}
+BAD_DATA_MESSAGE = "observations must be a 1-d array of finite numbers"
+
+
 class TestDataChecks:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_run_chains_rejects_before_any_evaluation(self, small_data, monkeypatch, bad):
+    @pytest.mark.parametrize("edit", BAD_DATA.values(), ids=BAD_DATA)
+    def test_run_chains_rejects_before_any_evaluation(self, small_data, monkeypatch, edit):
         def forbidden(*args, **kwargs):
             raise AssertionError("target evaluated")
 
         monkeypatch.setattr(mcmc, "log_posterior", forbidden)
         monkeypatch.setattr(mcmc._Target, "__call__", forbidden)
-        data = small_data.copy()
-        data[7] = bad
-        with pytest.raises(ValueError, match="sampler requires finite observations"):
+        data = edit(small_data)
+        with pytest.raises(ValueError, match=BAD_DATA_MESSAGE):
             run_chains(data, PRIORS, ChainConfig(chains=2, draws=10, tune=0))
-        with pytest.raises(ValueError, match="sampler requires finite observations"):
+        with pytest.raises(ValueError, match=BAD_DATA_MESSAGE):
             run_chain(data, PRIORS, REF, (0.1,) * 4, 10, 0, 0)
 
     def test_public_functions_keep_their_check(self, small_data):
-        data = small_data.copy()
-        data[7] = math.nan
-        with pytest.raises(ValueError, match="log_likelihood requires finite observations"):
-            log_likelihood(data, REF)
-        with pytest.raises(ValueError, match="log_likelihood requires finite observations"):
-            log_posterior(REF, data, PRIORS)
+        for edit in BAD_DATA.values():
+            data = edit(small_data)
+            for call in (lambda: log_likelihood(data, REF),
+                         lambda: log_posterior(REF, data, PRIORS),
+                         lambda: build_sampling_grid(data, PRIORS)):
+                with pytest.raises(ValueError, match=BAD_DATA_MESSAGE):
+                    call()
 
 
 def with_cell(lines, column, value):
@@ -1190,13 +1210,18 @@ class TestTrace:
              "order"),
             (lambda lines: with_cell(lines, "T", "nan"), "draws must be finite"),
             (lambda lines: with_cell(lines, "mu", "inf"), "draws must be finite"),
-            # A report once read these and exited 0.
+            # A report once read these and exited 0. The sampler never keeps
+            # a draw outside the location box.
             (lambda lines: with_step_scale(lines, math.nan), "finite and nonnegative"),
             (lambda lines: with_step_scale(lines, math.inf), "finite and nonnegative"),
             (lambda lines: with_step_scale(lines, -0.5), "finite and nonnegative"),
+            (lambda lines: with_cell(lines, "mu", repr(PRIORS.mu_center + 40.5)), "location box"),
+            (lambda lines: with_cell(lines, "alpha", repr(PRIORS.alpha_center - 40.5)),
+             "location box"),
         ],
         ids=["truncated", "no-rows", "format-tag", "bad-json", "header", "swapped", "draw-index",
-             "nan-T", "inf-mu", "nan-scale", "inf-scale", "negative-scale"],
+             "nan-T", "inf-mu", "nan-scale", "inf-scale", "negative-scale", "mu-outside-box",
+             "alpha-outside-box"],
     )
     def test_rejects_malformed_trace(self, small_posterior, tmp_path, edit, message):
         path = self.write_trace(small_posterior, tmp_path, edit)
