@@ -56,6 +56,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# Help for the prior sds' and bounds' defaults, in data units (mapfit.data_unit).
+_SCALE_SD, _LOCATION_SD, _LOW, _HIGH = (f"{value:g} × data unit" for value in (
+    mcmc.DEFAULT_SCALE_SD, mcmc.DEFAULT_LOCATION_SD, *mapfit.DEFAULT_SCALE_BOUNDS))
+
 # Every setting a flag or config file can supply: key -> (parser for config
 # file and flag text, built-in default, the subcommands that take it as the
 # flag --key-with-dashes (None: every one), flag help). A setting parsed by
@@ -66,9 +70,9 @@ SETTINGS = {
     "input": (str, None, ("ingest",), "district CSV file"),
     "bins": (str, "fd", ("ingest",), "bin count or 'fd'"),
     "extreme_lo": (float, ingest.DEFAULT_EXTREME_LOW, ("ingest",),
-                   "lower extreme-value bound, thousands"),
+                   "lower extreme-value bound, data units"),
     "extreme_hi": (float, ingest.DEFAULT_EXTREME_HIGH, ("ingest",),
-                   "upper extreme-value bound, thousands"),
+                   "upper extreme-value bound, data units"),
     "years": (str, "-".join(map(str, ingest.DEFAULT_YEARS)), ("ingest",),
               "year filter, YYYY or YYYY-YYYY"),
     "restarts": (int, mapfit.DEFAULT_RESTARTS, ("fit",), "extra Latin-hypercube starts"),
@@ -77,18 +81,19 @@ SETTINGS = {
     "draws": (int, mcmc.ChainConfig.draws, ("sample",), "post-tune draws per chain"),
     "tune": (int, mcmc.ChainConfig.tune, ("sample",),
              "burn-in steps per chain (random walk: adaptation)"),
+    # Prior settings left at None are filled by _priors_from_settings.
     "prior_t_center": (float, None, ("sample",), "prior center for t (default: MAP)"),
-    "prior_t_sd": (float, mcmc.DEFAULT_SCALE_SD, ("sample",), "prior sd for t"),
+    "prior_t_sd": (float, None, ("sample",), f"prior sd for t (default: {_SCALE_SD})"),
     "prior_s_center": (float, None, ("sample",), "prior center for s (default: MAP)"),
-    "prior_s_sd": (float, mcmc.DEFAULT_SCALE_SD, ("sample",), "prior sd for s"),
+    "prior_s_sd": (float, None, ("sample",), f"prior sd for s (default: {_SCALE_SD})"),
     "prior_mu_center": (float, None, ("sample",), "prior center for mu (default: MAP)"),
-    "prior_mu_sd": (float, mcmc.DEFAULT_LOCATION_SD, ("sample",), "prior sd for mu"),
+    "prior_mu_sd": (float, None, ("sample",), f"prior sd for mu (default: {_LOCATION_SD})"),
     "prior_alpha_center": (float, None, ("sample",), "prior center for alpha (default: MAP)"),
-    "prior_alpha_sd": (float, mcmc.DEFAULT_LOCATION_SD, ("sample",), "prior sd for alpha"),
-    "prior_bound_low": (float, mcmc.TRUNCATION_LOW, ("sample",),
-                        "lower truncation bound for T and S"),
-    "prior_bound_high": (float, mcmc.TRUNCATION_HIGH, ("sample",),
-                         "upper truncation bound for T and S"),
+    "prior_alpha_sd": (float, None, ("sample",), f"prior sd for alpha (default: {_LOCATION_SD})"),
+    "prior_bound_low": (float, None, ("sample",),
+                        f"lower truncation bound for T and S (default: {_LOW})"),
+    "prior_bound_high": (float, None, ("sample",),
+                         f"upper truncation bound for T and S (default: {_HIGH})"),
     "t": (float, 5.0, ("simulate",), "behavior temperature"),
     "s": (float, 5.0, ("simulate",), "market scale"),
     "mu": (float, 0.0, ("simulate",), "tipping point"),
@@ -267,23 +272,18 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _priors_from_settings(settings: dict, map_params: model.QrseParams) -> mcmc.PriorSpec:
-    # Prior centers default to the MAP estimate; flags override per parameter.
-    def center(key: str, fallback: float) -> float:
-        return settings[key] if settings[key] is not None else fallback
-
-    return mcmc.PriorSpec(
-        t_center=center("prior_t_center", map_params.T),
-        s_center=center("prior_s_center", map_params.S),
-        mu_center=center("prior_mu_center", map_params.mu),
-        alpha_center=center("prior_alpha_center", map_params.alpha),
-        t_sd=settings["prior_t_sd"],
-        s_sd=settings["prior_s_sd"],
-        mu_sd=settings["prior_mu_sd"],
-        alpha_sd=settings["prior_alpha_sd"],
-        bound_low=settings["prior_bound_low"],
-        bound_high=settings["prior_bound_high"],
-    )
+def _priors_from_settings(settings: dict, map_params: model.QrseParams,
+                          unit: float) -> mcmc.PriorSpec:
+    # A prior field the settings leave unset takes the MAP's value for a centre
+    # and PriorSpec's default times the data unit for an sd or a bound.
+    fallbacks = {f"{f.name.lower()}_center": getattr(map_params, f.name)
+                 for f in dataclasses.fields(map_params)}
+    fallbacks |= {f.name: unit * f.default for f in dataclasses.fields(mcmc.PriorSpec)
+                  if f.init and f.default is not dataclasses.MISSING}
+    return mcmc.PriorSpec(**{
+        name: fallback if settings[f"prior_{name}"] is None else settings[f"prior_{name}"]
+        for name, fallback in fallbacks.items()
+    })
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -293,14 +293,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     cleaned = _load_artifact(
         outdir / CLEANED_FILE, "cleaned sample", ingest.CleanedSample.from_json
     )
+    unit = mapfit.data_unit(_load_histogram(outdir))
 
-    priors = _priors_from_settings(settings, map_result.params)
-    config = mcmc.ChainConfig(
-        chains=settings["chains"],
-        draws=settings["draws"],
-        tune=settings["tune"],
-        seed=settings["seed"],
-    )
+    priors = _priors_from_settings(settings, map_result.params, unit)
+    config = mcmc.ChainConfig(**{key: settings[key] for key in ("chains", "draws", "tune", "seed")})
     posterior = mcmc.run_chains(cleaned.values, priors, config)
     mcmc.save_trace(posterior, outdir / TRACE_FILE)
     rates = " ".join(f"{r:.3f}" for r in posterior.acceptance_rates)

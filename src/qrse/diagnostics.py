@@ -158,6 +158,17 @@ def _normal_quantile(p: np.ndarray) -> np.ndarray:
     return x
 
 
+def _summary_samples(samples) -> np.ndarray:
+    """The samples as one flat float array; TooFewSamples with fewer than
+    MIN_SUMMARY_SAMPLES, and a ValueError unless all are finite."""
+    values = np.asarray(samples, dtype=float).reshape(-1)
+    if values.size < MIN_SUMMARY_SAMPLES:
+        raise TooFewSamples(f"need >= {MIN_SUMMARY_SAMPLES} samples, got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("samples must be finite")
+    return values
+
+
 def hdi(samples, prob: float = DEFAULT_HDI_PROB) -> tuple[float, float]:
     """Shortest contiguous interval holding ceil(prob * n) sorted samples.
 
@@ -165,12 +176,12 @@ def hdi(samples, prob: float = DEFAULT_HDI_PROB) -> tuple[float, float]:
     ------
     TooFewSamples
         With fewer than MIN_SUMMARY_SAMPLES samples.
+    ValueError
+        For a prob outside (0, 1) or a sample that is not finite.
     """
     if not (0.0 < prob < 1.0):
         raise ValueError(f"prob must be in (0, 1), got {prob!r}")
-    values = np.sort(np.asarray(samples, dtype=float).reshape(-1))
-    if values.size < MIN_SUMMARY_SAMPLES:
-        raise TooFewSamples(f"need >= {MIN_SUMMARY_SAMPLES} samples, got {values.size}")
+    values = np.sort(_summary_samples(samples))
     k = int(math.ceil(prob * values.size))
     widths = values[k - 1:] - values[: values.size - k + 1]
     start = int(np.argmin(widths))
@@ -187,10 +198,10 @@ def posterior_mode(samples) -> float:
     ------
     TooFewSamples
         With fewer than MIN_SUMMARY_SAMPLES samples.
+    ValueError
+        For a sample that is not finite.
     """
-    values = np.asarray(samples, dtype=float).reshape(-1)
-    if values.size < MIN_SUMMARY_SAMPLES:
-        raise TooFewSamples(f"need >= {MIN_SUMMARY_SAMPLES} samples, got {values.size}")
+    values = _summary_samples(samples)
     ordered = np.sort(values)
     if float(ordered[0]) == float(ordered[-1]):
         return float(values[0])

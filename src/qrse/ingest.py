@@ -5,9 +5,9 @@ local taxes and charges, enrollment, and population. The returns variable is
 
     x = expenditures / enrollment - taxes / population   (kappa - tau)
 
-in thousands of dollars per pupil and per capita respectively. Cleaning drops
-rows with missing or zero-denominator fields (counted as excluded_missing)
-and rows whose x falls outside configurable extreme-value bounds (counted as
+per pupil and per capita, in the money columns' unit. Cleaning drops rows
+with missing or zero-denominator fields (counted as excluded_missing) and
+rows whose x falls outside configurable extreme-value bounds (counted as
 excluded_extreme), then summarizes the survivors.
 """
 
@@ -34,15 +34,15 @@ CSV_HEADER = [
 ]
 
 DEFAULT_YEARS = (2000, 2016)
-# Bounds bracket every plausible district-level value; anything outside is a
-# data-entry artifact, not a real return.
+# Bounds bracket every plausible district-level value in thousands of
+# dollars; anything outside is a data-entry artifact, not a real return.
 DEFAULT_EXTREME_LOW = -50.0
 DEFAULT_EXTREME_HIGH = 120.0
 
 
 @dataclass(frozen=True)
 class DistrictRecord:
-    """One district-year row. Monetary fields are in thousands of dollars.
+    """One district-year row. Monetary fields share one currency unit.
 
     Missing numeric fields are carried as NaN and resolved by ``clean``.
     """

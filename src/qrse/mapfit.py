@@ -23,7 +23,7 @@ hypercube over the box. Nothing here imports SciPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,10 +39,13 @@ from .model import (
     _log_partition,
     bin_probabilities,
 )
-from .synthetic import rng_from_seed
+from .synthetic import check_integer, rng_from_seed
 
 FREQUENCY_FLOOR = 1e-10
+# The scale box in data units (``data_unit``). QRSE data inside it have an
+# sd of at most 11.24 (at T = 0.1, S = 8, mu = alpha), so their unit is 1.
 DEFAULT_SCALE_BOUNDS = (0.1, 8.0)
+UNIT_SD = 16.0
 DEFAULT_RESTARTS = 8
 
 
@@ -68,13 +71,14 @@ class MapResult:
             raise ValueError(f"kl must be nonnegative, got {self.kl!r}")
         if abs(self.soofi_id - (-math.expm1(-self.kl))) > 1e-12:
             raise ValueError("soofi_id is inconsistent with kl")
+        check_integer("iterations", self.iterations)
+        check_integer("restarts_used", self.restarts_used)
+        if not isinstance(self.converged, bool):
+            raise ValueError(f"converged must be a boolean, got {self.converged!r}")
 
     def to_json(self) -> dict:
         return {
-            "T": self.params.T,
-            "S": self.params.S,
-            "mu": self.params.mu,
-            "alpha": self.params.alpha,
+            **asdict(self.params),
             "kl": self.kl,
             "soofi_id": self.soofi_id,
             "iterations": self.iterations,
@@ -85,17 +89,12 @@ class MapResult:
     @classmethod
     def from_json(cls, payload: dict) -> "MapResult":
         return cls(
-            params=QrseParams(
-                T=float(payload["T"]),
-                S=float(payload["S"]),
-                mu=float(payload["mu"]),
-                alpha=float(payload["alpha"]),
-            ),
+            params=QrseParams(**{name: float(payload[name]) for name in ("T", "S", "mu", "alpha")}),
             kl=float(payload["kl"]),
             soofi_id=float(payload["soofi_id"]),
-            iterations=int(payload["iterations"]),
-            converged=bool(payload["converged"]),
-            restarts_used=int(payload["restarts_used"]),
+            iterations=payload["iterations"],
+            converged=payload["converged"],
+            restarts_used=payload["restarts_used"],
         )
 
 
@@ -149,9 +148,22 @@ def _histogram_moments(hist: HistogramSpec) -> tuple[float, float, float]:
     return mean, math.sqrt(max(var, 0.0)), median
 
 
+def data_unit(hist: HistogramSpec) -> float:
+    """The least power of ten u >= 1 with the histogram's sd at most UNIT_SD u.
+
+    The density is equivariant under x -> c x, (T, S, mu, alpha) -> c (T, S,
+    mu, alpha), so the fit's scale box and the sampler's default truncation
+    and prior sds are set in units of u, whatever the currency unit of x."""
+    sd, unit = _histogram_moments(hist)[1], 1.0
+    while sd > UNIT_SD * unit:
+        unit *= 10.0
+    return unit
+
+
 def _default_bounds(hist: HistogramSpec):
+    scales = tuple(data_unit(hist) * bound for bound in DEFAULT_SCALE_BOUNDS)
     low, high = float(hist.edges[0]), float(hist.edges[-1])
-    return (DEFAULT_SCALE_BOUNDS, DEFAULT_SCALE_BOUNDS, (low, high), (low, high))
+    return (scales, scales, (low, high), (low, high))
 
 
 def _check_bounds(bounds) -> None:
@@ -376,9 +388,10 @@ def fit_map(
         ``restarts`` Latin-hypercube starts spread over the bounds box;
         ``restarts=0`` fits from the moment start alone.
     bounds : sequence of four (low, high) pairs, optional
-        Box on (T, S, mu, alpha). Defaults to (0.1, 8) for the scales and
-        the histogram span for the locations. Every bound must be finite,
-        each low below its high, and the scale bounds positive.
+        Box on (T, S, mu, alpha). Defaults to (0.1, 8) times
+        ``data_unit(hist)`` for the scales and the histogram span for the
+        locations. Every bound must be finite, each low below its high, and
+        the scale bounds positive.
     seed : int
         Seeds the Latin-hypercube start layout (Philox); the search itself
         is deterministic.

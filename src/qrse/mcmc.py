@@ -76,11 +76,10 @@ from .model import (
     build_density,
     log_likelihood,
 )
-from .synthetic import RNG_ALGORITHM, rng_from_seed
+from .synthetic import RNG_ALGORITHM, check_integer, rng_from_seed
 
 DEFAULT_SCALE_SD = 2.0
 DEFAULT_LOCATION_SD = 10.0
-TRUNCATION_LOW, TRUNCATION_HIGH = DEFAULT_SCALE_BOUNDS
 
 ADAPT_WINDOW = 100
 ADAPT_GROW = 1.1
@@ -129,8 +128,8 @@ class PriorSpec:
     s_sd: float = DEFAULT_SCALE_SD
     mu_sd: float = DEFAULT_LOCATION_SD
     alpha_sd: float = DEFAULT_LOCATION_SD
-    bound_low: float = TRUNCATION_LOW
-    bound_high: float = TRUNCATION_HIGH
+    bound_low: float = DEFAULT_SCALE_BOUNDS[0]
+    bound_high: float = DEFAULT_SCALE_BOUNDS[1]
     _t_log_mass: float = field(init=False, repr=False, compare=False)
     _s_log_mass: float = field(init=False, repr=False, compare=False)
 
@@ -231,7 +230,7 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Sampler settings. Defaults match the full-scale production run."""
+    """Sampler settings, with integer counts. Defaults match the full-scale production run."""
 
     chains: int = 3
     draws: int = 30000
@@ -241,6 +240,8 @@ class ChainConfig:
     step_scales: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("chains", "draws", "tune", "seed"):
+            check_integer(name, getattr(self, name))
         if self.chains < 2:
             raise ValueError("need at least 2 chains for convergence diagnostics")
         if self.draws < 1:
@@ -899,10 +900,10 @@ def save_trace(posterior: PosteriorDraws, path) -> None:
         "format": TRACE_FORMAT,
         "rng": posterior.rng_algorithm,
         "kernel": posterior.kernel,
-        "seed": config.seed,
-        "chains": config.chains,
-        "draws": config.draws,
-        "tune": config.tune,
+        "seed": int(config.seed),
+        "chains": int(config.chains),
+        "draws": int(config.draws),
+        "tune": int(config.tune),
         "priors": posterior.priors.to_json(),
         "acceptance_rates": list(posterior.acceptance_rates),
         "step_scales": [list(s) for s in posterior.step_scales],
@@ -939,12 +940,7 @@ def load_trace(path) -> PosteriorDraws:
             if handle.readline().rstrip("\n") != TRACE_HEADER:
                 raise ValueError(f"column header is not {TRACE_HEADER!r}")
             rows = handle.readlines()
-        config = ChainConfig(
-            chains=int(metadata["chains"]),
-            draws=int(metadata["draws"]),
-            tune=int(metadata["tune"]),
-            seed=int(metadata["seed"]),
-        )
+        config = ChainConfig(**{key: metadata[key] for key in ("chains", "draws", "tune", "seed")})
         shape = (config.chains, config.draws)
         if len(rows) != shape[0] * shape[1]:
             raise ValueError(f"{len(rows)} rows, expected {shape[0]} chains x {shape[1]} draws")

@@ -1,7 +1,7 @@
 """Core QRSE density machinery.
 
 The model describes the distribution of a continuous outcome x (educational
-returns, in thousands of dollars) shaped by a binary enter/leave decision.
+returns, in a currency unit) shaped by a binary enter/leave decision.
 Households enter or exit a district with logit probabilities centered at a
 tipping point mu and sharpness set by a behavior temperature T; a market-level
 feedback term pulls the outcome toward a barycenter alpha with strength 1/S.
@@ -24,8 +24,8 @@ data, the reference the tests hold that sum to, less N times
 data in either mode, so neither value depends on the data's order. The kernel
 at a set of points has one chunk loop, ``_kernel_rows``, for one row or many.
 
-All four parameters are in thousands of dollars. Operations broadcast over
-numpy arrays and accept scalars.
+All four parameters are in the unit of x (the density is equivariant under
+x -> c x). Operations broadcast over numpy arrays and accept scalars.
 """
 
 from __future__ import annotations
@@ -86,11 +86,11 @@ class QrseParams:
     Attributes
     ----------
     T : float
-        Behavior temperature, thousands of dollars. Scale of the household
+        Behavior temperature, in the unit of x. Scale of the household
         logit choice; T -> 0 approaches a deterministic step rule. Must be
         strictly positive (the zero-entropy limit is excluded).
     S : float
-        Market scale, thousands of dollars. Inverse of the feedback strength
+        Market scale, in the unit of x. Inverse of the feedback strength
         gamma = 1/S. Strictly positive.
     mu : float
         Household tipping point: the outcome level at which entering and
@@ -160,8 +160,9 @@ class EvalGrid:
     def from_bounds(cls, low: float, high: float, n_points: int = DEFAULT_GRID_POINTS) -> "EvalGrid":
         if not (high > low):
             raise ValueError("grid upper bound must exceed lower bound")
-        points = np.linspace(low, high, n_points)
-        return cls(points=points, spacing=(high - low) / (n_points - 1))
+        # Fewer than 2 points fail the grid's own check, with a NaN step.
+        points, spacing = np.linspace(low, high, max(n_points, 0), retstep=True)
+        return cls(points=points, spacing=float(spacing))
 
     @classmethod
     def spanning(cls, points, scale: float, cover=()) -> "EvalGrid":

@@ -9,6 +9,7 @@ bit-identical output on any platform.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,12 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def check_integer(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is an int or a numpy integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     """How many draws, from which seed, for ``sample``'s auto grid; use
@@ -34,6 +41,8 @@ class SampleConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        check_integer("n", self.n)
+        check_integer("seed", self.seed)
         if self.n < 1:
             raise ValueError(f"draw count must be >= 1, got {self.n!r}")
         if self.seed < 0:

@@ -287,6 +287,20 @@ class TestFit:
         assert run("fit", "--outdir", str(pipeline_dir)) == 3
 
 
+# Edits to a fitted map.json that `sample` must reject, naming the file, and
+# the message it gives. "false" once read as True, 12.7 as 12 and "8" as 8.
+MAP_EDITS = {
+    "not-an-object": (lambda payload: [], "expected a JSON object"),
+    "missing-key": (lambda payload: {"T": 1}, "missing key 'S'"),
+    "string-converged": (lambda payload: payload | {"converged": "false"},
+                         "converged must be a boolean, got 'false'"),
+    "fractional-iterations": (lambda payload: payload | {"iterations": 12.7},
+                              "iterations must be an integer, got 12.7"),
+    "string-restarts": (lambda payload: payload | {"restarts_used": "8"},
+                        "restarts_used must be an integer, got '8'"),
+}
+
+
 class TestSampleAndReport:
     def test_pipeline_through_report(self, pipeline_dir, capsys):
         rc = run("sample", "--outdir", str(pipeline_dir), "--chains", "2",
@@ -469,13 +483,10 @@ class TestSampleAndReport:
         assert "1248000001-point grid" in err
         assert "Traceback" not in err and "MemoryError" not in err
 
-    @pytest.mark.parametrize(
-        "payload, message",
-        [([], "expected a JSON object"), ({"T": 1}, "missing key 'S'")],
-        ids=["not-an-object", "missing-key"],
-    )
-    def test_malformed_map_exits_2(self, pipeline_dir, tmp_path, capsys, payload, message):
+    @pytest.mark.parametrize("edit, message", MAP_EDITS.values(), ids=MAP_EDITS)
+    def test_malformed_map_exits_2(self, pipeline_dir, tmp_path, capsys, edit, message):
         shutil.copy(pipeline_dir / "cleaned.json", tmp_path)
+        payload = edit(json.loads((pipeline_dir / "map.json").read_text()))
         (tmp_path / "map.json").write_text(json.dumps(payload))
         assert run("sample", "--outdir", str(tmp_path)) == 2
         assert capsys.readouterr().err == f"error: {tmp_path / 'map.json'}: {message}\n"
@@ -523,6 +534,76 @@ class TestBoxWall:
         with open(f"{d}/trace.csv") as trace:
             assert '"kernel": "independence-t5"' in trace.readline()
         assert run("report", "--outdir", d) == 0
+
+
+# Money-column multipliers for the data-unit tests: data in thousands, in
+# hundreds and in dollars.
+UNIT_CASES = (1, 10, 1000)
+
+
+@pytest.fixture(scope="module")
+def unit_runs(tmp_path_factory):
+    """c -> (map.json, trace) of the README-θ pipeline on 2,000 draws, with
+    both money columns and the extreme bounds multiplied by c."""
+    base = tmp_path_factory.mktemp("units")
+    assert run("simulate", "--outdir", str(base), "--t", "2.1", "--s", "4.9", "--mu", "8.66",
+               "--alpha", "17.8", "-n", "2000", "--seed", "7") == 0
+    header, *rows = (base / "synthetic.csv").read_text().splitlines()
+    runs = {}
+    for c in UNIT_CASES:
+        outdir = base / f"times-{c}"
+        outdir.mkdir()
+        lines = [header]
+        for row in rows:
+            cells = row.split(",")
+            cells[2:4] = (repr(float(cell) * c) for cell in cells[2:4])
+            lines.append(",".join(cells))
+        (outdir / "data.csv").write_text("\n".join(lines) + "\n")
+        assert run("ingest", "--outdir", str(outdir), "--input", str(outdir / "data.csv"),
+                   "--extreme-lo", repr(-50.0 * c), "--extreme-hi", repr(120.0 * c)) == 0
+        assert run("fit", "--outdir", str(outdir)) == 0
+        assert run("sample", "--outdir", str(outdir), "--chains", "3", "--draws", "1000",
+                   "--tune", "200") == 0
+        runs[c] = (json.loads((outdir / "map.json").read_text()),
+                   mcmc.load_trace(outdir / "trace.csv"))
+    return runs
+
+
+class TestDataUnit:
+    """The QRSE density is equivariant under x -> c x, and the fit's scale
+    box and the sampler's default priors follow the data unit, so the
+    estimates do not depend on the currency unit of the money columns."""
+
+    @pytest.mark.parametrize("c", UNIT_CASES[1:])
+    def test_map_scales_with_the_data(self, unit_runs, c):
+        reference, scaled = unit_runs[1][0], unit_runs[c][0]
+        for name in ("T", "S", "mu", "alpha"):
+            assert scaled[name] == pytest.approx(c * reference[name], rel=1e-6)
+        assert scaled["kl"] == pytest.approx(reference["kl"], abs=1e-9)
+
+    @pytest.mark.parametrize("c", UNIT_CASES[1:])
+    def test_posterior_scales_with_the_data(self, unit_runs, c):
+        reference, scaled = unit_runs[1][1], unit_runs[c][1]
+        assert scaled.kernel == reference.kernel == mcmc.INDEPENDENCE
+        # MCSE from batch means of 100 draws inside each chain.
+        batches = reference.draws.reshape(3, 10, 100, 4).mean(axis=2).reshape(-1, 4)
+        mcse = batches.std(axis=0, ddof=1) / math.sqrt(batches.shape[0])
+        error = np.abs(scaled.draws.mean(axis=(0, 1)) / c - reference.draws.mean(axis=(0, 1)))
+        assert np.all(error <= 4.0 * mcse), (error, mcse)
+
+    @pytest.mark.parametrize(
+        "params, n, seed",
+        [
+            ((2.1, 4.9, 8.66, 17.8), 20000, 7),  # the README Quick start
+            ((5.0, 5.0, 0.0, 0.0), 500, 1),  # CI's run
+            ((0.59, 6.412, -1.765, 17.457), 1000, 60),  # CI's box-wall case
+            ((0.1, 8.0, 0.0, 0.0), 20000, 0),  # the widest density in the box
+        ],
+        ids=["quick-start", "ci-run", "ci-box-wall", "widest"],
+    )
+    def test_data_that_fit_the_box_keep_unit_1(self, params, n, seed):
+        draws = sample(QrseParams(*params), SampleConfig(n=n, seed=seed))
+        assert cli.mapfit.data_unit(ingest.build_histogram(draws, "fd")) == 1.0
 
 
 class TestConfigFile:
@@ -614,8 +695,8 @@ EXPECTED_FLAGS = {
     "ingest": COMMON_FLAGS | {
         (("--input",), "district CSV file"),
         (("--bins",), "bin count or 'fd'"),
-        (("--extreme-lo",), "lower extreme-value bound, thousands"),
-        (("--extreme-hi",), "upper extreme-value bound, thousands"),
+        (("--extreme-lo",), "lower extreme-value bound, data units"),
+        (("--extreme-hi",), "upper extreme-value bound, data units"),
         (("--years",), "year filter, YYYY or YYYY-YYYY"),
     },
     "fit": COMMON_FLAGS | {
@@ -630,12 +711,12 @@ EXPECTED_FLAGS = {
         (("--prior-s-center",), "prior center for s (default: MAP)"),
         (("--prior-mu-center",), "prior center for mu (default: MAP)"),
         (("--prior-alpha-center",), "prior center for alpha (default: MAP)"),
-        (("--prior-t-sd",), "prior sd for t"),
-        (("--prior-s-sd",), "prior sd for s"),
-        (("--prior-mu-sd",), "prior sd for mu"),
-        (("--prior-alpha-sd",), "prior sd for alpha"),
-        (("--prior-bound-low",), "lower truncation bound for T and S"),
-        (("--prior-bound-high",), "upper truncation bound for T and S"),
+        (("--prior-t-sd",), "prior sd for t (default: 2 × data unit)"),
+        (("--prior-s-sd",), "prior sd for s (default: 2 × data unit)"),
+        (("--prior-mu-sd",), "prior sd for mu (default: 10 × data unit)"),
+        (("--prior-alpha-sd",), "prior sd for alpha (default: 10 × data unit)"),
+        (("--prior-bound-low",), "lower truncation bound for T and S (default: 0.1 × data unit)"),
+        (("--prior-bound-high",), "upper truncation bound for T and S (default: 8 × data unit)"),
     },
     "report": COMMON_FLAGS,
     "simulate": COMMON_FLAGS | {
@@ -663,21 +744,27 @@ class TestParser:
 
     def test_sample_defaults_are_the_sampler_defaults(self):
         # Each default `qrse sample` resolves is the default of the
-        # ChainConfig or PriorSpec field it feeds; the prior centres default
-        # to the MAP.
+        # ChainConfig field it feeds. At data unit 1 the priors are
+        # PriorSpec's defaults, centred at the MAP; at unit 1000 the sds and
+        # bounds are 1000 times those, and a flag is taken as given.
         settings = cli._resolve(cli.build_parser().parse_args(["sample"]))
         defaults = {field.name: field.default for field in dataclasses.fields(mcmc.ChainConfig)
                     if field.name in settings}
-        defaults |= {f"prior_{field.name}": field.default
-                     for field in dataclasses.fields(mcmc.PriorSpec)
-                     if field.init and field.default is not dataclasses.MISSING}
-        assert sorted(defaults) == [
-            "chains", "draws", "prior_alpha_sd", "prior_bound_high", "prior_bound_low",
-            "prior_mu_sd", "prior_s_sd", "prior_t_sd", "seed", "tune",
-        ]
+        assert sorted(defaults) == ["chains", "draws", "seed", "tune"]
         assert {name: settings[name] for name in defaults} == defaults
-        for name in ("t", "s", "mu", "alpha"):
-            assert settings[f"prior_{name}_center"] is None
+        assert all(settings[key] is None for key in cli.SETTINGS if key.startswith("prior_"))
+        map_params = QrseParams(T=2.5, S=4.5, mu=8.0, alpha=18.0)
+        centres = dict(t_center=2.5, s_center=4.5, mu_center=8.0, alpha_center=18.0)
+        assert cli._priors_from_settings(settings, map_params, 1.0) == mcmc.PriorSpec(**centres)
+        scaled = cli._priors_from_settings(
+            settings | {"prior_mu_sd": 3.0}, QrseParams(T=2500.0, S=4500.0, mu=8000.0, alpha=18000.0),
+            1000.0,
+        )
+        assert scaled == mcmc.PriorSpec(
+            **{name: 1000.0 * value for name, value in centres.items()},
+            t_sd=2000.0, s_sd=2000.0, mu_sd=3.0, alpha_sd=10000.0,
+            bound_low=100.0, bound_high=8000.0,
+        )
 
     def test_ingest_defaults_are_the_reader_defaults(self):
         # The year filter and extreme bounds `qrse ingest` resolves are the

@@ -158,6 +158,14 @@ class TestHdi:
         with pytest.raises(TooFewSamples):
             hdi(np.zeros(10), 0.94)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples(self, bad):
+        # A NaN once gave the interval (1.0, nan).
+        samples = np.linspace(0.0, 1.0, 100)
+        samples[50] = bad
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            hdi(samples, 0.94)
+
 
 class TestPosteriorMode:
     def test_near_peak_of_normal(self):
@@ -171,6 +179,14 @@ class TestPosteriorMode:
     def test_too_few(self):
         with pytest.raises(TooFewSamples):
             posterior_mode(np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples(self, bad):
+        # These once reached np.histogram's "autodetected range" message.
+        samples = np.linspace(0.0, 1.0, 100)
+        samples[50] = bad
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            posterior_mode(samples)
 
 
 class TestParamSummary:

@@ -111,6 +111,12 @@ class TestSpanning:
     def test_default_size(self):
         assert EvalGrid.spanning((0.0,), 1.0).points.size == DEFAULT_GRID_POINTS
 
+    @pytest.mark.parametrize("n_points", [1, 0, -3])
+    def test_from_bounds_needs_two_points(self, n_points):
+        # One point once divided by zero for the spacing.
+        with pytest.raises(ValueError, match="grid needs at least 2 points"):
+            EvalGrid.from_bounds(0.0, 1.0, n_points)
+
     @PROPERTY_SETTINGS
     @given(params_st)
     def test_auto_matches_oracle(self, params):

@@ -356,3 +356,25 @@ def test_newton_ends_no_higher_than_lbfgsb(gate_histograms, capsys, case):
     assert result.kl <= LBFGSB_KL[case] + 1e-10
     assert result.converged
     assert len(calls) <= 800
+
+
+class TestDataUnit:
+    @pytest.mark.parametrize(
+        "half_width, unit",
+        [(1.0, 1.0), (32.0, 1.0), (32.001, 10.0), (320.0, 10.0), (320.1, 100.0), (3.2e7, 1e6)],
+    )
+    def test_least_power_of_ten_with_sd_at_most_16_units(self, half_width, unit):
+        # Two equal bins, so the sd is half a bin width.
+        hist = HistogramSpec(edges=np.array([0.0, half_width, 2.0 * half_width]),
+                             frequencies=np.array([0.5, 0.5]), counts=np.array([1.0, 1.0]))
+        assert mapfit._histogram_moments(hist)[1] == half_width / 2.0
+        assert mapfit.data_unit(hist) == unit
+
+    def test_default_scale_box_follows_the_unit(self, medium_hist):
+        # The same data with the money columns in dollars, not thousands.
+        dollars = HistogramSpec(edges=1000.0 * medium_hist.edges,
+                                frequencies=medium_hist.frequencies, counts=medium_hist.counts)
+        assert mapfit.data_unit(medium_hist) == 1.0
+        assert mapfit.data_unit(dollars) == 1000.0
+        assert mapfit._default_bounds(medium_hist)[:2] == (mapfit.DEFAULT_SCALE_BOUNDS,) * 2
+        assert mapfit._default_bounds(dollars)[:2] == ((100.0, 8000.0),) * 2

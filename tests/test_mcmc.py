@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 
 import numpy as np
@@ -323,6 +324,24 @@ class TestChainConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ChainConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["chains", "draws", "tune", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
+    def test_counts_must_be_integers(self, name, value):
+        # chains = 2.5 once failed later, in numpy, with an untyped TypeError.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            ChainConfig(**{name: value})
+
+    def test_numpy_integers_pass_and_save(self, tmp_path):
+        # A numpy-integer config once broke save_trace's JSON metadata.
+        data = sample(REF, SampleConfig(n=50, seed=1))
+        priors = PriorSpec(t_center=2.1, s_center=4.9, mu_center=8.66, alpha_center=17.8)
+        plain = run_chains(data, priors, ChainConfig(chains=2, draws=20, tune=5, seed=1))
+        config = ChainConfig(chains=np.int64(2), draws=np.int32(20), tune=np.uint8(5), seed=np.int64(1))
+        posterior = run_chains(data, priors, config)
+        np.testing.assert_array_equal(posterior.draws, plain.draws)
+        save_trace(posterior, tmp_path / "trace.csv")
+        np.testing.assert_array_equal(load_trace(tmp_path / "trace.csv").draws, plain.draws)
 
     def test_initial_length_must_match_chains(self):
         with pytest.raises(ValueError):
@@ -1189,6 +1208,19 @@ class TestTrace:
             load_trace(path)
         assert str(caught.value) == f"{path}: not a valid trace file: missing key 'chains'"
 
+    def test_fractional_count_is_rejected(self, small_posterior, tmp_path):
+        # 100.5 draws once loaded as 100.
+        def edit(lines):
+            metadata = json.loads(lines[0][2:])
+            metadata["draws"] += 0.5
+            return ["# " + json.dumps(metadata)] + lines[1:]
+
+        path = self.write_trace(small_posterior, tmp_path, edit)
+        with pytest.raises(ParseError) as caught:
+            load_trace(path)
+        assert str(caught.value) == (
+            f"{path}: not a valid trace file: draws must be an integer, got 100.5"
+        )
 
     def write_trace(self, posterior, tmp_path, edit):
         path = tmp_path / "trace.csv"

@@ -24,6 +24,20 @@ class TestSampleConfig:
         with pytest.raises(ValueError):
             SampleConfig(n=10, seed=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"n": 2.5, "seed": 0}, "n"), ({"n": 10, "seed": 1.0}, "seed"),
+         ({"n": "10", "seed": 0}, "n"), ({"n": True, "seed": 0}, "n")],
+    )
+    def test_counts_must_be_integers(self, kwargs, name):
+        # n = 2.5 once failed later, in numpy, with an untyped TypeError.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SampleConfig(**kwargs)
+
+    def test_numpy_integers_pass(self):
+        config = SampleConfig(n=np.int64(100), seed=np.uint32(5))
+        np.testing.assert_array_equal(sample(REF, config), sample(REF, SampleConfig(100, 5)))
+
 
 class TestSample:
     def test_deterministic_per_seed(self):
