@@ -38,7 +38,8 @@ FIT_CURVE_FILE = "fit_curve.csv"
 QUANTAL_FILE = "quantal_response.csv"
 VARIATION_FILE = "parameter_variation.csv"
 
-# Baseline for the parameter-variation export: the symmetric reference case.
+# The parameter-variation export's symmetric baseline and the values each
+# parameter takes, like its x grid of +-90, in data units (mapfit.data_unit).
 VARIATION_BASELINE = model.QrseParams(T=5.0, S=5.0, mu=0.0, alpha=0.0)
 VARIATION_VALUES = {
     "T": (2.5, 5.0, 10.0),
@@ -215,7 +216,7 @@ def _load_artifact(path: Path, what: str, from_json):
         return from_json(payload)
     except KeyError as err:
         raise ParseError(f"{path}: missing key {err}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:  # a JSON integer past float's range
         raise ParseError(f"{path}: {err}") from None
 
 
@@ -339,14 +340,14 @@ def _export_quantal_response(path: Path, table: model.DensityTable,
     )
 
 
-def _export_parameter_variation(path: Path) -> None:
-    base = VARIATION_BASELINE
-    grid = model.EvalGrid.from_bounds(-90.0, 90.0, 1201)
+def _export_parameter_variation(path: Path, unit: float) -> None:
+    base = model.QrseParams(*(unit * VARIATION_BASELINE.as_array()).tolist())
+    grid = model.EvalGrid.from_bounds(-90.0 * unit, 90.0 * unit, 1201)
     # The x cells are the same in every block, so they are formatted once.
     x_cells = [f"{x!r}," for x in grid.points.tolist()]
     parts = ["parameter,value,x,pdf\n"]
     for name, values in VARIATION_VALUES.items():
-        for value in values:
+        for value in (unit * v for v in values):
             table = model.build_density(dataclasses.replace(base, **{name: value}), grid)
             prefix = f"{name},{value!r},"
             parts += [f"{prefix}{x}{p!r}\n" for x, p in zip(x_cells, table.pdf.tolist())]
@@ -374,7 +375,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     table = model.build_density(mean_params, diagnostics.report_grid(mean_params, hist))
     _export_fit_curve(outdir / FIT_CURVE_FILE, hist, table, mean_params)
     _export_quantal_response(outdir / QUANTAL_FILE, table, mean_params)
-    _export_parameter_variation(outdir / VARIATION_FILE)
+    _export_parameter_variation(outdir / VARIATION_FILE, mapfit.data_unit(hist))
 
     print(text)
     print(

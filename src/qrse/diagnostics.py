@@ -274,22 +274,23 @@ class FitReport:
 
     def to_text(self) -> str:
         """Aligned plain-text table in the conventional presentation order."""
-        hdi_label = f"{round(100 * self.hdi_prob)}% HDI"
-        header = f"{'parameter':<10} {'mean (sd)':>16} {'mode':>8} {hdi_label:>18} {'rhat':>6}"
-        lines = [header, "-" * len(header)]
-        for name, s in self.rows:
-            mean_sd = f"{s.mean:.2f} ({s.sd:.2f})"
-            interval = f"[{s.hdi_low:.2f}, {s.hdi_high:.2f}]"
-            lines.append(
-                f"{name:<10} {mean_sd:>16} {s.mode:>8.2f} {interval:>18} {s.rhat:>6.2f}"
-            )
-        lines.append("")
-        lines.append(f"N:             {self.n}")
-        lines.append(f"KL divergence: {self.kl:.6f}")
-        lines.append(f"Soofi ID:      {self.soofi_id:.6f}")
-        lines.append(
-            f"chains={self.chains} draws={self.draws} tune={self.tune} seed={self.seed}"
-        )
+        table = [("parameter", "mean (sd)", "mode", f"{round(100 * self.hdi_prob)}% HDI", "rhat")]
+        table += [(name, f"{s.mean:.2f} ({s.sd:.2f})", f"{s.mode:.2f}",
+                   f"[{s.hdi_low:.2f}, {s.hdi_high:.2f}]", f"{s.rhat:.2f}")
+                  for name, s in self.rows]
+        # Each column is as wide as its widest cell, and no narrower than these.
+        widths = [max(width, *map(len, column))
+                  for width, column in zip((10, 16, 8, 18, 6), zip(*table))]
+        lines = [" ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])])
+                 for row in table]
+        lines[1:1] = ["-" * len(lines[0])]
+        lines += [
+            "",
+            f"N:             {self.n}",
+            f"KL divergence: {self.kl:.6f}",
+            f"Soofi ID:      {self.soofi_id:.6f}",
+            f"chains={self.chains} draws={self.draws} tune={self.tune} seed={self.seed}",
+        ]
         return "\n".join(lines)
 
 

@@ -23,6 +23,7 @@ from itertools import compress, repeat
 import numpy as np
 
 from .errors import AllExcluded, DegenerateRange, ParseError, ZeroDenominator
+from .synthetic import check_integer, json_numbers
 
 CSV_HEADER = [
     "district_id",
@@ -57,12 +58,14 @@ class DistrictRecord:
 
 @dataclass(frozen=True, eq=False)
 class CleanedSample:
-    """Retained returns values plus exclusion counts and summary statistics.
+    """Retained returns values plus exclusion counts and the kappa and tau means.
 
     ``values`` must be a nonempty 1-d array of finite numbers; ``clean``
     raises AllExcluded rather than build an empty one. ``fiscal`` holds the
-    ``fiscal_summary`` table when ``clean`` built the sample. It is not part
-    of the JSON form, so a sample read back from a file has ``fiscal=None``.
+    ``fiscal_summary`` table, the summary of x among it, when ``clean``
+    built the sample. It is not part of the JSON form, so a sample read
+    back from a file has ``fiscal=None``. The two counts must be integers,
+    and ``from_json`` takes JSON numbers only.
     """
 
     values: np.ndarray
@@ -70,15 +73,13 @@ class CleanedSample:
     excluded_extreme: int
     kappa_mean: float
     tau_mean: float
-    x_mean: float
-    x_sd: float
-    x_min: float
-    x_max: float
     fiscal: dict[str, tuple[float, float, float, float]] | None = field(
         default=None, repr=False
     )
 
     def __post_init__(self) -> None:
+        check_integer("excluded_missing", self.excluded_missing)
+        check_integer("excluded_extreme", self.excluded_extreme)
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("cleaned values must be a nonempty 1-d list")
@@ -94,65 +95,54 @@ class CleanedSample:
             "excluded_extreme": self.excluded_extreme,
             "kappa_mean": self.kappa_mean,
             "tau_mean": self.tau_mean,
-            "x_mean": self.x_mean,
-            "x_sd": self.x_sd,
-            "x_min": self.x_min,
-            "x_max": self.x_max,
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> "CleanedSample":
         return cls(
-            values=np.asarray(payload["values"], dtype=float),
-            excluded_missing=int(payload["excluded_missing"]),
-            excluded_extreme=int(payload["excluded_extreme"]),
-            kappa_mean=float(payload["kappa_mean"]),
-            tau_mean=float(payload["tau_mean"]),
-            x_mean=float(payload["x_mean"]),
-            x_sd=float(payload["x_sd"]),
-            x_min=float(payload["x_min"]),
-            x_max=float(payload["x_max"]),
+            values=json_numbers("values", payload["values"]),
+            excluded_missing=payload["excluded_missing"],
+            excluded_extreme=payload["excluded_extreme"],
+            kappa_mean=float(json_numbers("kappa_mean", payload["kappa_mean"])),
+            tau_mean=float(json_numbers("tau_mean", payload["tau_mean"])),
         )
 
 
 @dataclass(frozen=True, eq=False)
 class HistogramSpec:
-    """Observed histogram: edges, relative frequencies, and raw counts.
+    """Observed histogram: bin edges and raw counts.
 
-    All three must be 1-d. Edges must be finite and strictly increasing,
-    frequencies and counts finite and nonnegative, and the frequencies must
-    sum to 1. The counts must be whole numbers with a positive total, ``n``,
-    and each frequency lie within 1e-12 of its count over that total, as
-    ``build_histogram`` writes.
+    Both must be 1-d, with one count per bin. Edges must be finite and
+    strictly increasing, and the counts whole, nonnegative numbers with a
+    positive, finite total, ``n``. ``frequencies``, each count over that
+    total, is derived from them, so it is not an argument and not part of
+    the JSON form. ``from_json`` takes JSON numbers only.
     """
 
     edges: np.ndarray
-    frequencies: np.ndarray
     counts: np.ndarray
+    frequencies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arrays = {name: np.asarray(getattr(self, name), dtype=float)
-                  for name in ("edges", "frequencies", "counts")}
+                  for name in ("edges", "counts")}
         for name, arr in arrays.items():
             if arr.ndim != 1:
                 raise ValueError(f"histogram {name} must be a 1-d list, got shape {arr.shape}")
-        edges, frequencies, counts = arrays.values()
-        if len(frequencies) != len(edges) - 1 or len(counts) != len(frequencies):
+        edges, counts = arrays.values()
+        if len(counts) != len(edges) - 1:
             raise ValueError("histogram arrays have inconsistent lengths")
         if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0.0)):
             raise ValueError("histogram edges must be finite and strictly increasing")
-        for name, arr in (("frequencies", frequencies), ("counts", counts)):
-            if not np.all((arr >= 0.0) & (arr < math.inf)):
-                raise ValueError(f"histogram {name} must be finite and nonnegative")
+        if not np.all((counts >= 0.0) & (counts < math.inf)):
+            raise ValueError("histogram counts must be finite and nonnegative")
         if np.any(counts != np.floor(counts)):
             raise ValueError("histogram counts must be whole numbers")
-        if abs(float(np.sum(frequencies)) - 1.0) > 1e-12:
-            raise ValueError("frequencies must sum to 1")
-        total = float(np.sum(counts))
-        if not total > 0.0:
-            raise ValueError("histogram counts must have a positive total")
-        if np.any(np.abs(frequencies - counts / total) > 1e-12):
-            raise ValueError("histogram frequencies must equal counts / their total")
+        with np.errstate(over="ignore"):
+            total = float(np.sum(counts))
+        if not 0.0 < total < math.inf:
+            raise ValueError("histogram counts must have a positive, finite total")
+        arrays["frequencies"] = counts / total
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -162,19 +152,12 @@ class HistogramSpec:
         return int(np.sum(self.counts))
 
     def to_json(self) -> dict:
-        return {
-            "edges": self.edges.tolist(),
-            "frequencies": self.frequencies.tolist(),
-            "counts": self.counts.tolist(),
-        }
+        return {"edges": self.edges.tolist(), "counts": self.counts.tolist()}
 
     @classmethod
     def from_json(cls, payload: dict) -> "HistogramSpec":
-        return cls(
-            edges=np.asarray(payload["edges"], dtype=float),
-            frequencies=np.asarray(payload["frequencies"], dtype=float),
-            counts=np.asarray(payload["counts"], dtype=float),
-        )
+        return cls(**{name: json_numbers(f"histogram {name}", payload[name])
+                      for name in ("edges", "counts")})
 
 
 def _parse_number(field: str, line_no: int, column: str) -> float:
@@ -458,17 +441,12 @@ def clean(
     for name, arr in (("x", xs), ("kappa", kappas), ("tau", taus)):
         # Huge kappa and tau can cancel in x; mean_and_sd does not overflow.
         fiscal[name] = (*mean_and_sd(arr), float(np.min(arr)), float(np.max(arr)))
-    x_mean, x_sd, x_min, x_max = fiscal["x"]
     return CleanedSample(
         values=xs,
         excluded_missing=n_missing,
         excluded_extreme=n_extreme,
         kappa_mean=fiscal["kappa"][0],
         tau_mean=fiscal["tau"][0],
-        x_mean=x_mean,
-        x_sd=x_sd,
-        x_min=x_min,
-        x_max=x_max,
         fiscal=fiscal,
     )
 
@@ -534,8 +512,4 @@ def build_histogram(values, bins: int | str = "fd") -> HistogramSpec:
     if bins == "fd":
         bins = fd_bin_count(np.sort(values))
     counts, edges = np.histogram(values, bins=bins)
-    return HistogramSpec(
-        edges=edges,
-        frequencies=counts / counts.sum(),
-        counts=counts.astype(float),
-    )
+    return HistogramSpec(edges=edges, counts=counts.astype(float))

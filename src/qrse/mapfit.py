@@ -39,7 +39,7 @@ from .model import (
     _log_partition,
     bin_probabilities,
 )
-from .synthetic import check_integer, rng_from_seed
+from .synthetic import check_integer, json_numbers, rng_from_seed
 
 FREQUENCY_FLOOR = 1e-10
 # The scale box in data units (``data_unit``). QRSE data inside it have an
@@ -56,12 +56,12 @@ class MapResult:
     ``iterations`` totals the Newton steps over all starts; ``converged``
     says that the winning start stopped because the KL no longer fell at
     float64 precision, not at its step cap; ``restarts_used`` counts starts
-    beyond the first.
+    beyond the first. ``soofi_id`` is derived from ``kl``, so it is not
+    part of the JSON form. ``from_json`` takes JSON numbers only.
     """
 
     params: QrseParams
     kl: float
-    soofi_id: float
     iterations: int
     converged: bool
     restarts_used: int
@@ -69,18 +69,19 @@ class MapResult:
     def __post_init__(self) -> None:
         if self.kl < 0.0:
             raise ValueError(f"kl must be nonnegative, got {self.kl!r}")
-        if abs(self.soofi_id - (-math.expm1(-self.kl))) > 1e-12:
-            raise ValueError("soofi_id is inconsistent with kl")
         check_integer("iterations", self.iterations)
         check_integer("restarts_used", self.restarts_used)
         if not isinstance(self.converged, bool):
             raise ValueError(f"converged must be a boolean, got {self.converged!r}")
 
+    @property
+    def soofi_id(self) -> float:
+        return soofi_id(self.kl)
+
     def to_json(self) -> dict:
         return {
             **asdict(self.params),
             "kl": self.kl,
-            "soofi_id": self.soofi_id,
             "iterations": self.iterations,
             "converged": self.converged,
             "restarts_used": self.restarts_used,
@@ -89,9 +90,9 @@ class MapResult:
     @classmethod
     def from_json(cls, payload: dict) -> "MapResult":
         return cls(
-            params=QrseParams(**{name: float(payload[name]) for name in ("T", "S", "mu", "alpha")}),
-            kl=float(payload["kl"]),
-            soofi_id=float(payload["soofi_id"]),
+            params=QrseParams(**{name: float(json_numbers(name, payload[name]))
+                                 for name in ("T", "S", "mu", "alpha")}),
+            kl=float(json_numbers("kl", payload["kl"])),
             iterations=payload["iterations"],
             converged=payload["converged"],
             restarts_used=payload["restarts_used"],
@@ -463,7 +464,6 @@ def fit_map(
     return MapResult(
         params=params,
         kl=kl,
-        soofi_id=soofi_id(kl),
         iterations=iterations,
         converged=best.converged,
         restarts_used=len(starts) - 1,

@@ -76,7 +76,7 @@ from .model import (
     build_density,
     log_likelihood,
 )
-from .synthetic import RNG_ALGORITHM, check_integer, rng_from_seed
+from .synthetic import RNG_ALGORITHM, check_integer, json_numbers, rng_from_seed
 
 DEFAULT_SCALE_SD = 2.0
 DEFAULT_LOCATION_SD = 10.0
@@ -225,7 +225,7 @@ class PriorSpec:
     def from_json(cls, payload: dict) -> "PriorSpec":
         if not isinstance(payload, dict):
             raise TypeError(f"priors must be a JSON object, got {type(payload).__name__}")
-        return cls(**{key: float(value) for key, value in payload.items()})
+        return cls(**{key: float(json_numbers(key, value)) for key, value in payload.items()})
 
 
 @dataclass(frozen=True)
@@ -270,8 +270,9 @@ class PosteriorDraws:
     ``draws`` has shape (chains, draws, 4) with columns (T, S, mu, alpha).
     ``step_scales`` holds each chain's frozen post-tune proposal scales (for
     the independence kernel, the proposal's per-coordinate scales).
-    ``kernel`` names the kernel that ran, one of KERNELS. The chain and
-    draw counts of ``draws``, ``config``, ``acceptance_rates`` and
+    ``kernel`` names the kernel that ran, one of KERNELS, and
+    ``rng_algorithm`` the generator, RNG_ALGORITHM. The chain and draw
+    counts of ``draws``, ``config``, ``acceptance_rates`` and
     ``step_scales`` must agree, every draw must be finite and inside the
     support and the location box (``_bounds``), and each chain's scales
     must pass ``ChainConfig``'s rule (``_valid_scales``).
@@ -288,6 +289,8 @@ class PosteriorDraws:
     def __post_init__(self) -> None:
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
+        if self.rng_algorithm != RNG_ALGORITHM:
+            raise ValueError(f"rng_algorithm must be {RNG_ALGORITHM!r}, got {self.rng_algorithm!r}")
         draws = np.asarray(self.draws, dtype=float)
         if draws.ndim != 3 or draws.shape[2] != 4:
             raise ValueError("draws must have shape (chains, draws, 4)")
@@ -924,10 +927,11 @@ def load_trace(path) -> PosteriorDraws:
     """Read a trace file written by save_trace back into PosteriorDraws.
 
     Raises ParseError, naming the file, unless its metadata, format tag,
-    kernel name, header, row count and (chain, draw) row order are as
-    save_trace writes and every draw is finite and inside the support and
-    the location box (``PosteriorDraws``). A trace without a kernel name was
-    written before there was a choice, so it ran the random walk.
+    generator, kernel name, header, row count and (chain, draw) row order
+    are as save_trace writes and every draw is finite and inside the
+    support and the location box (``PosteriorDraws``). A trace without a
+    kernel name was written before there was a choice, so it ran the
+    random walk.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -949,10 +953,11 @@ def load_trace(path) -> PosteriorDraws:
             table[:, :2], np.indices(shape).reshape(2, -1).T
         ):
             raise ValueError("rows are not six columns in (chain, draw) order")
+        rates, scales = (json_numbers(k, metadata[k]) for k in ("acceptance_rates", "step_scales"))
         return PosteriorDraws(
             draws=table[:, 2:].reshape(*shape, 4),
-            acceptance_rates=tuple(float(r) for r in metadata["acceptance_rates"]),
-            step_scales=tuple(tuple(float(x) for x in s) for s in metadata["step_scales"]),
+            acceptance_rates=tuple(map(float, rates)),
+            step_scales=tuple(tuple(map(float, s)) for s in scales),
             config=config,
             priors=PriorSpec.from_json(metadata["priors"]),
             rng_algorithm=str(metadata["rng"]),
@@ -960,5 +965,5 @@ def load_trace(path) -> PosteriorDraws:
         )
     except KeyError as err:
         raise ParseError(f"{path}: not a valid trace file: missing key {err}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:  # a JSON integer past float's range
         raise ParseError(f"{path}: not a valid trace file: {err}") from None

@@ -32,6 +32,22 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def json_numbers(name: str, value):
+    """``value``, read from JSON, once it is known to be a real number or a
+    list, nested at any depth, of them; a ValueError names ``name`` if not.
+    A bool is not a number, and the shape is left to the caller, so strings
+    such as "3" or "nan" never reach a float conversion."""
+    items = value if isinstance(value, list) else [value]
+    types = set(map(type, items))
+    if list in types:
+        for item in items:
+            json_numbers(name, item)
+    elif any(issubclass(t, bool) or not issubclass(t, numbers.Real) for t in types):
+        bad = next(i for i in items if isinstance(i, bool) or not isinstance(i, numbers.Real))
+        raise ValueError(f"{name}: {bad!r} is not a number")
+    return value
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     """How many draws, from which seed, for ``sample``'s auto grid; use
@@ -51,6 +67,7 @@ class SampleConfig:
 
 def sample_from_table(table: DensityTable, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF draws from an already-built density table."""
+    SampleConfig(n, seed)  # n and seed follow sample's rules
     edges, cumulative = table.cell_cdf()
     rng = rng_from_seed(seed)
     # Scale by the realized total mass so roundoff in the cumsum cannot push

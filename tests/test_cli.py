@@ -40,8 +40,12 @@ class TestIngest:
         assert len(cleaned["values"]) == 4
         assert cleaned["excluded_missing"] == 3
         assert cleaned["excluded_extreme"] == 2
+        # Each fact once: the x summary, the frequencies and the Soofi ID
+        # are derived where they are needed, not stored.
+        assert set(cleaned) == {"values", "excluded_missing", "excluded_extreme",
+                                "kappa_mean", "tau_mean"}
         hist = json.loads((outdir / "histogram.json").read_text())
-        assert abs(sum(hist["frequencies"]) - 1.0) < 1e-12
+        assert set(hist) == {"edges", "counts"} and sum(hist["counts"]) == 4
         out = capsys.readouterr().out
         assert "kept 4 of 9 records" in out
         assert "kappa" in out and "tau" in out
@@ -83,7 +87,7 @@ class TestIngest:
                  "--bins", "3")
         assert rc == 0
         hist = json.loads((outdir / "histogram.json").read_text())
-        assert len(hist["frequencies"]) == 3
+        assert len(hist["counts"]) == 3
 
     def test_bad_bins(self, district_csv, tmp_path):
         rc = run("ingest", "--input", str(district_csv),
@@ -212,23 +216,26 @@ def test_write_json_matches_indented_dumps(payload):
         assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
-# Hand edits to a histogram's counts that leave its frequencies as they were.
+# Hand edits to a histogram's counts that ingest never writes, and the
+# message each gives.
 COUNT_EDITS = {
-    "one-count-changed": (lambda counts: [counts[0] + 1.0, *counts[1:]],
-                          "histogram frequencies must equal counts / their total"),
     "zero-counts": (lambda counts: [0.0] * len(counts),
-                    "histogram counts must have a positive total"),
+                    "histogram counts must have a positive, finite total"),
     # Scaled to a total of 0.4: a report once printed "N: 0".
     "fractional-counts": (lambda counts: [c * 0.4 / sum(counts) for c in counts],
                           "histogram counts must be whole numbers"),
+    # A string once read as the number it spells.
+    "string-count": (lambda counts: ["3", *counts[1:]], "histogram counts: '3' is not a number"),
+    # A JSON integer past float64's range once raised an OverflowError traceback.
+    "huge-count": (lambda counts: [10**400, *counts[1:]], "int too large to convert to float"),
 }
 
 
 class TestFit:
     def test_map_artifact(self, pipeline_dir, capsys):
         payload = json.loads((pipeline_dir / "map.json").read_text())
-        assert set(payload) >= {"T", "S", "mu", "alpha", "kl", "soofi_id",
-                                "converged"}
+        assert set(payload) == {"T", "S", "mu", "alpha", "kl", "iterations", "converged",
+                                "restarts_used"}
         assert payload["kl"] >= 0.0
 
     def test_deterministic_artifact(self, district_csv, tmp_path):
@@ -250,16 +257,15 @@ class TestFit:
         assert run("fit", "--outdir", str(tmp_path)) == 2
 
     @pytest.mark.parametrize("key, edit, message", [
-        # Still summing to 1: ingest never writes a negative frequency.
-        ("frequencies", lambda f: [f[0] - 0.3, *f[1:-1], f[-1] + 0.3],
-         "frequencies must be finite and nonnegative"),
+        ("counts", lambda c: [-1.0, *c[1:]], "counts must be finite and nonnegative"),
         ("edges", lambda edges: edges[::-1], "edges must be finite and strictly increasing"),
-        # 2-d arrays once reached the fit: a TypeError traceback for edges,
-        # "model has 2 bins, observed has 2" for frequencies.
+        # 2-d edges once reached the fit as a TypeError traceback.
         ("edges", lambda edges: [[e, e + 1.0] for e in edges], "edges must be a 1-d list"),
-        ("frequencies", lambda f: [[p] for p in f], "frequencies must be a 1-d list"),
+        ("counts", lambda c: [[n] for n in c], "counts must be a 1-d list"),
+        ("edges", lambda edges: ["-1e9", *edges[1:]], "histogram edges: '-1e9' is not a number"),
         *(("counts", *edit) for edit in COUNT_EDITS.values()),
-    ], ids=["negative-frequency", "reversed-edges", "edges-2d", "frequencies-2d", *COUNT_EDITS])
+    ], ids=["negative-count", "reversed-edges", "edges-2d", "counts-2d", "string-edge",
+            *COUNT_EDITS])
     def test_histogram_ingest_never_writes(self, pipeline_dir, tmp_path, capsys, key, edit, message):
         payload = json.loads((pipeline_dir / "histogram.json").read_text())
         payload[key] = edit(payload[key])
@@ -288,7 +294,8 @@ class TestFit:
 
 
 # Edits to a fitted map.json that `sample` must reject, naming the file, and
-# the message it gives. "false" once read as True, 12.7 as 12 and "8" as 8.
+# the message it gives. "false" once read as True, 12.7 as 12 and "8" as 8,
+# and "2" as 2.0.
 MAP_EDITS = {
     "not-an-object": (lambda payload: [], "expected a JSON object"),
     "missing-key": (lambda payload: {"T": 1}, "missing key 'S'"),
@@ -298,6 +305,21 @@ MAP_EDITS = {
                               "iterations must be an integer, got 12.7"),
     "string-restarts": (lambda payload: payload | {"restarts_used": "8"},
                         "restarts_used must be an integer, got '8'"),
+    "string-T": (lambda payload: payload | {"T": "2"}, "T: '2' is not a number"),
+}
+
+# Edits to a cleaned.json that `sample` must reject, naming the file, and the
+# message it gives. 2.7 once read as 2, and the strings as the numbers they
+# spell.
+CLEANED_EDITS = {
+    "fractional-excluded": (lambda payload: payload | {"excluded_extreme": 2.7},
+                            "excluded_extreme must be an integer, got 2.7"),
+    "string-excluded": (lambda payload: payload | {"excluded_missing": "3"},
+                        "excluded_missing must be an integer, got '3'"),
+    "string-mean": (lambda payload: payload | {"kappa_mean": "1.5"},
+                    "kappa_mean: '1.5' is not a number"),
+    "string-value": (lambda payload: payload | {"values": ["nan", *payload["values"][1:]]},
+                     "values: 'nan' is not a number"),
 }
 
 
@@ -324,8 +346,7 @@ class TestSampleAndReport:
 
         fit_curve = (pipeline_dir / "fit_curve.csv").read_text().splitlines()
         assert fit_curve[0] == "x,observed_density,fitted_pdf"
-        n_bins = len(json.loads(
-            (pipeline_dir / "histogram.json").read_text())["frequencies"])
+        n_bins = len(json.loads((pipeline_dir / "histogram.json").read_text())["counts"])
         assert len(fit_curve) == 1 + n_bins
 
         quantal = (pipeline_dir / "quantal_response.csv").read_text().splitlines()
@@ -384,6 +405,53 @@ class TestSampleAndReport:
         assert run("report", "--outdir", str(outdir)) == 2
         assert f"{trace}: not a valid trace file: draws must be finite" in capsys.readouterr().err
 
+    def test_trace_from_another_generator_exits_2(self, pipeline_dir, tmp_path, capsys):
+        # A trace whose metadata names another generator once loaded.
+        outdir = tmp_path / "mt"
+        shutil.copytree(pipeline_dir, outdir)
+        assert run("sample", "--outdir", str(outdir), "--chains", "2",
+                   "--draws", "50", "--tune", "0", "--seed", "1") == 0
+        trace = outdir / "trace.csv"
+        philox = f'"rng": "{mcmc.RNG_ALGORITHM}"'
+        text = trace.read_text()
+        assert philox in text.splitlines()[0]
+        trace.write_text(text.replace(philox, '"rng": "numpy.random.MT19937"', 1))
+        capsys.readouterr()
+        assert run("report", "--outdir", str(outdir)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {trace}: not a valid trace file: rng_algorithm must be "
+            f"{mcmc.RNG_ALGORITHM!r}, got 'numpy.random.MT19937'\n"
+        )
+
+    def test_files_with_the_old_keys_give_the_same_bytes(self, pipeline_dir, tmp_path):
+        # Files written when histogram.json stored the frequencies, map.json
+        # the Soofi ID and cleaned.json a summary of x still load, and the
+        # stored copies are not read: every artifact keeps its bytes.
+        outdirs = tmp_path / "new", tmp_path / "old"
+        for outdir in outdirs:
+            outdir.mkdir()
+            for name in ("histogram.json", "cleaned.json"):
+                shutil.copy(pipeline_dir / name, outdir)
+
+        def add_keys(path, **keys):
+            path.write_text(json.dumps(json.loads(path.read_text()) | keys))
+
+        old = outdirs[1]
+        counts = json.loads((old / "histogram.json").read_text())["counts"]
+        add_keys(old / "histogram.json", frequencies=[c / sum(counts) for c in counts])
+        add_keys(old / "cleaned.json", x_mean=11.0, x_sd=5.0, x_min=-20.0, x_max=40.0)
+        for outdir in outdirs:
+            assert run("fit", "--outdir", str(outdir), "--restarts", "0") == 0
+        assert (outdirs[0] / "map.json").read_bytes() == (old / "map.json").read_bytes()
+        add_keys(old / "map.json", soofi_id=0.015)
+        for outdir in outdirs:
+            assert run("sample", "--outdir", str(outdir), "--chains", "2",
+                       "--draws", "50", "--tune", "0", "--seed", "1") == 0
+            assert run("report", "--outdir", str(outdir)) == 0
+        for name in ("trace.csv", "report.json", "report.txt", "fit_curve.csv",
+                     "quantal_response.csv", "parameter_variation.csv"):
+            assert (outdirs[0] / name).read_bytes() == (old / name).read_bytes(), name
+
     def test_two_dimensional_histogram_exits_2(self, pipeline_dir, tmp_path, capsys):
         # 2-d edges once made report exit 1 with a TypeError traceback.
         outdir = tmp_path / "2-d"
@@ -393,7 +461,7 @@ class TestSampleAndReport:
         histogram = outdir / "histogram.json"
         payload = json.loads(histogram.read_text())
         payload["edges"] = [[0.0, 1.0], [2.0, 3.0]]
-        payload["frequencies"], payload["counts"] = [1.0], [float(sum(payload["counts"]))]
+        payload["counts"] = [float(sum(payload["counts"]))]
         histogram.write_text(json.dumps(payload))
         (outdir / "report.json").unlink(missing_ok=True)  # from a report on pipeline_dir
         capsys.readouterr()
@@ -406,8 +474,9 @@ class TestSampleAndReport:
     def test_counts_that_disagree_with_frequencies_exit_2(
         self, pipeline_dir, tmp_path, capsys, counts, message
     ):
-        # The KL scores the frequencies and the "N:" line prints the counts'
-        # total, so a report on such a file would contradict itself.
+        # The KL scores the frequencies, each count over the counts' total,
+        # and the "N:" line prints that total, so both need counts that are
+        # whole numbers with a positive, finite total.
         outdir = tmp_path / "counts"
         shutil.copytree(pipeline_dir, outdir)
         assert run("sample", "--outdir", str(outdir), "--chains", "2",
@@ -491,6 +560,18 @@ class TestSampleAndReport:
         assert run("sample", "--outdir", str(tmp_path)) == 2
         assert capsys.readouterr().err == f"error: {tmp_path / 'map.json'}: {message}\n"
 
+    @pytest.mark.parametrize("edit, message", CLEANED_EDITS.values(), ids=CLEANED_EDITS)
+    def test_malformed_cleaned_exits_2(self, pipeline_dir, tmp_path, monkeypatch, capsys,
+                                       edit, message):
+        calls = []
+        monkeypatch.setattr(cli.mcmc, "run_chains", lambda *a, **k: calls.append(a))
+        shutil.copy(pipeline_dir / "map.json", tmp_path)
+        payload = edit(json.loads((pipeline_dir / "cleaned.json").read_text()))
+        (tmp_path / "cleaned.json").write_text(json.dumps(payload))
+        assert run("sample", "--outdir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'cleaned.json'}: {message}\n"
+        assert calls == []
+
     @pytest.mark.parametrize("values", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2-d"])
     def test_cleaned_values_must_be_a_nonempty_list(
         self, pipeline_dir, tmp_path, monkeypatch, capsys, values
@@ -543,8 +624,9 @@ UNIT_CASES = (1, 10, 1000)
 
 @pytest.fixture(scope="module")
 def unit_runs(tmp_path_factory):
-    """c -> (map.json, trace) of the README-θ pipeline on 2,000 draws, with
-    both money columns and the extreme bounds multiplied by c."""
+    """c -> (map.json, trace, outdir) of the README-θ pipeline, through
+    report, on 2,000 draws, with both money columns and the extreme bounds
+    multiplied by c."""
     base = tmp_path_factory.mktemp("units")
     assert run("simulate", "--outdir", str(base), "--t", "2.1", "--s", "4.9", "--mu", "8.66",
                "--alpha", "17.8", "-n", "2000", "--seed", "7") == 0
@@ -564,8 +646,9 @@ def unit_runs(tmp_path_factory):
         assert run("fit", "--outdir", str(outdir)) == 0
         assert run("sample", "--outdir", str(outdir), "--chains", "3", "--draws", "1000",
                    "--tune", "200") == 0
+        assert run("report", "--outdir", str(outdir)) == 0
         runs[c] = (json.loads((outdir / "map.json").read_text()),
-                   mcmc.load_trace(outdir / "trace.csv"))
+                   mcmc.load_trace(outdir / "trace.csv"), outdir)
     return runs
 
 
@@ -590,6 +673,18 @@ class TestDataUnit:
         mcse = batches.std(axis=0, ddof=1) / math.sqrt(batches.shape[0])
         error = np.abs(scaled.draws.mean(axis=(0, 1)) / c - reference.draws.mean(axis=(0, 1)))
         assert np.all(error <= 4.0 * mcse), (error, mcse)
+
+    @pytest.mark.parametrize("c", UNIT_CASES[1:])
+    def test_parameter_variation_scales_with_the_data(self, unit_runs, c):
+        # The export once drew the same curves, on the same +-90 grid, for
+        # data in any unit.
+        reference, scaled = (
+            np.loadtxt(unit_runs[k][2] / "parameter_variation.csv", delimiter=",",
+                       skiprows=1, usecols=(1, 2, 3))
+            for k in (1, c)
+        )
+        np.testing.assert_allclose(scaled[:, :2], c * reference[:, :2], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(scaled[:, 2], reference[:, 2] / c, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize(
         "params, n, seed",
@@ -618,7 +713,7 @@ class TestConfigFile:
         )
         assert run("ingest", "--config", str(cfg)) == 0
         hist = json.loads((tmp_path / "out" / "histogram.json").read_text())
-        assert len(hist["frequencies"]) == 2
+        assert len(hist["counts"]) == 2
 
     def test_flag_overrides_file(self, district_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -627,7 +722,7 @@ class TestConfigFile:
         assert run("ingest", "--config", str(cfg), "--outdir", str(outdir),
                    "--bins", "3") == 0
         hist = json.loads((outdir / "histogram.json").read_text())
-        assert len(hist["frequencies"]) == 3
+        assert len(hist["counts"]) == 3
 
     def test_hash_inside_a_value_is_kept(self, tmp_path):
         cfg = tmp_path / "run.cfg"

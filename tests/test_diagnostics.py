@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from statistics import NormalDist
 
@@ -249,11 +250,29 @@ class TestSummarize:
         report = summarize(artificial_posterior, observed_hist)
         text = report.to_text()
         lines = text.splitlines()
-        assert lines[0].split() == ["parameter", "mean", "(sd)", "mode", "94%", "HDI", "rhat"]
+        assert lines[0] == "parameter         mean (sd)     mode            94% HDI   rhat"
+        assert all(len(line) == len(lines[0]) for line in lines[1:6])
         assert lines[2].startswith("mu")
         assert lines[5].startswith("S")
         assert any(line.startswith("KL divergence:") for line in lines)
         assert any(line.startswith("Soofi ID:") for line in lines)
+
+    def test_text_table_widens_for_large_estimates(self, artificial_posterior, observed_hist):
+        # Estimates in dollars, not thousands: the mean (sd) and HDI cells
+        # of alpha are wider than the columns' usual widths, so the columns
+        # widen and every cell still ends under the end of its header.
+        report = summarize(artificial_posterior, observed_hist)
+        report = dataclasses.replace(report, rows=tuple(
+            (name, dataclasses.replace(s, mean=1000 * s.mean, sd=1000 * s.sd, mode=1000 * s.mode,
+                                       hdi_low=1000 * s.hdi_low, hdi_high=1000 * s.hdi_high))
+            for name, s in report.rows
+        ))
+        header, rule, *rows = report.to_text().splitlines()[:6]
+        assert len(rule) == len(header) > 62 and set(rule) == {"-"}
+        ends = [header.index(label) + len(label) for label in ("mean (sd)", "mode", "HDI", "rhat")]
+        for row in rows:
+            assert len(row) == len(header)
+            assert all(row[end - 1] != " " and row[end:end + 1] in ("", " ") for end in ends)
 
     def test_json_shape(self, artificial_posterior, observed_hist):
         report = summarize(artificial_posterior, observed_hist)

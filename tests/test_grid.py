@@ -42,7 +42,7 @@ def histograms(draw):
     bins = draw(st.integers(1, 30))
     edges = np.linspace(low, low + width, bins + 1)
     counts = np.ones(bins)
-    return HistogramSpec(edges=edges, frequencies=counts / bins, counts=counts)
+    return HistogramSpec(edges=edges, counts=counts)
 
 
 def oracle_auto(params):

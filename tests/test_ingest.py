@@ -185,10 +185,10 @@ class TestClean:
         records, _ = read_records(district_csv, (2000, 2016))
         cleaned = clean(records)
         xs = np.array([11.5, 13.5, 8.5, 16.0])
-        assert cleaned.x_mean == pytest.approx(xs.mean())
-        assert cleaned.x_sd == pytest.approx(xs.std(ddof=1))
-        assert cleaned.x_min == 8.5
-        assert cleaned.x_max == 16.0
+        mean, sd, low, high = cleaned.fiscal["x"]
+        assert mean == pytest.approx(xs.mean())
+        assert sd == pytest.approx(xs.std(ddof=1))
+        assert (low, high) == (8.5, 16.0)
 
     def test_bounds_inclusive(self):
         records = [
@@ -233,7 +233,7 @@ class TestClean:
 
     def test_single_record_sd_zero(self):
         cleaned = clean([record()])
-        assert cleaned.x_sd == 0.0
+        assert cleaned.fiscal["x"][1] == 0.0
 
     def test_json_round_trip(self, district_csv):
         records, _ = read_records(district_csv, (2000, 2016))
@@ -241,7 +241,7 @@ class TestClean:
         restored = CleanedSample.from_json(cleaned.to_json())
         np.testing.assert_array_equal(restored.values, cleaned.values)
         assert restored.excluded_missing == cleaned.excluded_missing
-        assert restored.x_sd == cleaned.x_sd
+        assert restored.kappa_mean == cleaned.kappa_mean
         assert restored.fiscal is None  # the summary table is not serialized
 
     @pytest.mark.parametrize("values", [[], [[1.0, 2.0], [3.0, 4.0]], 5.0],
@@ -261,9 +261,9 @@ class TestFiscalSummary:
         assert set(summary) == {"x", "kappa", "tau"}
         cleaned = clean(records)
         mean, sd, low, high = summary["x"]
-        assert mean == pytest.approx(cleaned.x_mean)
-        assert sd == pytest.approx(cleaned.x_sd)
-        assert (low, high) == (cleaned.x_min, cleaned.x_max)
+        assert mean == pytest.approx(cleaned.values.mean())
+        assert sd == pytest.approx(cleaned.values.std(ddof=1))
+        assert (low, high) == (cleaned.values.min(), cleaned.values.max())
         # kappa for the retained rows: 12, 15, 9, 20
         assert summary["kappa"][0] == pytest.approx(14.0)
         # The CLI prints the table clean built in its own pass.
@@ -350,35 +350,36 @@ class TestBuildHistogram:
         assert restored.n == hist.n
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            HistogramSpec(
-                edges=np.array([0.0, 1.0, 2.0]),
-                frequencies=np.array([0.5, 0.6]),  # sums to 1.1
-                counts=np.array([5.0, 6.0]),
-            )
-        with pytest.raises(ValueError):
-            HistogramSpec(
-                edges=np.array([0.0, 1.0]),
-                frequencies=np.array([0.5, 0.5]),  # wrong length
-                counts=np.array([1.0, 1.0]),
-            )
+        with pytest.raises(ValueError, match="inconsistent lengths"):
+            HistogramSpec(edges=np.array([0.0, 1.0]), counts=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            HistogramSpec(edges=np.array([0.0, 2.0, 1.0]), counts=np.array([1.0, 1.0]))
 
-    @pytest.mark.parametrize("frequencies, counts, message", [
-        ([0.9, 0.1], [1.0, 1000.0], "frequencies must equal counts / their total"),
-        ([0.25 + 2e-12, 0.75 - 2e-12], [1.0, 3.0], "frequencies must equal counts / their total"),
-        ([0.5, 0.5], [0.0, 0.0], "counts must have a positive total"),
-        ([0.25, 0.75], [0.1, 0.3], "counts must be whole numbers"),
-    ], ids=["far-apart", "just-past-tolerance", "zero-counts", "fractional"])
-    def test_counts_must_agree_with_frequencies(self, frequencies, counts, message):
+    # The frequencies are each count over the counts' total, so the counts
+    # must give a total to divide by, and be the whole numbers ingest writes.
+    # Finite counts can overflow the total, which would make every frequency
+    # 0 and n raise OverflowError.
+    @pytest.mark.parametrize("counts, message", [
+        ([0.0, 0.0], "counts must have a positive, finite total"),
+        ([0.1, 0.3], "counts must be whole numbers"),
+        ([1e308, 1e308], "counts must have a positive, finite total"),
+    ], ids=["zero-counts", "fractional", "overflowing-total"])
+    def test_counts_must_agree_with_frequencies(self, counts, message):
         with pytest.raises(ValueError, match=message):
-            HistogramSpec(edges=np.array([0.0, 1.0, 2.0]), frequencies=np.array(frequencies),
-                          counts=np.array(counts))
+            HistogramSpec(edges=np.array([0.0, 1.0, 2.0]), counts=np.array(counts))
 
-    def test_counts_agree_within_tolerance(self):
-        hist = HistogramSpec(edges=np.array([0.0, 1.0, 2.0]),
-                             frequencies=np.array([0.25 + 5e-13, 0.75 - 5e-13]),
-                             counts=np.array([1.0, 3.0]))
-        assert hist.n == 4
+    @pytest.mark.parametrize("bins", [3, 7, 333, "fd"])
+    def test_frequencies_are_counts_over_their_total(self, bins):
+        # The expression build_histogram once stored, bit for bit; derived,
+        # read-only, and neither an argument nor a JSON key.
+        values = np.random.default_rng(8).normal(8.66, 5.0, size=5000)
+        hist = build_histogram(values, bins)
+        counts, _ = np.histogram(values, bins=hist.edges.size - 1)
+        assert hist.frequencies.tobytes() == (counts / counts.sum()).tobytes()
+        assert not hist.frequencies.flags.writeable
+        assert set(hist.to_json()) == {"edges", "counts"}
+        with pytest.raises(TypeError):
+            HistogramSpec(edges=hist.edges, counts=hist.counts, frequencies=hist.frequencies)
 
 
 def oracle_split(records, extreme_low=-50.0, extreme_high=120.0):

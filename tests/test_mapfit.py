@@ -149,10 +149,12 @@ class TestFitMap:
 
     def test_json_round_trip(self, medium_hist):
         result = fit_map(medium_hist, init=REF)
-        restored = mapfit.MapResult.from_json(result.to_json())
-        assert restored.params == result.params
-        assert restored.kl == result.kl
-        assert restored.converged == result.converged
+        payload = result.to_json()
+        restored = mapfit.MapResult.from_json(payload)
+        assert restored == result
+        # The Soofi ID is derived from the KL, so map.json does not store it.
+        assert "soofi_id" not in payload
+        assert restored.soofi_id == soofi_id(result.kl)
 
     def test_reverse_direction_changes_objective(self, medium_hist):
         forward = fit_map(medium_hist, init=REF)
@@ -366,14 +368,13 @@ class TestDataUnit:
     def test_least_power_of_ten_with_sd_at_most_16_units(self, half_width, unit):
         # Two equal bins, so the sd is half a bin width.
         hist = HistogramSpec(edges=np.array([0.0, half_width, 2.0 * half_width]),
-                             frequencies=np.array([0.5, 0.5]), counts=np.array([1.0, 1.0]))
+                             counts=np.array([1.0, 1.0]))
         assert mapfit._histogram_moments(hist)[1] == half_width / 2.0
         assert mapfit.data_unit(hist) == unit
 
     def test_default_scale_box_follows_the_unit(self, medium_hist):
         # The same data with the money columns in dollars, not thousands.
-        dollars = HistogramSpec(edges=1000.0 * medium_hist.edges,
-                                frequencies=medium_hist.frequencies, counts=medium_hist.counts)
+        dollars = HistogramSpec(edges=1000.0 * medium_hist.edges, counts=medium_hist.counts)
         assert mapfit.data_unit(medium_hist) == 1.0
         assert mapfit.data_unit(dollars) == 1000.0
         assert mapfit._default_bounds(medium_hist)[:2] == (mapfit.DEFAULT_SCALE_BOUNDS,) * 2

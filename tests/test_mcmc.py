@@ -1140,6 +1140,13 @@ def with_step_scale(lines, value):
     return ["# " + json.dumps(metadata)] + lines[1:]
 
 
+def with_metadata(lines, key, value):
+    """A trace's lines with the metadata's ``key`` set to ``value``."""
+    metadata = json.loads(lines[0][2:])
+    metadata[key] = value
+    return ["# " + json.dumps(metadata)] + lines[1:]
+
+
 class TestTrace:
     def test_round_trip_bit_exact(self, small_posterior, tmp_path):
         path = tmp_path / "trace.csv"
@@ -1181,6 +1188,21 @@ class TestTrace:
                 priors=PRIORS,
                 kernel="independence",
             )
+
+    def test_generator_must_be_philox(self, small_posterior, tmp_path):
+        # A trace naming another generator once loaded without a word.
+        with pytest.raises(ValueError, match="^rng_algorithm must be 'numpy.random.Philox4x32-10'"):
+            dataclasses.replace(small_posterior, rng_algorithm="numpy.random.MT19937")
+
+        path = self.write_trace(
+            small_posterior, tmp_path, lambda lines: with_metadata(lines, "rng", "numpy.random.MT19937")
+        )
+        with pytest.raises(ParseError) as caught:
+            load_trace(path)
+        assert str(caught.value) == (
+            f"{path}: not a valid trace file: rng_algorithm must be "
+            "'numpy.random.Philox4x32-10', got 'numpy.random.MT19937'"
+        )
 
     def test_format_header(self, small_posterior, tmp_path):
         path = tmp_path / "trace.csv"
@@ -1247,13 +1269,22 @@ class TestTrace:
             (lambda lines: with_step_scale(lines, math.nan), "finite and nonnegative"),
             (lambda lines: with_step_scale(lines, math.inf), "finite and nonnegative"),
             (lambda lines: with_step_scale(lines, -0.5), "finite and nonnegative"),
+            # Strings once read as the numbers they spell.
+            (lambda lines: with_step_scale(lines, "0.5"), "step_scales: '0.5' is not a number"),
+            (lambda lines: with_metadata(lines, "acceptance_rates", ["0.3"] * 3),
+             "acceptance_rates: '0.3' is not a number"),
+            (lambda lines: with_metadata(lines, "priors", PRIORS.to_json() | {"t_sd": "2"}),
+             "t_sd: '2' is not a number"),
+            # A JSON integer past float64's range once raised OverflowError.
+            (lambda lines: with_metadata(lines, "acceptance_rates", [10**400] * 3),
+             "int too large to convert to float"),
             (lambda lines: with_cell(lines, "mu", repr(PRIORS.mu_center + 40.5)), "location box"),
             (lambda lines: with_cell(lines, "alpha", repr(PRIORS.alpha_center - 40.5)),
              "location box"),
         ],
         ids=["truncated", "no-rows", "format-tag", "bad-json", "header", "swapped", "draw-index",
-             "nan-T", "inf-mu", "nan-scale", "inf-scale", "negative-scale", "mu-outside-box",
-             "alpha-outside-box"],
+             "nan-T", "inf-mu", "nan-scale", "inf-scale", "negative-scale", "string-scale",
+             "string-rate", "string-prior", "huge-rate", "mu-outside-box", "alpha-outside-box"],
     )
     def test_rejects_malformed_trace(self, small_posterior, tmp_path, edit, message):
         path = self.write_trace(small_posterior, tmp_path, edit)

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from qrse import EvalGrid, QrseParams, SampleConfig, build_density, rng_from_seed, sample
-from qrse.synthetic import RNG_ALGORITHM, sample_from_table
+from qrse.synthetic import RNG_ALGORITHM, json_numbers, sample_from_table
 from tests.conftest import REF
 
 
@@ -84,6 +86,21 @@ class TestSample:
         via_config = sample(REF, SampleConfig(n=100, seed=5))
         np.testing.assert_array_equal(via_config, sample_from_table(table, 100, 5))
 
+    @pytest.mark.parametrize("n, seed, message", [
+        (2.5, 0, "n must be an integer"),
+        (True, 0, "n must be an integer"),
+        (10, -1, "seed must be a nonnegative integer"),
+        (0, 0, "draw count must be >= 1"),
+    ], ids=["fractional-n", "bool-n", "negative-seed", "zero-n"])
+    def test_table_sampler_checks_counts_as_sample_does(self, n, seed, message):
+        # These once raised numpy's untyped TypeError, Philox's "key must be
+        # positive", or returned no draws.
+        table = build_density(REF, EvalGrid.auto(REF))
+        with pytest.raises(ValueError, match=message):
+            sample_from_table(table, n, seed)
+        with pytest.raises(ValueError, match=message):
+            SampleConfig(n, seed)
+
     def test_asymmetry_direction(self):
         # alpha > mu tilts mass to the right of the tipping point.
         skewed = sample(REF, SampleConfig(n=50000, seed=2))
@@ -96,3 +113,18 @@ class TestSample:
             return float(np.mean(d**3) / np.mean(d**2) ** 1.5)
         assert skewness(skewed) > 0.5
         assert abs(skewness(centered)) < 0.1
+
+
+class TestJsonNumbers:
+    @pytest.mark.parametrize("value", [3, -0.0, float("nan"), [], [1, 2.5], [[1.0], [2, [3]]],
+                                       np.float64(1.5), np.int64(2)])
+    def test_numbers_and_lists_of_them_pass_as_they_are(self, value):
+        assert json_numbers("x", value) is value
+
+    @pytest.mark.parametrize("value, bad", [
+        ("3", "'3'"), (True, "True"), (None, "None"), ({"a": 1}, "{'a': 1}"),
+        ([1.0, "nan"], "'nan'"), ([1, False], "False"), ([[1.0], ["2"]], "'2'"),
+    ])
+    def test_anything_else_names_the_field(self, value, bad):
+        with pytest.raises(ValueError, match=rf"^counts: {re.escape(bad)} is not a number$"):
+            json_numbers("counts", value)
